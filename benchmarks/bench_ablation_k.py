@@ -10,13 +10,13 @@ import numpy as np
 import pytest
 
 from repro.core.differential import fixed_push_counts, push_counts
-from repro.core.vector_engine import VectorGossipEngine
+from repro.core.sparse_engine import SparseGossipEngine
 
 XI = 1e-4
 
 
 def _run(graph, values, counts, announce):
-    engine = VectorGossipEngine(
+    engine = SparseGossipEngine(
         graph, push_counts=counts, degree_announcements=announce, rng=21
     )
     return engine.run(values, np.ones(graph.num_nodes), xi=XI)

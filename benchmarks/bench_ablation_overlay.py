@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.push_sum import normal_push_engine
-from repro.core.vector_engine import VectorGossipEngine
+from repro.core.sparse_engine import SparseGossipEngine
 from repro.network.preferential_attachment import preferential_attachment_graph
 from repro.network.random_graphs import erdos_renyi_graph, random_regular_graph
 from repro.utils.rng import as_generator
@@ -36,7 +36,7 @@ def test_ablation_overlay_step_gap(benchmark, overlay):
     weights = np.ones(N)
 
     def run():
-        diff = VectorGossipEngine(graph, rng=29).run(values, weights, xi=XI)
+        diff = SparseGossipEngine(graph, rng=29).run(values, weights, xi=XI)
         push = normal_push_engine(graph, rng=29).run(values, weights, xi=XI)
         return diff, push
 

@@ -15,7 +15,7 @@ Usage::
 
     PYTHONPATH=src python benchmarks/bench_attacks.py \
         [--n 300] [--targets 40] [--xi 1e-4] [--seed 2016] \
-        [--backends dense,sparse,sharded] [--families all] \
+        [--backends sparse,sharded] [--families all] \
         [--out BENCH_attacks.json]
 """
 
@@ -58,7 +58,7 @@ def run_benchmark(
     num_targets: int = 40,
     xi: float = 1e-4,
     seed: int = 2016,
-    backends=("dense", "sparse", "sharded"),
+    backends=("sparse", "sharded"),
     families=None,
 ) -> Dict[str, object]:
     """One full family × backend sweep; returns the JSON-ready record."""
@@ -139,7 +139,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=2016)
     parser.add_argument(
         "--backends",
-        default="dense,sparse,sharded",
+        default="sparse,sharded",
         help="comma-separated backend names (message is protocol-faithful but slow)",
     )
     parser.add_argument(

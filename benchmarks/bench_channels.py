@@ -39,7 +39,6 @@ import numpy as np
 from repro.core.kernels import available_kernels
 from repro.core.sharded_engine import ShardedGossipEngine
 from repro.core.sparse_engine import SparseGossipEngine
-from repro.core.vector_engine import VectorGossipEngine
 from repro.network.preferential_attachment import preferential_attachment_graph_fast
 from repro.utils.hardware import host_metadata, usable_cpu_count
 
@@ -51,8 +50,6 @@ TARGET_SPEEDUP = 2.0
 def _make_engine(engine: str, graph, seed: int):
     if engine == "sparse":
         return SparseGossipEngine(graph, rng=seed)
-    if engine == "dense":
-        return VectorGossipEngine(graph, rng=seed)
     if engine == "sharded":
         return ShardedGossipEngine(graph, rng=seed, executor="inline")
     raise ValueError(f"unknown engine {engine!r}")
@@ -254,7 +251,7 @@ def main(argv=None) -> int:
         "--engines",
         nargs="+",
         default=["sparse"],
-        choices=["sparse", "dense", "sharded"],
+        choices=["sparse", "sharded"],
     )
     parser.add_argument("--seed", type=int, default=2016)
     parser.add_argument("--out", default="BENCH_channels.json")

@@ -9,7 +9,7 @@ message cost stays competitive). Steps and messages go to
 import numpy as np
 
 from repro.baselines.push_sum import normal_push_engine
-from repro.core.vector_engine import VectorGossipEngine
+from repro.core.sparse_engine import SparseGossipEngine
 
 XI = 1e-4
 
@@ -18,7 +18,7 @@ def test_fig3_differential_push(benchmark, bench_graph, bench_values):
     n = bench_graph.num_nodes
 
     def run():
-        return VectorGossipEngine(bench_graph, rng=12).run(
+        return SparseGossipEngine(bench_graph, rng=12).run(
             bench_values, np.ones(n), xi=XI
         )
 
@@ -45,7 +45,7 @@ def test_fig3_differential_wins_steps(benchmark, bench_graph, bench_values):
     n = bench_graph.num_nodes
 
     def run():
-        diff = VectorGossipEngine(bench_graph, rng=13).run(bench_values, np.ones(n), xi=XI)
+        diff = SparseGossipEngine(bench_graph, rng=13).run(bench_values, np.ones(n), xi=XI)
         push = normal_push_engine(bench_graph, rng=13).run(bench_values, np.ones(n), xi=XI)
         return diff, push
 

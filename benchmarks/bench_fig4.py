@@ -7,7 +7,7 @@ small step increase, graceful degradation, exact mass conservation.
 import numpy as np
 import pytest
 
-from repro.core.vector_engine import VectorGossipEngine
+from repro.core.sparse_engine import SparseGossipEngine
 from repro.network.churn import PacketLossModel
 
 XI = 1e-4
@@ -19,7 +19,7 @@ def test_fig4_gossip_under_packet_loss(benchmark, bench_graph, bench_values, los
 
     def run():
         loss_model = PacketLossModel(loss, rng=14) if loss else None
-        engine = VectorGossipEngine(bench_graph, loss_model=loss_model, rng=15)
+        engine = SparseGossipEngine(bench_graph, loss_model=loss_model, rng=15)
         return engine.run(bench_values, np.ones(n), xi=XI)
 
     outcome = benchmark(run)

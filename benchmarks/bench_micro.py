@@ -32,7 +32,7 @@ def test_micro_gossip_steps(benchmark, bench_graph, bench_values):
     config = GossipConfig(xi=1e-9, max_steps=50, run_to_max=True, rng=24)
 
     def run():
-        return aggregate(bench_graph, bench_values, config, backend="dense")
+        return aggregate(bench_graph, bench_values, config, backend="sparse")
 
     outcome = benchmark(run)
     assert outcome.steps == 50
@@ -45,7 +45,7 @@ def test_micro_vector_gossip_wide_state(benchmark, bench_graph):
     config = GossipConfig(xi=1e-9, max_steps=20, run_to_max=True, rng=26)
 
     def run():
-        return aggregate(bench_graph, values, config, backend="dense")
+        return aggregate(bench_graph, values, config, backend="sparse")
 
     outcome = benchmark(run)
     assert outcome.steps == 20

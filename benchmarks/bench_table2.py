@@ -8,7 +8,7 @@ The paper's band is ~1.1-1.25, decreasing with N and with tighter xi.
 import numpy as np
 import pytest
 
-from repro.core.vector_engine import VectorGossipEngine
+from repro.core.sparse_engine import SparseGossipEngine
 
 
 @pytest.mark.parametrize("xi", [1e-2, 1e-4])
@@ -16,7 +16,7 @@ def test_table2_messages_per_node_per_step(benchmark, bench_graph, bench_values,
     n = bench_graph.num_nodes
 
     def run():
-        engine = VectorGossipEngine(bench_graph, rng=11)
+        engine = SparseGossipEngine(bench_graph, rng=11)
         return engine.run(bench_values, np.ones(n), xi=xi)
 
     outcome = benchmark(run)

@@ -14,7 +14,7 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_tournament.py \
         [--small] [--seed 2016] [--xi 1e-4] [--targets 20] \
         [--algorithms all] [--scenarios all] [--attacks all] \
-        [--backends dense,sparse] [--out BENCH_tournament.json]
+        [--backends sparse] [--out BENCH_tournament.json]
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import sys
 
 from repro.experiments.tournament import (
     DEFAULT_ATTACKS,
+    DEFAULT_BACKENDS,
     build_leaderboard,
     write_record,
 )
@@ -55,7 +56,7 @@ def main(argv=None) -> int:
         "--attacks", default="all",
         help="comma-separated attack families (bench default params), or 'all'",
     )
-    parser.add_argument("--backends", default="dense,sparse")
+    parser.add_argument("--backends", default=",".join(DEFAULT_BACKENDS))
     parser.add_argument("--out", default="BENCH_tournament.json")
     args = parser.parse_args(argv)
 

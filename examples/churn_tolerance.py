@@ -17,7 +17,7 @@ Run:
 
 import numpy as np
 
-from repro.core.vector_engine import VectorGossipEngine
+from repro.core.sparse_engine import SparseGossipEngine
 from repro.network.churn import PacketLossModel
 from repro.network.preferential_attachment import preferential_attachment_graph
 from repro.utils.rng import as_generator
@@ -33,7 +33,7 @@ def main() -> None:
     rows = []
     for loss in (0.0, 0.1, 0.2, 0.3, 0.5):
         loss_model = PacketLossModel(loss, rng=33) if loss else None
-        engine = VectorGossipEngine(graph, loss_model=loss_model, rng=34)
+        engine = SparseGossipEngine(graph, loss_model=loss_model, rng=34)
         outcome = engine.run(values, np.ones(n), xi=1e-5)
         error = float(np.abs(outcome.estimates - truth).max())
         mass_drift = abs(float(outcome.values.sum()) - float(values.sum()))

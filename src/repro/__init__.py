@@ -32,7 +32,6 @@ from repro.core import (
     MessageLevelGossip,
     ShardedGossipEngine,
     SparseGossipEngine,
-    VectorGossipEngine,
     WeightParams,
     aggregate_single_gclr,
     aggregate_single_global,
@@ -109,7 +108,6 @@ __all__ = [
     "aggregate_single_gclr",
     "aggregate_vector_global",
     "aggregate_vector_gclr",
-    "VectorGossipEngine",
     "SparseGossipEngine",
     "ShardedGossipEngine",
     "MessageLevelGossip",

@@ -446,11 +446,8 @@ def collusion_impact(
     """Measure one concrete collusion attack (pre-engine API).
 
     Thin wrapper over :func:`attack_impact`. The default ``backend``
-    is ``"auto"`` — it used to be hard-wired to ``"dense"``, which
-    silently bypassed :func:`~repro.core.backend.choose_backend_name`
-    on large graphs (the same bug class
-    :func:`repro.baselines.push_sum.push_sum_average` had); pass an
-    explicit name to pin an engine.
+    is ``"auto"`` (:func:`~repro.core.backend.choose_backend_name`);
+    pass an explicit name to pin an engine.
     """
     return attack_impact(
         graph,

@@ -22,7 +22,7 @@ import numpy as np
 from repro.core.backend import GossipConfig, run_backend
 from repro.core.differential import fixed_push_counts
 from repro.core.results import GossipOutcome
-from repro.core.vector_engine import VectorGossipEngine
+from repro.core.sparse_engine import SparseGossipEngine
 from repro.network.churn import PacketLossModel
 from repro.network.graph import Graph
 from repro.utils.rng import RngLike, as_generator
@@ -33,15 +33,15 @@ def normal_push_engine(
     *,
     loss_model: Optional[PacketLossModel] = None,
     rng: RngLike = None,
-) -> VectorGossipEngine:
-    """A :class:`VectorGossipEngine` configured as normal push (``k = 1``).
+) -> SparseGossipEngine:
+    """A :class:`SparseGossipEngine` configured as normal push (``k = 1``).
 
     ``rng`` accepts any ``RngLike`` (``None``, int seed, ``Generator``,
     ``SeedSequence``) and is routed through
     :func:`repro.utils.rng.as_generator` here, so a ``SeedSequence``
     behaves identically to every other entry point.
     """
-    return VectorGossipEngine(
+    return SparseGossipEngine(
         graph,
         push_counts=fixed_push_counts(graph, 1),
         loss_model=loss_model,
@@ -76,13 +76,11 @@ def push_sum_average(
     values:
         Per-node numbers to average, shape ``(N,)``.
     xi, rng, loss_model, max_steps, patience:
-        As in :meth:`repro.core.vector_engine.VectorGossipEngine.run`.
+        As in :meth:`repro.core.sparse_engine.SparseGossipEngine.run`.
     backend:
         Registered gossip backend name; the default ``"auto"`` follows
-        :func:`repro.core.backend.choose_backend_name`, so large
-        Figure-3 baselines land on the sparse/sharded engines instead
-        of silently running every 100k+-node round through the dense
-        engine. Pass an explicit name to pin one.
+        :func:`repro.core.backend.choose_backend_name`. Pass an
+        explicit name to pin one.
 
     Examples
     --------

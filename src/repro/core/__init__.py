@@ -14,10 +14,9 @@ Public entry points (one per algorithm variant of Section 4.1.2):
 
 Engines (reusable for custom initialisations and baselines):
 
-- :class:`repro.core.vector_engine.VectorGossipEngine` — numpy, scales
-  to the paper's 50 000-node sweeps;
-- :class:`repro.core.sparse_engine.SparseGossipEngine` — CSR-vectorised
-  with preallocated buffers, for very large (100k–250k node) rounds;
+- :class:`repro.core.sparse_engine.SparseGossipEngine` — the vectorised
+  CSR engine with preallocated buffers, from the paper's 50 000-node
+  sweeps to 250k-node rounds;
 - :class:`repro.core.sharded_engine.ShardedGossipEngine` — multi-process
   sharded execution over shared memory, for million-peer rounds;
 - :class:`repro.core.engine.MessageLevelGossip` — protocol-faithful
@@ -52,7 +51,6 @@ from repro.core.single_global import (
 from repro.core.sharded_engine import ShardedGossipEngine
 from repro.core.sparse_engine import SparseGossipEngine
 from repro.core.state import UNDEFINED_RATIO, GossipPair, ratios
-from repro.core.vector_engine import VectorGossipEngine
 from repro.core.vector_gclr import VectorGclrResult, aggregate_vector_gclr, true_vector_gclr
 from repro.core.vector_global import VectorGlobalResult, aggregate_vector_global
 from repro.core.weights import WeightParams, collusion_damping_factor
@@ -78,7 +76,6 @@ __all__ = [
     "SingleGclrResult",
     "VectorGlobalResult",
     "VectorGclrResult",
-    "VectorGossipEngine",
     "SparseGossipEngine",
     "ShardedGossipEngine",
     "MessageLevelGossip",

@@ -2,8 +2,8 @@
 
 The repro grew several engines that all execute the paper's differential
 push rule at different fidelity/scale trade-offs — the protocol-faithful
-message simulation, the dense numpy engine, the CSR sparse engine and
-the event-driven asynchronous engine. Before this module, every caller
+message simulation, the vectorised CSR sparse engine, the multi-process
+sharded engine and the event-driven asynchronous engine. Before this module, every caller
 hard-coded one of them; scaling an experiment onto a faster engine meant
 hand-porting it. This module makes the engine a *named backend* behind
 one protocol:
@@ -15,11 +15,12 @@ one protocol:
   ``run(graph, values, weights, extras=..., config=...) ->``
   :class:`repro.core.results.GossipOutcome`;
 - :func:`register_backend` / :func:`get_backend` /
-  :func:`available_backends` manage the registry ("message", "dense",
-  "sparse", "sharded", "async" ship built-in; "vector" is an alias of
-  "dense");
-- :func:`choose_backend_name` implements the ``"auto"`` policy —
-  message → dense → sparse → sharded by node count and edge count;
+  :func:`available_backends` manage the registry ("message", "sparse",
+  "sharded", "async" ship built-in; "csr", "dense" and "vector" are
+  aliases of "sparse");
+- :func:`choose_backend_name` implements the ``"auto"`` policy — async
+  for latency-bearing networks, message for tiny worlds, sparse for
+  everything else;
 - :func:`run_backend` is the engine-level entry the
   :func:`repro.aggregate` facade, the variant entry points and the
   dynamic-network runtime (:mod:`repro.runtime`, which chains
@@ -45,7 +46,6 @@ from repro.core.state import resolve_state_dtype
 from repro.core.weights import WeightParams
 from repro.network.conditions import InstantLink, LinkModel, PacketLossModel
 from repro.network.graph import Graph
-from repro.utils.hardware import usable_cpu_count
 from repro.utils.rng import RngLike, spawn_child, stateless_child_sequence
 
 #: Spawn key of the loss-model stream derived by GossipConfig.materialize.
@@ -179,7 +179,7 @@ class GossipConfig:
         draw and one scatter per step; convergence is judged per
         channel (see
         :class:`repro.core.convergence.ConvergenceProtocol`). The
-        dense, sparse and sharded backends support any ``V``; the
+        sparse and sharded backends support any ``V``; the
         message and async backends are single-channel and raise
         :class:`BackendCapabilityError` for ``V > 1``. Default 1.
 
@@ -366,8 +366,8 @@ class _SynchronousBackend:
 
     Subclasses provide ``name``, ``supports_run_to_max`` and
     ``_engine_class``; everything else — config materialisation, engine
-    construction, run-kwarg plumbing — is identical across the message,
-    dense and sparse engines.
+    construction, run-kwarg plumbing — is identical across the message
+    and sparse engines.
     """
 
     name: str = ""
@@ -378,7 +378,7 @@ class _SynchronousBackend:
     def _engine_kwargs(self, config: GossipConfig) -> Dict[str, object]:
         """Extra constructor kwargs derived from ``config``.
 
-        The default forwards ``dtype`` (every vectorised engine takes
+        The default forwards ``dtype`` (the vectorised engine takes
         it). Engines pinned to float64 override this to raise
         :class:`repro.core.errors.UnsupportedDtypeError` instead of
         casting; engines with extra knobs (the sparse engine's
@@ -416,7 +416,7 @@ class _SynchronousBackend:
             kwargs["run_to_max"] = config.run_to_max
         elif config.run_to_max:
             raise BackendCapabilityError(
-                f"backend {self.name!r} does not support run_to_max; use 'dense' or 'sparse'"
+                f"backend {self.name!r} does not support run_to_max; use 'sparse' or 'sharded'"
             )
         # The kwarg is only forwarded at V > 1 so single-channel runs
         # execute the exact historical call (byte-identity contract).
@@ -424,7 +424,7 @@ class _SynchronousBackend:
             if not self.supports_channels:
                 raise BackendCapabilityError(
                     f"backend {self.name!r} gossips a single reputation channel; "
-                    "use 'dense', 'sparse' or 'sharded' for num_channels > 1"
+                    "use 'sparse' or 'sharded' for num_channels > 1"
                 )
             kwargs["num_channels"] = config.num_channels
         return engine.run(values, weights, **kwargs)
@@ -443,7 +443,7 @@ class MessageBackend(_SynchronousBackend):
         if resolve_state_dtype(config.dtype) != np.float64:
             raise UnsupportedDtypeError(
                 "backend 'message' runs float64 gossip state only; "
-                "use 'dense', 'sparse' or 'sharded' for float32"
+                "use 'sparse' or 'sharded' for float32"
             )
         return {}
 
@@ -454,20 +454,8 @@ class MessageBackend(_SynchronousBackend):
         return MessageLevelGossip
 
 
-class DenseBackend(_SynchronousBackend):
-    """Vectorised numpy engine — the default at experiment scale."""
-
-    name = "dense"
-
-    @property
-    def _engine_class(self):
-        from repro.core.vector_engine import VectorGossipEngine
-
-        return VectorGossipEngine
-
-
 class SparseBackend(_SynchronousBackend):
-    """CSR-vectorised engine with preallocated buffers for huge rounds."""
+    """The vectorised CSR engine — every size past the message engine's."""
 
     name = "sparse"
 
@@ -590,14 +578,14 @@ class AsyncBackend:
         if config.num_channels != 1:
             raise BackendCapabilityError(
                 "backend 'async' gossips a single reputation channel; "
-                "use 'dense', 'sparse' or 'sharded' for num_channels > 1"
+                "use 'sparse' or 'sharded' for num_channels > 1"
             )
         # Event-driven state lives in per-node float64 scalars; there is
         # no float32 mode to run and casting would be silent.
         if resolve_state_dtype(config.dtype) != np.float64:
             raise UnsupportedDtypeError(
                 "backend 'async' runs float64 gossip state only; "
-                "use 'dense', 'sparse' or 'sharded' for float32"
+                "use 'sparse' or 'sharded' for float32"
             )
         if config.loss_model is not None:
             raise BackendCapabilityError(
@@ -677,8 +665,8 @@ def register_backend(
 
     Examples
     --------
-    >>> register_backend("demo", get_backend("dense"), overwrite=True)
-    >>> get_backend("demo") is get_backend("dense")
+    >>> register_backend("demo", get_backend("sparse"), overwrite=True)
+    >>> get_backend("demo") is get_backend("sparse")
     True
     """
     if not name or not isinstance(name, str):
@@ -713,7 +701,7 @@ def get_backend(name: str) -> GossipBackend:
 
     Examples
     --------
-    >>> get_backend("vector") is get_backend("dense")  # aliases resolve
+    >>> get_backend("dense") is get_backend("sparse")  # aliases resolve
     True
     """
     return _REGISTRY[resolve_backend_name(name)]
@@ -724,15 +712,14 @@ def available_backends() -> Tuple[str, ...]:
 
     Examples
     --------
-    >>> {"message", "dense", "sparse", "sharded"} <= set(available_backends())
+    >>> {"async", "message", "sparse", "sharded"} <= set(available_backends())
     True
     """
     return tuple(sorted(_REGISTRY))
 
 
 register_backend("message", MessageBackend())
-register_backend("dense", DenseBackend(), aliases=("vector",))
-register_backend("sparse", SparseBackend(), aliases=("csr",))
+register_backend("sparse", SparseBackend(), aliases=("csr", "dense", "vector"))
 register_backend("async", AsyncBackend())
 register_backend("sharded", ShardedBackend())
 
@@ -741,58 +728,29 @@ register_backend("sharded", ShardedBackend())
 
 #: ``"auto"`` runs the protocol-faithful message engine up to this size.
 AUTO_MESSAGE_MAX_NODES = 64
-#: ``"auto"`` runs the dense numpy engine up to this size...
-AUTO_DENSE_MAX_NODES = 20_000
-#: ...unless the graph is edge-heavy enough that the dense engine's
-#: per-hub Python sampling loop dominates.
-AUTO_DENSE_MAX_EDGES = 200_000
-#: ``"auto"`` keeps the single-process sparse engine up to this size...
-AUTO_SPARSE_MAX_NODES = 250_000
-#: ...and this many undirected edges; beyond either, one core per step
-#: is the bottleneck and the multi-process sharded engine takes over.
-AUTO_SPARSE_MAX_EDGES = 2_000_000
 
 
 def choose_backend_name(graph: Graph, config: Optional[GossipConfig] = None) -> str:
-    """The ``"auto"`` policy: message → dense → sparse → sharded by size.
+    """The ``"auto"`` policy: async, then message, then sparse.
 
-    Tiny worlds get the protocol-faithful message engine (free fidelity
-    at that scale), experiment-scale graphs the dense numpy engine,
-    large or edge-heavy graphs the CSR sparse engine, and million-peer
-    graphs the multi-process sharded engine — provided the host has at
-    least two usable cores (:func:`repro.utils.hardware.usable_cpu_count`);
-    otherwise sharding is pure overhead and sparse stays the pick.
-    Configs that need ``run_to_max`` or multi-channel state skip the
-    message engine (it supports neither fixed-budget runs nor
-    ``num_channels > 1``). Configs whose ``network`` link model carries
-    latency (delays, bandwidth caps or partition windows) can only run
-    event-driven, so they steer straight to the async engine.
+    Configs whose ``network`` link model carries latency (delays,
+    bandwidth caps or partition windows) can only run event-driven, so
+    they go to the async engine. Tiny worlds get the protocol-faithful
+    message engine (free fidelity at that scale) unless the config needs
+    ``run_to_max`` or multi-channel state, which it does not support.
+    Everything else runs on the CSR sparse engine: it outran the retired
+    dense engine at every measured size, and on a 2-core host it also
+    outran the multi-process ``"sharded"`` engine (still selectable by
+    name) at 200k nodes.
     """
     if config is not None and config.network is not None and config.network.has_latency:
         return "async"
-    n = graph.num_nodes
     needs_vector_engine = config is not None and (
         config.run_to_max or config.num_channels != 1
     )
-    if n <= AUTO_MESSAGE_MAX_NODES and not needs_vector_engine:
+    if graph.num_nodes <= AUTO_MESSAGE_MAX_NODES and not needs_vector_engine:
         return "message"
-    if n <= AUTO_DENSE_MAX_NODES and graph.num_edges <= AUTO_DENSE_MAX_EDGES:
-        return "dense"
-    if n <= AUTO_SPARSE_MAX_NODES and graph.num_edges <= AUTO_SPARSE_MAX_EDGES:
-        return "sparse"
-    # The sharded engine derives per-shard loss streams from the seed
-    # and cannot split an explicit PacketLossModel's generator; "auto"
-    # must keep such configs on the single-process sparse engine rather
-    # than escalating into a capability error.
-    if config is not None and config.loss_model is not None:
-        return "sparse"
-    # The sharded engine only pays off when shards can actually run in
-    # parallel: on a host with a single usable core its worker
-    # orchestration is pure overhead (measured ~0.4x sparse), so "auto"
-    # stays on the sparse engine there.
-    if usable_cpu_count() < 2:
-        return "sparse"
-    return "sharded"
+    return "sparse"
 
 
 def run_backend(

@@ -1,6 +1,6 @@
 """Message-level differential-gossip engine.
 
-Where :mod:`repro.core.vector_engine` vectorises the update rule for
+Where :mod:`repro.core.sparse_engine` vectorises the update rule for
 scale, this engine models the *protocol*: every node is an object with a
 mailbox, pushes are discrete messages, and the convergence announcement
 is a message-like event between neighbours. It exists for three reasons:
@@ -220,9 +220,9 @@ class MessageLevelGossip:
         patience: int = 3,
         warmup_steps: Optional[int] = None,
     ) -> GossipOutcome:
-        """Execute one gossip round; same contract as the vector engine.
+        """Execute one gossip round; same contract as the vectorised engine.
 
-        See :meth:`repro.core.vector_engine.VectorGossipEngine.run`.
+        See :meth:`repro.core.sparse_engine.SparseGossipEngine.run`.
         """
         check_positive(xi, "xi")
         graph = self._graph

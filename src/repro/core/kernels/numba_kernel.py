@@ -26,8 +26,8 @@ to the numpy kernels:
   pushes hit shared target rows (a parallel scatter would race).
   Incremental per-push adds associate differently from bincount's
   per-bin sums, so values agree with the numpy kernels to 1e-8 over a
-  run rather than byte-for-byte — the same relationship the sparse and
-  dense engines have always had.
+  run rather than byte-for-byte — the same relationship the sparse engine
+  has with the message and sharded engines.
 """
 
 from __future__ import annotations
@@ -104,6 +104,10 @@ class NumbaFusedKernel(FusedNumpyKernel):
         if not NUMBA_AVAILABLE:  # defensive; the registry gates creation
             raise ImportError("numba is not installed")
         super().__init__(plan, inv_k_plus_one, num_cols, dtype, num_channels)
+        # The compiled round reads the old state and writes the next one,
+        # so it keeps a second (row-major) state buffer and swaps.
+        self._prescaled = np.empty((self._num_nodes, num_cols), dtype=self._dtype)
+        self.state_order = "C"
 
     def _sample_full_active(self, rng, targets_out):
         plan = self._plan

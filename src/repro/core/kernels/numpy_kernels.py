@@ -25,15 +25,18 @@ Two implementations live here:
       flat target buffer, precomputed sender layout, repeated-argmin
       selection — instead of building and concatenating per-group
       temporaries;
-    - prescales the whole state matrix once
-      (``prescaled = state * 1/(k_i+1)``) and gathers shares with
+    - prescales the whole state matrix in place, once
+      (``state *= 1/(k_i+1)``), and gathers shares from it with
       ``np.take(..., out=)``, replacing the gathered multiply *and* the
-      masked scale pass: the prescaled matrix simply becomes the next
-      state (buffer swap — isolated nodes have ``k_i = 0`` so their
-      scale factor is exactly 1.0 and the swap is bitwise lossless);
+      masked scale pass: the prescaled matrix already is the post-scale
+      state (isolated nodes have ``k_i = 0``, so their factor is exactly
+      1.0 and the prescale leaves them bitwise unchanged);
     - scatter-adds all C columns with a single ``bincount`` over
       ``target * C + column`` keys (one pass over the share buffer
-      instead of C strided passes).
+      instead of C strided passes). States wider than
+      :data:`COMBINED_BINCOUNT_MAX_COLS` per channel skip both the
+      combined keys and the ``(P, C)`` share matrix: they gather and
+      scatter one column at a time through a ``(P,)`` buffer.
 
     Each fused pass computes the same IEEE operations on the same
     operand pairs as the unfused step, so per-column results are
@@ -58,7 +61,8 @@ from repro.core.kernels.plan import PushPlan
 #: Widest *per-channel* state still scattered with the single combined
 #: bincount; beyond ``COMBINED_BINCOUNT_MAX_COLS * num_channels`` total
 #: columns the ``(P, C)`` int64 key buffer costs more than the strided
-#: passes it saves, so the kernel falls back to per-column bincounts.
+#: passes it saves, so the fused kernel gathers and scatters one column
+#: at a time.
 #: Multi-channel state widens the cutoff proportionally: V channels of a
 #: d-wide workload are exactly V single-channel workloads sharing one
 #: scatter, so the per-channel buffer economics are unchanged.
@@ -100,6 +104,10 @@ class _KernelBase:
     """Buffers and parameters shared by every push-round kernel."""
 
     name = "base"
+    #: Memory order ("C" or "F") of the state matrix this kernel walks
+    #: fastest; the engine allocates the state in it. Any order gives
+    #: byte-identical results.
+    state_order = "C"
 
     def __init__(
         self,
@@ -119,7 +127,6 @@ class _KernelBase:
         # masked scale pass, state dtype for the share arithmetic.
         self._inv = np.ascontiguousarray(inv_k_plus_one, dtype=np.float64)
         self._inv_cast = self._inv.astype(dtype, copy=False)
-        self._shares_buf = np.empty((plan.max_pushes, num_cols), dtype=dtype)
         self._scale = np.empty(self._num_nodes, dtype=np.float64)
 
     def step(
@@ -168,6 +175,10 @@ class UnfusedNumpyKernel(_KernelBase):
 
     name = "unfused"
 
+    def __init__(self, plan, inv_k_plus_one, num_cols, dtype, num_channels=1):
+        super().__init__(plan, inv_k_plus_one, num_cols, dtype, num_channels)
+        self._shares_buf = np.empty((plan.max_pushes, num_cols), dtype=self._dtype)
+
     def step(self, state, active, *, all_active, rng, loss_model, heard_out):
         senders, targets = self._plan.sample_subset(rng, active)
         effective_targets = self._effective_targets(senders, targets, loss_model)
@@ -195,19 +206,26 @@ class FusedNumpyKernel(_KernelBase):
 
     def __init__(self, plan, inv_k_plus_one, num_cols, dtype, num_channels=1):
         super().__init__(plan, inv_k_plus_one, num_cols, dtype, num_channels)
-        # Swap-safe prescale factors: eligible rows carry 1/(k_i + 1)
+        # Whole-matrix prescale factors: eligible rows carry 1/(k_i + 1)
         # (bitwise equal to the reference factors), rows with no
         # neighbours are forced to exactly 1.0 so the prescaled matrix
-        # can replace the state outright.
+        # is the post-scale state outright.
         inv_swap = self._inv_cast.copy()
         inv_swap[plan.degrees == 0] = 1.0
         self._inv_swap = inv_swap
-        self._prescaled = np.empty((self._num_nodes, num_cols), dtype=self._dtype)
         self._targets_buf = np.empty(plan.max_pushes, dtype=np.int64)
+        # Narrow states gather every share column into one (P, C) buffer
+        # and scatter them with one combined bincount. Wide states would
+        # scatter column by column anyway, so they also gather column by
+        # column, through a (P,) buffer: no (P, C) share matrix at all,
+        # and a column-major state keeps every column pass contiguous.
         if num_cols <= COMBINED_BINCOUNT_MAX_COLS * self._num_channels:
+            self._shares_buf = np.empty((plan.max_pushes, num_cols), dtype=self._dtype)
             self._key_buf = np.empty((plan.max_pushes, num_cols), dtype=np.int64)
         else:
+            self._shares_buf = np.empty(plan.max_pushes, dtype=self._dtype)
             self._key_buf = None
+            self.state_order = "F"
 
     def step(self, state, active, *, all_active, rng, loss_model, heard_out):
         if all_active:
@@ -220,16 +238,13 @@ class FusedNumpyKernel(_KernelBase):
         if senders.size == 0:
             heard_out[:] = False
             return state, 0
-        prescaled = self._prescaled
-        np.multiply(state, self._inv_swap[:, None], out=prescaled)
-        shares = self._shares_buf[: senders.size]
-        np.take(prescaled, senders, axis=0, out=shares)
-        # The prescaled matrix *is* the post-scale state: swap buffers
-        # instead of re-scaling in place, and recycle the old state as
-        # the next round's prescale scratch.
-        self._prescaled = state
-        state = prescaled
-        scatter_add_shares(state, effective_targets, shares, self._key_buf)
+        np.multiply(state, self._inv_swap[:, None], out=state)
+        if self._key_buf is None:
+            self._push_columns(state, senders, effective_targets)
+        else:
+            shares = self._shares_buf[: senders.size]
+            np.take(state, senders, axis=0, out=shares)
+            scatter_add_shares(state, effective_targets, shares, self._key_buf)
         self._record_heard(
             senders, effective_targets, lossless=loss_model is None, heard_out=heard_out
         )
@@ -237,19 +252,44 @@ class FusedNumpyKernel(_KernelBase):
 
     def _step_subset(self, state, active, rng, loss_model, heard_out):
         # Stop-protocol tail steps: a strict subset of nodes pushes, so
-        # the prescale/swap shortcut no longer applies. Fall back to the
-        # reference share + masked-scale passes (cost scales with the
-        # shrinking active set), keeping the combined scatter.
+        # the whole-matrix prescale shortcut no longer applies. Fall back
+        # to the reference share + masked-scale passes (cost scales with
+        # the shrinking active set).
         senders, targets = self._plan.sample_subset(rng, active)
         effective_targets = self._effective_targets(senders, targets, loss_model)
-        shares = self._shares_buf[: senders.size]
-        np.multiply(state[senders], self._inv_cast[senders, None], out=shares)
         scale = self._scale
         scale.fill(1.0)
         scale[active] = self._inv[active]
-        state *= scale[:, None]
-        scatter_add_shares(state, effective_targets, shares, self._key_buf)
+        if self._key_buf is None:
+            self._push_columns(
+                state, senders, effective_targets, self._inv_cast[senders], scale
+            )
+        else:
+            shares = self._shares_buf[: senders.size]
+            np.multiply(state[senders], self._inv_cast[senders, None], out=shares)
+            state *= scale[:, None]
+            scatter_add_shares(state, effective_targets, shares, self._key_buf)
         self._record_heard(
             senders, effective_targets, lossless=loss_model is None, heard_out=heard_out
         )
         return state, int(senders.size)
+
+    def _push_columns(self, state, senders, targets, share_factors=None, scale=None):
+        """Gather, split and scatter a wide state one column at a time.
+
+        Without ``share_factors`` the state is already prescaled (a
+        full-active step): each column's shares are gathered as they
+        stand. With them, each column's shares are the gathered values
+        times ``share_factors`` and the column is then scaled by
+        ``scale`` — the same IEEE operations on the same operands as the
+        whole-matrix passes, so the result is byte-identical to them.
+        """
+        n = state.shape[0]
+        shares = self._shares_buf[: senders.size]
+        for c in range(state.shape[1]):
+            column = state[:, c]
+            np.take(column, senders, out=shares)
+            if share_factors is not None:
+                np.multiply(shares, share_factors, out=shares)
+                column *= scale
+            column += np.bincount(targets, weights=shares, minlength=n)

@@ -71,8 +71,7 @@ from repro.core.differential import resolve_push_counts
 from repro.core.errors import ConvergenceError, MassConservationError
 from repro.core.results import GossipOutcome
 from repro.core.sparse_engine import _coerce_graph
-from repro.core.state import mass_rtol_for, ratios, resolve_state_dtype
-from repro.core.vector_engine import _as_state_matrix
+from repro.core.state import mass_rtol_for, ratios, resolve_state_dtype, state_components
 from repro.network.graph import Graph
 from repro.network.partition import GraphPartition, ShardView, partition_graph
 from repro.utils.hardware import usable_cpu_count
@@ -706,29 +705,8 @@ class ShardedGossipEngine:
         graph = self._graph
         n = graph.num_nodes
         dtype = self._dtype
-        value = _as_state_matrix(values, n, "values", dtype=dtype)
-        weight = _as_state_matrix(weights, n, "weights", dtype=dtype)
-        d = value.shape[1]
-        if num_channels < 1:
-            raise ValueError(f"num_channels must be >= 1, got {num_channels}")
-        if d % num_channels:
-            raise ValueError(
-                f"values width ({d}) must be a multiple of num_channels ({num_channels})"
-            )
-        if weight.shape != value.shape:
-            raise ValueError(f"weights shape {weight.shape} != values shape {value.shape}")
-        names: List[str] = ["value", "weight"]
-        columns: List[np.ndarray] = [value, weight]
-        for name, extra in (extras or {}).items():
-            matrix = _as_state_matrix(extra, n, f"extras[{name}]", dtype=dtype)
-            if matrix.shape != value.shape:
-                raise ValueError(
-                    f"extras[{name}] shape {matrix.shape} != values shape {value.shape}"
-                )
-            if name in ("value", "weight"):
-                raise ValueError(f"extra component name {name!r} is reserved")
-            names.append(name)
-            columns.append(matrix)
+        names, columns = state_components(values, weights, extras, n, dtype, num_channels)
+        d = columns[0].shape[1]
         slices = {name: slice(i * d, (i + 1) * d) for i, name in enumerate(names)}
         total_cols = len(names) * d
 

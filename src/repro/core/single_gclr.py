@@ -34,9 +34,6 @@ from repro.trust.matrix import TrustMatrix
 from repro.utils.rng import RngLike
 
 DenominatorConvention = Literal["observers", "all"]
-#: Any registered backend name ("dense", "message", "sparse", ...);
-#: "vector" remains as a registry alias of "dense".
-EngineName = str
 
 
 @dataclass
@@ -168,8 +165,7 @@ def aggregate_single_gclr(
     params: WeightParams = WeightParams(),
     xi: float = 1e-4,
     denominator_convention: DenominatorConvention = "observers",
-    engine: EngineName = "vector",
-    backend: Optional[str] = None,
+    backend: str = "auto",
     designated_node: Optional[int] = None,
     push_counts: Optional[np.ndarray] = None,
     loss_model: Optional[PacketLossModel] = None,
@@ -235,7 +231,7 @@ def aggregate_single_gclr(
             track_history=track_history,
             patience=patience,
         ),
-        backend=backend if backend is not None else engine,
+        backend=backend,
     )
 
     global_sum_estimates = outcome.estimates.reshape(-1)

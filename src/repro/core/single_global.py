@@ -29,9 +29,6 @@ from repro.trust.matrix import TrustMatrix
 from repro.utils.rng import RngLike
 
 Convention = Literal["observers", "all"]
-#: Any registered backend name ("dense", "message", "sparse", ...);
-#: "vector" remains as a registry alias of "dense".
-EngineName = str
 
 
 @dataclass
@@ -100,8 +97,7 @@ def aggregate_single_global(
     *,
     xi: float = 1e-4,
     convention: Convention = "observers",
-    engine: EngineName = "vector",
-    backend: Optional[str] = None,
+    backend: str = "auto",
     push_counts: Optional[np.ndarray] = None,
     loss_model: Optional[PacketLossModel] = None,
     rng: RngLike = None,
@@ -124,13 +120,11 @@ def aggregate_single_global(
     convention:
         ``"observers"`` (Algorithm 1 pseudocode: average over opining
         nodes) or ``"all"`` (eq. 1: average over all ``N`` nodes).
-    engine:
-        Backend name from :func:`repro.core.backend.available_backends`
-        (``"vector"`` is an alias of ``"dense"``). Kept for backwards
-        compatibility — prefer ``backend``.
     backend:
-        Backend name (overrides ``engine``); ``"auto"`` picks by graph
-        size. See :func:`repro.aggregate` for the facade form.
+        Backend name from :func:`repro.core.backend.available_backends`;
+        ``"auto"`` (default) follows
+        :func:`repro.core.backend.choose_backend_name`. See
+        :func:`repro.aggregate` for the facade form.
     push_counts:
         Override the differential push counts (baselines/ablations).
     loss_model:
@@ -173,7 +167,7 @@ def aggregate_single_global(
             track_history=track_history,
             patience=patience,
         ),
-        backend=backend if backend is not None else engine,
+        backend=backend,
     )
 
     return SingleGlobalResult(

@@ -1,19 +1,33 @@
-"""Sparse CSR differential-gossip engine.
+"""Sparse CSR differential-gossip engine — the one vectorised engine.
 
-This is the scale-path engine: it executes the exact Algorithm 1–4
-update rule of :class:`repro.core.vector_engine.VectorGossipEngine`, but
-every per-step operation is a flat vectorised pass over preallocated
-buffers — no Python loop over nodes, however skewed the degree
-distribution.
+It executes the exact update rule of Algorithms 1–4 over numpy arrays,
+which is what makes the paper's 50 000-node sweeps tractable in Python.
+Per step, for every still-active node ``i``:
+
+1. split the node's components into ``k_i + 1`` equal shares;
+2. keep one share (the self-push);
+3. send one share to each of ``k_i`` *distinct* random neighbours
+   (a push lost to churn is redirected back to the sender, conserving
+   mass — :class:`repro.network.churn.PacketLossModel`);
+4. sum everything received; compare the new estimate to the previous
+   step's and run the convergence/stop protocol
+   (:class:`repro.core.convergence.ConvergenceProtocol`).
+
+Because a node pushes *all* of its state to the same chosen targets, an
+``(N, d)`` state matrix evolves each of its ``d`` columns under shared
+randomness — exactly the paper's vector variants (Algorithms 3–4), and
+``d = 1`` recovers the single-node variants. Every per-step operation
+is a flat vectorised pass over preallocated buffers — no Python loop
+over nodes, however skewed the degree distribution.
 
 The push round itself — target sampling, share split, self-share scale,
 scatter-accumulate, heard bookkeeping — is delegated to a pluggable
 *kernel* from :mod:`repro.core.kernels`:
 
-- ``fused`` (default): prescales the state matrix once and buffer-swaps
+- ``fused`` (default): prescales the state matrix once, in place,
   instead of re-scaling, gathers shares with a single ``take``, and
-  scatter-adds all columns through one combined ``bincount`` — no
-  ``(N, C)`` temporaries in the hot loop.
+  scatter-adds narrow states through one combined ``bincount`` (wide
+  states column by column) — no ``(N, C)`` temporaries in the hot loop.
 - ``numba``: the same round with compiled selection and a fully fused
   scatter pass; requires the optional ``kernels`` extra.
 - ``unfused``: the historical step, byte-for-byte, kept as the parity
@@ -27,15 +41,12 @@ the exact byte-compatibility contract. The engine also accepts a state
 while keeping sampling (and therefore the gossip communication pattern)
 byte-identical, since random keys always stay float64.
 
-Semantics are identical to the dense engine: the same
-:class:`repro.core.convergence.ConvergenceProtocol` stop rule, the same
-:class:`repro.network.churn.PacketLossModel` mass-conserving redirect,
-the same per-step mass-conservation assertions (tolerance scaled to the
-state dtype), and the same drained-ratio carry for underflowed cells.
-Identical seeds replay identical *sparse* runs bit-for-bit under a
-fixed kernel; the sparse and dense engines consume randomness in
-different patterns, so their trajectories differ step-by-step while
-converging to the same estimates (the cross-engine integration tests
+Every step runs the same per-step mass-conservation assertions
+(tolerance scaled to the state dtype) and carries the last defined
+ratio through underflow-drained cells. Everything random flows through
+one generator: identical seeds replay identical runs bit-for-bit under a
+fixed kernel, and the engine converges to the same estimates as the
+message, async and sharded engines (the cross-engine integration tests
 pin this to 1e-8 relative agreement).
 
 The engine accepts either a :class:`repro.network.graph.Graph` or any
@@ -54,8 +65,12 @@ from repro.core.differential import resolve_push_counts
 from repro.core.errors import ConvergenceError, MassConservationError
 from repro.core.kernels import PushPlan, select_kernel
 from repro.core.results import GossipOutcome
-from repro.core.state import UNDEFINED_RATIO, mass_rtol_for, resolve_state_dtype
-from repro.core.vector_engine import _as_state_matrix
+from repro.core.state import (
+    UNDEFINED_RATIO,
+    mass_rtol_for,
+    resolve_state_dtype,
+    state_components,
+)
 from repro.network.churn import PacketLossModel
 from repro.network.graph import Graph
 from repro.utils.rng import RngLike, as_generator
@@ -73,13 +88,7 @@ def _coerce_graph(graph) -> Graph:
 
 
 class SparseGossipEngine:
-    """Vectorised CSR engine for very large gossip rounds.
-
-    Drop-in compatible with
-    :class:`repro.core.vector_engine.VectorGossipEngine`: same
-    constructor parameters (the topology may additionally be a
-    ``scipy.sparse`` matrix), same :meth:`run` signature, same
-    :class:`repro.core.results.GossipOutcome`.
+    """Reusable vectorised CSR engine bound to a topology and push counts.
 
     Parameters
     ----------
@@ -87,7 +96,9 @@ class SparseGossipEngine:
         Overlay topology — a :class:`repro.network.graph.Graph` or a
         square symmetric zero-diagonal ``scipy.sparse`` matrix.
     push_counts:
-        Per-node push counts ``k_i``; defaults to the differential rule.
+        Per-node push counts ``k_i``; defaults to the differential rule
+        (:func:`repro.core.differential.push_counts`). Pass
+        ``fixed_push_counts(graph, 1)`` for the normal-push baseline.
     loss_model:
         Optional churn/packet-loss model applied to every push.
     rng:
@@ -219,41 +230,70 @@ class SparseGossipEngine:
     ) -> GossipOutcome:
         """Execute one gossip round to the stopping condition.
 
-        Parameters, semantics, return type and raised exceptions are
-        identical to
-        :meth:`repro.core.vector_engine.VectorGossipEngine.run`.
+        Parameters
+        ----------
+        values, weights:
+            Initial per-node gossip values/weights, shape ``(N,)`` or
+            ``(N, d)``. The engine gossips its own stacked copy; callers'
+            arrays are untouched.
+        xi:
+            Error tolerance; vector gossip uses eq. 7's ``d * xi``.
+        extras:
+            Extra components (same shape as ``values``) split and shipped
+            with every push — Algorithm 2's ``count`` rides here.
+        max_steps:
+            Hard safety limit; exceeding it raises
+            :class:`repro.core.errors.ConvergenceError`.
+        track_history:
+            Record the ``(N, d)`` ratio array after every step
+            (memory-heavy; meant for small-N diagnostics).
+        run_to_max:
+            Ignore the stop protocol and run exactly ``max_steps`` steps
+            (used by diffusion-speed studies that fix the step budget).
+        patience:
+            Consecutive satisfied convergence checks required before a
+            node announces (see
+            :class:`repro.core.convergence.ConvergenceProtocol`;
+            ``patience=1`` is the paper-literal single-shot test).
+        warmup_steps:
+            Steps before convergence checks count; default
+            ``ceil(log2 N) + 1`` — the time Theorem 5.1 says mass needs
+            to reach every node. Pass 0 for the paper-literal rule.
+        num_channels:
+            Independent reputation channels ``V`` packed channel-major
+            into the ``d`` columns (``d`` must be a multiple of ``V``).
+            All channels share every sampling draw and scatter; only
+            convergence is judged per channel (a node announces when
+            every channel has latched). Default 1 — the classic
+            single-channel protocol.
+
+        Returns
+        -------
+        GossipOutcome
+            Its ``values``, ``weights`` and ``extras`` are column views of
+            one final ``(N, C)`` state matrix.
+
+        Raises
+        ------
+        ConvergenceError
+            If the protocol has not stopped within ``max_steps``.
+        MassConservationError
+            If a component's global sum drifts (an engine bug, not a
+            user error — this should never fire).
         """
         graph = self._graph
         n = graph.num_nodes
-        value = _as_state_matrix(values, n, "values", dtype=self._dtype)
-        weight = _as_state_matrix(weights, n, "weights", dtype=self._dtype)
-        d = value.shape[1]
-        if num_channels < 1:
-            raise ValueError(f"num_channels must be >= 1, got {num_channels}")
-        if d % num_channels:
-            raise ValueError(
-                f"values width ({d}) must be a multiple of num_channels ({num_channels})"
-            )
-        if weight.shape != value.shape:
-            raise ValueError(f"weights shape {weight.shape} != values shape {value.shape}")
-        names: List[str] = ["value", "weight"]
-        columns: List[np.ndarray] = [value, weight]
-        for name, extra in (extras or {}).items():
-            matrix = _as_state_matrix(extra, n, f"extras[{name}]", dtype=self._dtype)
-            if matrix.shape != value.shape:
-                raise ValueError(
-                    f"extras[{name}] shape {matrix.shape} != values shape {value.shape}"
-                )
-            if name in ("value", "weight"):
-                raise ValueError(f"extra component name {name!r} is reserved")
-            names.append(name)
-            columns.append(matrix)
-
-        # One contiguous (N, C) state matrix; component i owns columns
-        # [i*d, (i+1)*d). Gather/scale/scatter touch all components at once.
-        state = np.concatenate(columns, axis=1)
+        names, columns = state_components(values, weights, extras, n, self._dtype, num_channels)
+        d = columns[0].shape[1]
+        kernel = self._kernel_for(len(names) * d, num_channels)
+        # One (N, C) state matrix, laid out in the order the kernel walks
+        # it; component i owns columns [i*d, (i+1)*d).
+        state = np.empty(
+            (n, len(names) * d), dtype=self._dtype, order=getattr(kernel, "state_order", "C")
+        )
+        np.concatenate(columns, axis=1, out=state)
+        del columns  # dtype-converted component copies are dead once stacked
         slices = {name: slice(i * d, (i + 1) * d) for i, name in enumerate(names)}
-        total_cols = state.shape[1]
 
         initial_mass = {
             name: float(state[:, sl].sum(dtype=np.float64)) for name, sl in slices.items()
@@ -272,7 +312,6 @@ class SparseGossipEngine:
         )
         history: Optional[List[np.ndarray]] = [] if track_history else None
 
-        kernel = self._kernel_for(total_cols, num_channels)
         degrees = graph.degrees
         eligible = degrees > 0
         eligible_count = self._plan.eligible_count
@@ -288,7 +327,6 @@ class SparseGossipEngine:
         # state dtype (the stop protocol is control flow, not mass).
         ratio_a = np.full((n, d), UNDEFINED_RATIO, dtype=np.float64)
         ratio_b = np.empty((n, d), dtype=np.float64)
-        deviation_matrix = np.empty((n, d), dtype=np.float64)
         deviations = np.empty(n, dtype=np.float64)
         channel_dev = (
             np.empty((n, num_channels), dtype=np.float64) if num_channels > 1 else None
@@ -393,6 +431,10 @@ class SparseGossipEngine:
                 else:
                     ratio_defined = ever_defined[:, live_components].all(axis=1)
 
+            # The previous ratios are dead once the deviation is taken
+            # (their buffer is the next step's ratio output), so the
+            # per-cell deviation overwrites them.
+            deviation_matrix = previous_ratios
             if num_channels > 1:
                 np.subtract(new_ratios, previous_ratios, out=deviation_matrix)
                 np.abs(deviation_matrix, out=deviation_matrix)
@@ -429,11 +471,14 @@ class SparseGossipEngine:
                         f"component {name!r} mass drifted from {initial_mass[name]!r} to {total!r} at step {steps}"
                     )
 
-        extra_names = [name for name in names if name not in ("value", "weight")]
+        # The outcome views the final state instead of copying it. Kernels
+        # never keep a reference to the state they return (the numba
+        # kernel's swap scratch is the *other* buffer), so nothing writes
+        # this one again.
         return GossipOutcome(
-            values=state[:, slices["value"]].copy(),
-            weights=state[:, slices["weight"]].copy(),
-            extras={name: state[:, slices[name]].copy() for name in extra_names},
+            values=state[:, slices["value"]],
+            weights=state[:, slices["weight"]],
+            extras={name: state[:, slices[name]] for name in names[2:]},
             steps=steps,
             push_messages=push_messages,
             protocol_messages=protocol_messages,

@@ -17,6 +17,7 @@ with a legitimate converged value.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -63,6 +64,64 @@ MASS_RTOL_FLOAT32: float = 1e-5
 def mass_rtol_for(dtype) -> float:
     """Base mass-conservation tolerance for a gossip state dtype."""
     return MASS_RTOL_FLOAT32 if np.dtype(dtype) == np.float32 else MASS_RTOL
+
+
+def _as_state_matrix(
+    array: np.ndarray, num_nodes: int, name: str, dtype=np.float64
+) -> np.ndarray:
+    """View a per-node state array as a ``(N, d)`` matrix of ``dtype``.
+
+    No copy is made when ``array`` already has ``dtype``: the engines
+    stack these views into a state matrix of their own, so the caller's
+    arrays are never written.
+    """
+    out = np.asarray(array, dtype=dtype)
+    if out.ndim == 1:
+        out = out.reshape(-1, 1)
+    if out.ndim != 2 or out.shape[0] != num_nodes:
+        raise ValueError(f"{name} must have shape (N,) or (N, d) with N={num_nodes}, got {out.shape}")
+    return out
+
+
+def state_components(
+    values: np.ndarray,
+    weights: np.ndarray,
+    extras: Optional[Dict[str, np.ndarray]],
+    num_nodes: int,
+    dtype,
+    num_channels: int,
+) -> Tuple[List[str], List[np.ndarray]]:
+    """Validated ``(names, matrices)`` of one round's gossip components.
+
+    ``names`` starts ``["value", "weight"]`` followed by the extras in
+    insertion order; every matrix is ``(N, d)`` with ``d`` a multiple of
+    ``num_channels``. Component ``i`` of the stacked state owns columns
+    ``[i*d, (i+1)*d)``.
+    """
+    value = _as_state_matrix(values, num_nodes, "values", dtype=dtype)
+    weight = _as_state_matrix(weights, num_nodes, "weights", dtype=dtype)
+    d = value.shape[1]
+    if num_channels < 1:
+        raise ValueError(f"num_channels must be >= 1, got {num_channels}")
+    if d % num_channels:
+        raise ValueError(
+            f"values width ({d}) must be a multiple of num_channels ({num_channels})"
+        )
+    if weight.shape != value.shape:
+        raise ValueError(f"weights shape {weight.shape} != values shape {value.shape}")
+    names: List[str] = ["value", "weight"]
+    matrices: List[np.ndarray] = [value, weight]
+    for name, extra in (extras or {}).items():
+        matrix = _as_state_matrix(extra, num_nodes, f"extras[{name}]", dtype=dtype)
+        if matrix.shape != value.shape:
+            raise ValueError(
+                f"extras[{name}] shape {matrix.shape} != values shape {value.shape}"
+            )
+        if name in ("value", "weight"):
+            raise ValueError(f"extra component name {name!r} is reserved")
+        names.append(name)
+        matrices.append(matrix)
+    return names, matrices
 
 
 @dataclass

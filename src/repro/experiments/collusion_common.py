@@ -126,8 +126,7 @@ def measure_collusion(
         Gossip controls (ignored when ``use_gossip`` is False).
     backend:
         Registered gossip backend the rounds run on; the default
-        ``"auto"`` follows :func:`repro.core.backend.choose_backend_name`
-        instead of silently pinning the dense engine.
+        ``"auto"`` follows :func:`repro.core.backend.choose_backend_name`.
 
     Returns
     -------

@@ -35,8 +35,8 @@ def run(
 ) -> ExperimentResult:
     """Regenerate Figure 5 (rows: colluding fraction; column pair per G).
 
-    ``backend`` names any registered gossip engine (message / dense /
-    sparse / sharded); ``"auto"`` follows the size policy — the
+    ``backend`` names any registered gossip engine (message / sparse /
+    sharded / async); ``"auto"`` follows the size policy — the
     measurement itself runs through the family-agnostic
     :func:`repro.attacks.evaluate.attack_impact`.
     """

@@ -30,8 +30,8 @@ def run(
 ) -> ExperimentResult:
     """Regenerate Figure 6 (rows: colluding fraction; G fixed at 1).
 
-    ``backend`` names any registered gossip engine (message / dense /
-    sparse / sharded); ``"auto"`` follows the size policy — the
+    ``backend`` names any registered gossip engine (message / sparse /
+    sharded / async); ``"auto"`` follows the size policy — the
     measurement itself runs through the family-agnostic
     :func:`repro.attacks.evaluate.attack_impact`.
     """

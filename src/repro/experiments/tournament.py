@@ -68,7 +68,7 @@ DEFAULT_ATTACKS: Dict[str, dict] = {
 }
 
 #: Backend sweep for ``uses_backend`` algorithms.
-DEFAULT_BACKENDS: Tuple[str, ...] = ("dense", "sparse")
+DEFAULT_BACKENDS: Tuple[str, ...] = ("sparse",)
 
 #: Full-scale worlds are capped here — the tournament measures relative
 #: algorithm behaviour, not scale ceilings (BENCH_sharded.json does that).

@@ -31,7 +31,8 @@ True
 
 ``backend`` names any registered gossip backend
 (:func:`repro.core.backend.available_backends`); ``"auto"`` picks
-message → dense → sparse by node count/density. The return value is
+async for latency-bearing networks, message for tiny worlds and sparse
+otherwise (:func:`repro.core.backend.choose_backend_name`). The return value is
 always the engines' common :class:`repro.core.results.GossipOutcome`;
 for the rich per-variant result objects (true values, eq.-6
 reputations) keep using :func:`repro.core.vector_gclr.aggregate_vector_gclr`
@@ -245,15 +246,15 @@ def aggregate(
         Shared knobs of the round
         (:class:`repro.core.backend.GossipConfig`); defaults apply when
         omitted. Includes the performance knobs: ``dtype`` ("float32"
-        halves state traffic on the dense/sparse/sharded engines;
+        halves state traffic on the sparse/sharded engines;
         float64-only backends raise
         :class:`repro.core.errors.UnsupportedDtypeError` rather than
         silently casting), ``kernel`` (sparse-engine push kernel) and
         ``shard_workers`` (sharded executor/worker knob — see
         :doc:`docs/performance.md <../docs/performance>`).
     backend:
-        Registered backend name, or ``"auto"`` (message → dense →
-        sparse by node count/density).
+        Registered backend name, or ``"auto"`` (async for latency-bearing
+        networks, message for tiny worlds, sparse otherwise).
     variant:
         Aggregation variant for TrustMatrix input; default
         ``"vector-global"``. One of ``"single-global"``,

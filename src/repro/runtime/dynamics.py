@@ -43,7 +43,7 @@ Epochs can stop two ways (``stop_rule``):
   ``epoch_tol``. This accuracy-matched rule makes cold and warm epochs
   directly comparable: both stop at the *same* network-wide accuracy,
   so the round counts isolate what warm-starting buys. Requires a
-  backend with ``run_to_max`` support (dense/sparse).
+  backend with ``run_to_max`` support (sparse/sharded).
 - ``"protocol"``: the paper's distributed per-node stop protocol
   (``xi`` movement bound, warmup, patience) as run by every backend.
   Note that under this rule a round's length is governed by
@@ -173,7 +173,7 @@ class DynamicRunResult:
     >>> overlay = MutableOverlay.grow_preferential(60, m=2, rng=0)
     >>> trace = ChurnTrace.steady(2, population=60, join_rate=0.02,
     ...                           leave_rate=0.02, seed=1)
-    >>> result = run_dynamic(overlay, trace, GossipConfig(rng=2), backend="dense")
+    >>> result = run_dynamic(overlay, trace, GossipConfig(rng=2), backend="sparse")
     >>> len(result.records)
     2
     >>> result.total_steps >= result.records[0].steps
@@ -362,7 +362,7 @@ class DynamicReputationRuntime:
         ):
             raise BackendCapabilityError(
                 f"stop_rule 'accuracy' needs run_to_max support, which backend "
-                f"{self._backend!r} lacks; use 'dense'/'sparse' or stop_rule='protocol'"
+                f"{self._backend!r} lacks; use 'sparse'/'sharded' or stop_rule='protocol'"
             )
         self._stop_rule = stop_rule
         self._epoch_tol = float(epoch_tol)
@@ -894,7 +894,7 @@ newcomer_policy, opinion_drift, drift_scale, attachment_m, attack, partition:
     >>> from repro.runtime.trace import ChurnTrace
     >>> overlay = MutableOverlay.grow_preferential(60, m=2, rng=3)
     >>> trace = ChurnTrace.steady(3, population=60, join_rate=0.05, leave_rate=0.05, seed=4)
-    >>> result = run_dynamic(overlay, trace, GossipConfig(delta=0.0), backend="dense", epoch_tol=1e-5)
+    >>> result = run_dynamic(overlay, trace, GossipConfig(delta=0.0), backend="sparse", epoch_tol=1e-5)
     >>> len(result.records)
     3
     >>> result.final_record.mean_abs_error < 1e-3

@@ -30,11 +30,11 @@ GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
 
 #: Experiment id -> the exact small-run kwargs the fixture pins.
 GOLDEN_SPECS: Dict[str, dict] = {
-    "fig3": dict(sizes=(60, 120), xis=(1e-2, 1e-3), seed=11, backend="dense"),
+    "fig3": dict(sizes=(60, 120), xis=(1e-2, 1e-3), seed=11, backend="sparse"),
     "fig4": dict(
-        num_nodes=150, loss_probabilities=(0.0, 0.2), xis=(1e-2, 1e-3), seed=13, backend="dense"
+        num_nodes=150, loss_probabilities=(0.0, 0.2), xis=(1e-2, 1e-3), seed=13, backend="sparse"
     ),
-    "table2": dict(sizes=(60, 120), xis=(1e-2, 1e-3), seed=7, backend="dense"),
+    "table2": dict(sizes=(60, 120), xis=(1e-2, 1e-3), seed=7, backend="sparse"),
     "attack_slander": dict(
         num_nodes=80,
         fractions=(0.1, 0.3),
@@ -42,7 +42,7 @@ GOLDEN_SPECS: Dict[str, dict] = {
         num_targets=20,
         xi=1e-3,
         seed=21,
-        backend="dense",
+        backend="sparse",
     ),
     "attack_sybil": dict(
         num_nodes=80,
@@ -50,7 +50,7 @@ GOLDEN_SPECS: Dict[str, dict] = {
         num_targets=20,
         xi=1e-3,
         seed=27,
-        backend="dense",
+        backend="sparse",
     ),
 }
 

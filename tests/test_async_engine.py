@@ -84,11 +84,11 @@ class TestAsyncGossip:
             AsyncGossipEngine(example_network(), push_counts=np.ones(3))
 
     def test_agrees_with_sync_engine_limit(self, pa_graph_small):
-        from repro.core.vector_engine import VectorGossipEngine
+        from repro.core.sparse_engine import SparseGossipEngine
 
         n = pa_graph_small.num_nodes
         values = np.random.default_rng(1).random(n)
-        sync = VectorGossipEngine(pa_graph_small, rng=9).run(values, np.ones(n), xi=1e-7)
+        sync = SparseGossipEngine(pa_graph_small, rng=9).run(values, np.ones(n), xi=1e-7)
         async_out = AsyncGossipEngine(pa_graph_small, rng=10).run(
             values, np.ones(n), xi=1e-6, quiet_window=4.0
         )

@@ -2,8 +2,8 @@
 cross-backend agreement and the backend-default regression tests.
 
 The load-bearing acceptance checks live here: every registered attack
-family must be measurable through :func:`attack_impact` on all four
-gossip backends with 1e-8 agreement, and the measurement's default
+family must be measurable through :func:`attack_impact` on the message,
+sparse and sharded gossip backends with 1e-8 agreement, and the measurement's default
 backend must follow the auto policy instead of silently pinning the
 dense engine (the bug class PR 4 fixed in ``push_sum_average``).
 """
@@ -104,7 +104,7 @@ class TestRegistry:
         try:
             impact = attack_impact(
                 graph, trust, "noop-test", targets=[0, 5],
-                config=GossipConfig(xi=1e-5, rng=2), backend="dense",
+                config=GossipConfig(xi=1e-5, rng=2), backend="sparse",
             )
             # A no-op adversary measures exactly zero under shared seeds.
             assert impact.rms_gclr == 0.0
@@ -329,7 +329,7 @@ class TestCrossBackendAgreement:
                         config=config,
                         backend=backend,
                     )
-                    for backend in ("message", "dense", "sparse", "sharded")
+                    for backend in ("message", "sparse", "sharded")
                 },
             }
         return table
@@ -338,10 +338,10 @@ class TestCrossBackendAgreement:
     def test_backends_agree_to_1e8(self, impacts, family):
         rows = impacts[family]["gossip"]
         values = {name: impact.rms_gclr for name, impact in rows.items()}
-        reference = values["dense"]
+        reference = values["sparse"]
         for name, value in values.items():
             assert value == pytest.approx(reference, abs=1e-8), (
-                f"{family}: backend {name} rms {value} vs dense {reference}"
+                f"{family}: backend {name} rms {value} vs sparse {reference}"
             )
         # The unweighted comparator never touches the gossip layer, so
         # it must be bit-identical across backends.
@@ -371,7 +371,7 @@ class TestImpactSeries:
             epochs=4,
             targets=[0, 5, 9],
             config=GossipConfig(xi=1e-5, rng=8),
-            backend="dense",
+            backend="sparse",
         )
         assert [s.epoch for s in series] == [0, 1, 2, 3]
         # Honest phases cancel exactly under shared seeds.
@@ -391,7 +391,7 @@ class TestImpactSeries:
             epochs=3,
             targets=[0, 5],
             config=GossipConfig(xi=1e-5, rng=8),
-            backend="dense",
+            backend="sparse",
         )
         assert series[0].clean_outcome is series[1].clean_outcome is series[2].clean_outcome
 
@@ -422,7 +422,7 @@ class TestImpactSeries:
             epochs=2,
             targets=[0, 5],
             config=GossipConfig(xi=1e-5, rng=8),
-            backend="dense",
+            backend="sparse",
         )
         assert series[0].rms_gclr == series[1].rms_gclr
 
@@ -445,7 +445,7 @@ class TestDynamicHooks:
             epochs, population=population, join_rate=0.02, leave_rate=0.02, seed=5
         )
         return run_dynamic(
-            overlay, trace, Config(delta=0.0), backend="dense",
+            overlay, trace, Config(delta=0.0), backend="sparse",
             epoch_tol=1e-5, attack=attack,
         )
 
@@ -489,7 +489,7 @@ class TestDynamicHooks:
             runtime = DynamicReputationRuntime(
                 Overlay.grow_preferential(60, m=2, rng=3),
                 config=Config(delta=0.0),
-                backend="dense",
+                backend="sparse",
                 epoch_tol=1e-5,
                 attack=attack,
             )
@@ -532,7 +532,7 @@ class TestDynamicHooks:
         overlay = MutableOverlay.grow_preferential(60, m=2, rng=3)
         trace = ChurnTrace.steady(3, population=60, join_rate=0.0, leave_rate=0.0, seed=5)
         run_dynamic(
-            overlay, trace, Config(delta=0.0), backend="dense", epoch_tol=1e-5,
+            overlay, trace, Config(delta=0.0), backend="sparse", epoch_tol=1e-5,
             newcomer_policy=policy,
             attack=WhitewashingAttackModel(fraction=0.1, seed=7),
         )
@@ -551,9 +551,9 @@ class TestBackendDefaultRegression:
     """Satellite bugfix: the measurement must follow the auto policy.
 
     ``collusion_impact`` used to hardcode ``backend="dense"``, silently
-    running every large-graph measurement through the dense engine's
-    per-hub Python loop — the same bug class PR 4 fixed in
-    ``push_sum_average``.
+    running every large-graph measurement through the (since retired)
+    dense engine's per-hub Python loop — the same bug class PR 4 fixed
+    in ``push_sum_average``.
     """
 
     def test_signature_defaults_are_auto(self):
@@ -566,14 +566,13 @@ class TestBackendDefaultRegression:
 
     @pytest.fixture
     def big_ring(self):
-        # Circulant graph with power-of-two chords: past the dense-auto
-        # size limit yet log-diameter, so the gclr weight diffuses to
-        # every node within the warmup-scale budget a coarse xi allows
-        # (a plain ring would need diameter ~ N/2 steps).
-        import repro.core.backend as backend_mod
+        # Circulant graph with power-of-two chords: large yet
+        # log-diameter, so the gclr weight diffuses to every node within
+        # the warmup-scale budget a coarse xi allows (a plain ring would
+        # need diameter ~ N/2 steps).
         from repro.network.graph import Graph
 
-        n = backend_mod.AUTO_DENSE_MAX_NODES + 1
+        n = 20_001
         offsets = np.array(
             [d for k in range(15) for d in (1 << k, -(1 << k))], dtype=np.int64
         )
@@ -619,9 +618,9 @@ class TestBackendDefaultRegression:
         attack = CollusionModel(fraction=0.2, group_size=2, seed=1).attack_for(24)
         collusion_impact(
             graph, trust, attack, targets=[0, 1],
-            config=GossipConfig(xi=1e-2, rng=2), backend="dense",
+            config=GossipConfig(xi=1e-2, rng=2), backend="sharded",
         )
-        assert spy and set(spy) == {"dense"}
+        assert spy and set(spy) == {"sharded"}
 
     def test_auto_resolves_once_for_clean_and_dirty(self, world, spy):
         # Sybil floods enlarge the dirty world; both runs must still

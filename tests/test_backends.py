@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from repro.core.backend import (
-    AUTO_DENSE_MAX_NODES,
     AUTO_MESSAGE_MAX_NODES,
     BackendCapabilityError,
     GossipConfig,
@@ -29,6 +28,7 @@ from repro.core.vector_global import aggregate_vector_global
 from repro.facade import aggregate
 from repro.network.graph import Graph
 from repro.network.topology_example import example_network
+from tests.test_sharded_engine import ring_graph
 
 TRUE_MEAN = 4.5  # mean of arange(10) on the fixture topology
 
@@ -41,12 +41,14 @@ def fixture_values():
 class TestRegistry:
     def test_builtin_backends_registered(self):
         names = available_backends()
-        for expected in ("message", "dense", "sparse", "sharded", "async"):
-            assert expected in names
+        assert names == ("async", "message", "sharded", "sparse")
 
     def test_vector_alias_resolves_to_dense(self):
-        assert resolve_backend_name("vector") == "dense"
-        assert get_backend("vector") is get_backend("dense")
+        # "dense" and "vector" name the retired dense engine; both are
+        # now aliases of the one vectorised engine, like "csr".
+        for alias in ("dense", "vector", "csr"):
+            assert resolve_backend_name(alias) == "sparse"
+            assert get_backend(alias) is get_backend("sparse")
 
     def test_unknown_backend_raises_value_and_key_error(self):
         with pytest.raises(ValueError, match="engine"):
@@ -56,7 +58,7 @@ class TestRegistry:
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ValueError, match="already registered"):
-            register_backend("dense", get_backend("dense"))
+            register_backend("dense", get_backend("sparse"))
 
     def test_custom_backend_plugs_into_facade(self, fixture_values):
         class Recorder:
@@ -67,7 +69,7 @@ class TestRegistry:
 
             def run(self, graph, values, weights, *, extras=None, config=None):
                 self.calls += 1
-                return get_backend("dense").run(
+                return get_backend("sparse").run(
                     graph, values, weights, extras=extras, config=config
                 )
 
@@ -164,6 +166,8 @@ class TestResolvePushCounts:
 class TestCrossBackendEquivalence:
     """Acceptance: every backend agrees to 1e-8 on the fixture topology."""
 
+    # "dense" rows below run through the alias of "sparse" that the
+    # retired dense engine's name now resolves to.
     @pytest.mark.parametrize(
         "backend", ["message", "dense", "sparse", "sharded", "async", "auto"]
     )
@@ -190,7 +194,7 @@ class TestCrossBackendEquivalence:
                 config=GossipConfig(xi=1e-10, rng=7, max_steps=100_000),
                 backend=name,
             ).estimates.reshape(-1)
-            for name in ("message", "dense", "sparse", "sharded", "async")
+            for name in ("message", "sparse", "sharded", "async")
         }
         names = sorted(estimates)
         for a in names:
@@ -201,52 +205,67 @@ class TestCrossBackendEquivalence:
 
 
 class TestAutoSelection:
+    def test_policy_table(self):
+        """The whole ``"auto"`` policy: rows are sizes, columns config shapes.
+
+        Latency-bearing networks go async; N <= 64 goes to the message
+        engine unless the config needs ``run_to_max`` or several
+        channels; everything else — including the sizes that used to
+        escalate to the sharded engine — runs on sparse.
+        """
+        from repro.network.churn import PacketLossModel
+        from repro.network.conditions import HomogeneousLink, LatencySpec
+
+        columns = {
+            "plain": GossipConfig(),
+            "run_to_max": GossipConfig(run_to_max=True, max_steps=5),
+            "num_channels=2": GossipConfig(num_channels=2),
+            "latency": GossipConfig(
+                network=HomogeneousLink(latency=LatencySpec("exponential", 0.5))
+            ),
+            "loss_model": GossipConfig(loss_model=PacketLossModel(0.2, rng=0)),
+        }
+        expected = {
+            64: ["message", "sparse", "sparse", "async", "message"],
+            65: ["sparse", "sparse", "sparse", "async", "sparse"],
+            20_001: ["sparse", "sparse", "sparse", "async", "sparse"],
+            250_001: ["sparse", "sparse", "sparse", "async", "sparse"],
+        }
+        actual = {
+            n: [choose_backend_name(ring_graph(n), config) for config in columns.values()]
+            for n in expected
+        }
+        assert actual == expected, list(columns)
+
     def test_small_graph_uses_message(self):
         assert choose_backend_name(example_network()) == "message"
 
     def test_medium_graph_uses_dense(self):
-        n = AUTO_MESSAGE_MAX_NODES + 10
-        ring = Graph(n, [(i, (i + 1) % n) for i in range(n)])
-        assert choose_backend_name(ring) == "dense"
+        # Just above the message engine's ceiling, auto runs the engine
+        # that the name "dense" now resolves to: the one sparse engine.
+        ring = ring_graph(AUTO_MESSAGE_MAX_NODES + 10)
+        name = choose_backend_name(ring)
+        assert name == "sparse"
+        assert get_backend(name) is get_backend("dense")
 
     def test_large_graph_uses_sparse(self):
-        n = AUTO_DENSE_MAX_NODES + 1
-        ring = Graph(n, [(i, (i + 1) % n) for i in range(n)])
-        assert choose_backend_name(ring) == "sparse"
+        assert choose_backend_name(ring_graph(20_001)) == "sparse"
 
     def test_run_to_max_skips_message(self):
         config = GossipConfig(run_to_max=True, max_steps=5)
-        assert choose_backend_name(example_network(), config) == "dense"
+        assert choose_backend_name(example_network(), config) == "sparse"
 
-    def _sharded_scale_ring(self):
-        from repro.core.backend import AUTO_SPARSE_MAX_NODES
-
-        n = AUTO_SPARSE_MAX_NODES + 1
-        i = np.arange(n, dtype=np.int64)
-        a, b = (i - 1) % n, (i + 1) % n
-        cols = np.empty(2 * n, dtype=np.int64)
-        cols[0::2] = np.minimum(a, b)
-        cols[1::2] = np.maximum(a, b)
-        return Graph.from_csr(n, 2 * np.arange(n + 1, dtype=np.int64), cols, validate=False)
-
-    def test_loss_model_config_falls_back_to_sparse_at_sharded_scale(self, monkeypatch):
-        # Regression (satellite of the adversary-engine PR): the sharded
-        # engine cannot split an explicit PacketLossModel generator
-        # across shards, so the auto policy must keep such configs on
-        # the single-process sparse engine instead of escalating into a
-        # BackendCapabilityError...
-        import repro.core.backend as backend_mod
+    def test_loss_model_config_falls_back_to_sparse_at_sharded_scale(self):
+        # Both loss knobs stay on the single-process sparse engine at
+        # the sizes that used to escalate to sharded (which cannot split
+        # an explicit PacketLossModel generator across shards).
         from repro.network.churn import PacketLossModel
 
-        monkeypatch.setattr(backend_mod, "usable_cpu_count", lambda: 4)
-        ring = self._sharded_scale_ring()
-        assert choose_backend_name(ring) == "sharded"
+        big = ring_graph(250_001)
         lossy = GossipConfig(loss_model=PacketLossModel(0.2, rng=0))
-        assert choose_backend_name(ring, lossy) == "sparse"
-        # ...while seed-derived loss keeps the escalation (the sharded
-        # engine derives per-shard streams from loss_probability).
+        assert choose_backend_name(big, lossy) == "sparse"
         seeded = GossipConfig(loss_probability=0.2, rng=0)
-        assert choose_backend_name(ring, seeded) == "sharded"
+        assert choose_backend_name(big, seeded) == "sparse"
 
 
 class TestCapabilityErrors:
@@ -311,16 +330,16 @@ class TestFacade:
 
     def test_vector_global_variant_matches_entry_point(self, pa_graph_small, small_trust):
         targets = [0, 3, 9]
-        # The entry point now defaults to backend="auto"; pin dense so
-        # both sides run the identical engine trajectory.
+        # The entry point defaults to backend="auto"; pin one engine so
+        # both sides run the identical trajectory.
         old = aggregate_vector_global(
-            pa_graph_small, small_trust, targets=targets, xi=1e-6, rng=17, backend="dense"
+            pa_graph_small, small_trust, targets=targets, xi=1e-6, rng=17, backend="sparse"
         )
         new = aggregate(
             pa_graph_small,
             small_trust,
             GossipConfig(xi=1e-6, rng=17),
-            backend="dense",
+            backend="sparse",
             variant="vector-global",
             targets=targets,
         )
@@ -329,20 +348,20 @@ class TestFacade:
 
     def test_default_variant_is_vector_global(self, pa_graph_small, small_trust):
         out = aggregate(
-            pa_graph_small, small_trust, GossipConfig(xi=1e-5, rng=19), backend="dense"
+            pa_graph_small, small_trust, GossipConfig(xi=1e-5, rng=19), backend="sparse"
         )
         assert out.values.shape == (pa_graph_small.num_nodes, pa_graph_small.num_nodes)
 
     def test_vector_gclr_variant_matches_entry_point(self, pa_graph_small, small_trust):
         targets = [1, 4, 7]
         old = aggregate_vector_gclr(
-            pa_graph_small, small_trust, targets=targets, xi=1e-6, rng=23, backend="dense"
+            pa_graph_small, small_trust, targets=targets, xi=1e-6, rng=23, backend="sparse"
         )
         new = aggregate(
             pa_graph_small,
             small_trust,
             GossipConfig(xi=1e-6, rng=23),
-            backend="dense",
+            backend="sparse",
             variant="vector-gclr",
             targets=targets,
         )
@@ -350,22 +369,26 @@ class TestFacade:
         np.testing.assert_array_equal(old.outcome.extras["count"], new.extras["count"])
 
     def test_single_variants_match_entry_points(self, pa_graph_small, small_trust):
-        old = aggregate_single_global(pa_graph_small, small_trust, 5, xi=1e-6, rng=29)
+        old = aggregate_single_global(
+            pa_graph_small, small_trust, 5, xi=1e-6, rng=29, backend="sparse"
+        )
         new = aggregate(
             pa_graph_small,
             small_trust,
             GossipConfig(xi=1e-6, rng=29),
-            backend="dense",
+            backend="sparse",
             variant="single-global",
             target=5,
         )
         np.testing.assert_array_equal(old.outcome.values, new.values)
-        old_gclr = aggregate_single_gclr(pa_graph_small, small_trust, 5, xi=1e-6, rng=31)
+        old_gclr = aggregate_single_gclr(
+            pa_graph_small, small_trust, 5, xi=1e-6, rng=31, backend="sparse"
+        )
         new_gclr = aggregate(
             pa_graph_small,
             small_trust,
             GossipConfig(xi=1e-6, rng=31),
-            backend="dense",
+            backend="sparse",
             variant="single-gclr",
             target=5,
         )
@@ -419,7 +442,7 @@ class TestVariantEntryPointsOnOtherBackends:
 
     def test_single_global_engine_alias_still_works(self, pa_graph_small, small_trust):
         result = aggregate_single_global(
-            pa_graph_small, small_trust, 2, xi=1e-6, rng=7, engine="vector"
+            pa_graph_small, small_trust, 2, xi=1e-6, rng=7, backend="vector"
         )
         assert result.max_relative_error < 0.01
 
@@ -509,7 +532,7 @@ class TestCsrRoundTripWithIsolatedNodes:
 
     def test_gossip_skips_isolates_on_all_backends(self, graph_with_isolates):
         values = np.arange(6, dtype=np.float64)
-        for backend in ("message", "dense", "sparse", "sharded"):
+        for backend in ("message", "sparse", "sharded"):
             out = run_backend(
                 graph_with_isolates,
                 values,
@@ -562,7 +585,7 @@ class TestNetworkAxis:
         with pytest.raises(BackendCapabilityError, match="per-edge"):
             run_backend(
                 example_network(), fixture_values, np.ones(10),
-                config=config, backend="dense",
+                config=config, backend="sparse",
             )
 
     @pytest.mark.parametrize("backend", ["dense", "sparse", "sharded"])
@@ -594,7 +617,7 @@ class TestNetworkAxis:
                 xi=1e-8, rng=2,
                 network=RegionalLinkModel(2, intra_loss=0.2, inter_loss=0.2),
             ),
-            backend="dense",
+            backend="sparse",
         )
         assert np.allclose(out.estimates, TRUE_MEAN, atol=1e-4)
 

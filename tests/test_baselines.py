@@ -22,9 +22,9 @@ class TestPushSum:
         assert np.all(engine.push_counts == 1)
 
     def test_no_degree_announcement_overhead(self, pa_graph_small):
-        # Pinned to the dense engine: the message engine also counts its
-        # per-node stop announcements, which is not what this measures.
-        out = push_sum_average(pa_graph_small, np.ones(60), xi=1e-3, rng=3, backend="dense")
+        # Pinned to the vectorised engine: the message engine also counts
+        # its per-node stop announcements, which is not what this measures.
+        out = push_sum_average(pa_graph_small, np.ones(60), xi=1e-3, rng=3, backend="sparse")
         # Normal push needs no degree exchange; protocol messages are
         # only the convergence announcements.
         assert out.protocol_messages <= int(pa_graph_small.degrees.sum())
@@ -45,18 +45,14 @@ class TestPushSum:
 
     def test_large_graph_routes_to_sparse_by_default(self, monkeypatch):
         # Regression: the baseline used to hardcode backend="dense", so
-        # Figure-3 baselines on 100k+-node graphs silently ran the dense
-        # engine's per-hub Python loop. The auto policy must kick in.
+        # Figure-3 baselines on 100k+-node graphs silently ran the (since
+        # retired) dense engine's per-hub Python loop. The auto policy
+        # must kick in.
         import repro.core.backend as backend_mod
-        from repro.network.graph import Graph
+        from tests.test_sharded_engine import ring_graph
 
-        n = backend_mod.AUTO_DENSE_MAX_NODES + 1
-        i = np.arange(n, dtype=np.int64)
-        a, b = (i - 1) % n, (i + 1) % n
-        cols = np.empty(2 * n, dtype=np.int64)
-        cols[0::2] = np.minimum(a, b)
-        cols[1::2] = np.maximum(a, b)
-        ring = Graph.from_csr(n, 2 * np.arange(n + 1, dtype=np.int64), cols, validate=False)
+        n = 20_001
+        ring = ring_graph(n)
 
         chosen = []
         real_get_backend = backend_mod.get_backend
@@ -83,8 +79,8 @@ class TestPushSum:
             lambda name: chosen.append(backend_mod.resolve_backend_name(name))
             or real_get_backend(name),
         )
-        push_sum_average(pa_graph_small, np.ones(60), xi=1e-2, rng=2, backend="dense")
-        assert chosen == ["dense"]
+        push_sum_average(pa_graph_small, np.ones(60), xi=1e-2, rng=2, backend="sharded")
+        assert chosen == ["sharded"]
 
 
 class TestPushPull:

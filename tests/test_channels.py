@@ -4,9 +4,9 @@ Covers the tentpole contract from every side:
 
 - the swept ``backend="dense"`` defaults are pinned to ``"auto"`` (the
   get_backend-spy regression pattern of the PR-4 ``push_sum_average``
-  fix), plus a source lint that no default in ``src/repro`` hardcodes
-  the dense engine outside doctest examples;
-- cross-backend parity at V ∈ {1, 2, 4} on dense/sparse/sharded;
+  fix), plus a source lint that no ``backend``/``engine`` default in
+  ``src/repro`` names a registered backend or alias;
+- cross-backend parity at V ∈ {1, 2, 4} on sparse/sharded;
 - V = 1 byte-identity across kernels × executors (the historical code
   path must be executed literally);
 - per-channel eq.-7 convergence: one converged channel must not stop a
@@ -18,9 +18,9 @@ Covers the tentpole contract from every side:
 
 from __future__ import annotations
 
+import ast
 import inspect
 import pathlib
-import re
 
 import numpy as np
 import pytest
@@ -36,7 +36,6 @@ from repro.core.convergence import ConvergenceProtocol, channel_deviations
 from repro.core.kernels import available_kernels
 from repro.core.sharded_engine import ShardedGossipEngine
 from repro.core.sparse_engine import SparseGossipEngine
-from repro.core.vector_engine import VectorGossipEngine
 from repro.facade import aggregate
 from repro.network.preferential_attachment import preferential_attachment_graph
 from repro.network.topology_example import example_network
@@ -128,23 +127,50 @@ class TestSweptBackendDefaults:
         assert get_scenario("flash-crowd").backend == "auto"
 
     def test_no_dense_default_left_in_src(self):
-        """Source lint: no ``backend="dense"`` default outside doctests."""
-        pattern = re.compile(r"backend(?::\s*str)?\s*=\s*\"dense\"")
+        """Source lint: every ``backend``/``engine`` default is ``"auto"``.
+
+        Flags a parameter or dataclass-field default that names any
+        registered backend or alias (``"dense"``, ``"vector"``,
+        ``"sparse"``, ...): a pinned default bypasses the auto policy.
+        Call sites (a scenario pinning its engine) and doctests may
+        still name a backend.
+        """
+
+        def names_a_backend(node):
+            if not (isinstance(node, ast.Constant) and isinstance(node.value, str)):
+                return False
+            try:
+                backend_mod.resolve_backend_name(node.value)
+            except backend_mod.UnknownBackendError:
+                return False
+            return True
+
         offenders = []
         for path in sorted(SRC_ROOT.rglob("*.py")):
-            for lineno, line in enumerate(path.read_text().splitlines(), 1):
-                stripped = line.lstrip()
-                if stripped.startswith(">>>") or stripped.startswith("... "):
-                    continue  # doctest examples may pin any backend
-                if pattern.search(line):
-                    offenders.append(f"{path.relative_to(SRC_ROOT)}:{lineno}")
-        assert not offenders, (
-            "hardcoded dense-backend defaults remain: " + ", ".join(offenders)
-        )
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    args = node.args
+                    positional = args.posonlyargs + args.args
+                    defaults = list(
+                        zip(positional[len(positional) - len(args.defaults) :], args.defaults)
+                    )
+                    defaults += zip(args.kwonlyargs, args.kw_defaults)
+                    defaults = [(arg.arg, default) for arg, default in defaults]
+                elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    defaults = [(node.target.id, node.value)]
+                else:
+                    continue
+                for name, default in defaults:
+                    if name in ("backend", "engine") and names_a_backend(default):
+                        offenders.append(
+                            f"{path.relative_to(SRC_ROOT)}:{default.lineno} "
+                            f"{name}={default.value!r}"
+                        )
+        assert not offenders, "hardcoded backend defaults remain: " + ", ".join(offenders)
 
 
 class TestCrossBackendParity:
-    """dense/sparse/sharded agree to 1e-8 at every channel count."""
+    """sparse/sharded agree to 1e-8 at every channel count."""
 
     @pytest.mark.parametrize("num_channels", [1, 2, 4])
     def test_backends_agree(self, num_channels):
@@ -155,7 +181,7 @@ class TestCrossBackendParity:
             xi=1e-10, max_steps=100_000, rng=5, num_channels=num_channels
         )
         estimates = {}
-        for backend in ("dense", "sparse", "sharded"):
+        for backend in ("sparse", "sharded"):
             out = run_backend(g, values, weights, config=config, backend=backend)
             assert out.num_channels == num_channels
             estimates[backend] = out.estimates
@@ -272,10 +298,10 @@ class TestPerChannelConvergence:
         rng = np.random.default_rng(8)
         constant = np.full(n, 0.5)
         slow = rng.random(n)
-        fast_alone = VectorGossipEngine(graph, rng=2).run(
+        fast_alone = SparseGossipEngine(graph, rng=2).run(
             constant, np.ones(n), xi=1e-8, max_steps=3000
         )
-        stacked = VectorGossipEngine(graph, rng=2).run(
+        stacked = SparseGossipEngine(graph, rng=2).run(
             np.column_stack([constant, slow]),
             np.ones((n, 2)),
             xi=1e-8,
@@ -329,7 +355,7 @@ class TestCapabilityErrors:
     def test_auto_policy_skips_message_for_channels(self):
         g = example_network()  # 10 nodes: auto would pick message at V=1
         assert choose_backend_name(g) == "message"
-        assert choose_backend_name(g, GossipConfig(num_channels=2)) == "dense"
+        assert choose_backend_name(g, GossipConfig(num_channels=2)) == "sparse"
 
 
 class TestChannelApi:

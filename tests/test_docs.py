@@ -128,9 +128,24 @@ def test_backend_table_matches_registry(registries, architecture_text):
     assert documented == set(registries["backends"])
 
 
+NUMBER_WORDS = {
+    "two": 2, "three": 3, "four": 4, "five": 5, "six": 6,
+    "seven": 7, "eight": 8, "nine": 9, "ten": 10,
+}
+
+
 def test_attack_table_matches_registry(registries, architecture_text):
-    documented = _table_first_names(_section(architecture_text, "## Attack families"))
+    section = _section(architecture_text, "## Attack families")
+    documented = _table_first_names(section)
     assert documented == set(registries["attacks"])
+    # The prose around the table must agree with it: the "currently"
+    # list names every family, and an "All <n>" claim counts the rows.
+    listed = re.search(r"currently (.*?):\n", section, flags=re.DOTALL).group(1)
+    assert set(re.findall(r"`([^`]+)`", listed)) == documented
+    claims = re.findall(r"\bAll (\w+)\b", section)
+    assert claims, "the attack prose states no family count"
+    for word in claims:
+        assert NUMBER_WORDS.get(word.lower()) == len(documented), f"'All {word}'"
 
 
 def test_scenario_table_matches_registry(registries, architecture_text):

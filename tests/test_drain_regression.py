@@ -15,7 +15,7 @@ import pytest
 
 from repro.core.engine import GossipNode
 from repro.core.state import UNDEFINED_RATIO
-from repro.core.vector_engine import VectorGossipEngine
+from repro.core.sparse_engine import SparseGossipEngine
 from repro.network.graph import Graph
 
 
@@ -69,7 +69,7 @@ class TestVectorEngineCarryForward:
         )
         values = np.full(6, 1e-300)
         weights = np.full(6, 1e-300)
-        engine = VectorGossipEngine(g, rng=1)
+        engine = SparseGossipEngine(g, rng=1)
         out = engine.run(values, weights, xi=1e-6, max_steps=5000)
         # All ratios are 1.0 throughout; the run must terminate.
         assert out.converged.all()
@@ -81,7 +81,7 @@ class TestVectorEngineCarryForward:
 
         g = preferential_attachment_graph(3000, m=2, rng=50)
         values = np.random.default_rng(51).random(3000)
-        engine = VectorGossipEngine(g, rng=52)
+        engine = SparseGossipEngine(g, rng=52)
         out = engine.run(values, np.ones(3000), xi=1e-6, max_steps=3000)
         assert out.converged.all()
         assert np.allclose(out.estimates, values.mean(), atol=1e-3)

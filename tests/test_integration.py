@@ -12,7 +12,7 @@ from repro.attacks.collusion import apply_collusion, group_colluders, select_col
 from repro.baselines.gossip_trust import unweighted_global_estimate
 from repro.core.engine import MessageLevelGossip
 from repro.core.single_gclr import aggregate_single_gclr
-from repro.core.vector_engine import VectorGossipEngine
+from repro.core.sparse_engine import SparseGossipEngine
 from repro.core.vector_gclr import aggregate_vector_gclr, true_vector_gclr
 from repro.core.weights import WeightParams
 from repro.analysis.metrics import average_rms_error
@@ -22,12 +22,12 @@ from repro.trust.matrix import complete_trust_matrix, random_trust_matrix
 
 
 class TestEngineEquivalence:
-    """The vector and message engines implement the same update rule."""
+    """The vectorised and message engines implement the same update rule."""
 
     def test_same_limit_on_example_network(self, fig2_network):
         values = np.asarray([0.6, 0.3, 0.4, 0.5, 0.3, 0.6, 0.1, 0.6, 0.4, 0.7])
         weights = np.ones(10)
-        vector = VectorGossipEngine(fig2_network, rng=1).run(values, weights, xi=1e-9)
+        vector = SparseGossipEngine(fig2_network, rng=1).run(values, weights, xi=1e-9)
         message = MessageLevelGossip(fig2_network, rng=2).run(values, weights, xi=1e-9)
         assert np.allclose(vector.estimates, values.mean(), atol=1e-4)
         assert np.allclose(message.estimates, values.mean(), atol=1e-4)
@@ -36,7 +36,7 @@ class TestEngineEquivalence:
         n = pa_graph_small.num_nodes
         values = np.random.default_rng(0).random(n)
         weights = np.ones(n)
-        vector = VectorGossipEngine(pa_graph_small, rng=3).run(values, weights, xi=1e-5)
+        vector = SparseGossipEngine(pa_graph_small, rng=3).run(values, weights, xi=1e-5)
         message = MessageLevelGossip(pa_graph_small, rng=4).run(values, weights, xi=1e-5)
         # Same protocol, same topology: step counts agree within 2x.
         assert 0.5 < vector.steps / message.steps < 2.0
@@ -45,7 +45,7 @@ class TestEngineEquivalence:
         n = pa_graph_small.num_nodes
         values = np.random.default_rng(1).random(n)
         for engine in (
-            VectorGossipEngine(pa_graph_small, rng=5),
+            SparseGossipEngine(pa_graph_small, rng=5),
             MessageLevelGossip(pa_graph_small, rng=6),
         ):
             out = engine.run(values, np.ones(n), xi=1e-6)
@@ -59,7 +59,7 @@ class TestGossipReachesFixpoints:
     def test_single_gclr_both_engines(self, pa_graph_small, small_trust):
         for engine_name in ("vector", "message"):
             result = aggregate_single_gclr(
-                pa_graph_small, small_trust, target=9, xi=1e-8, rng=7, engine=engine_name
+                pa_graph_small, small_trust, target=9, xi=1e-8, rng=7, backend=engine_name
             )
             assert result.max_absolute_error < 0.01, engine_name
 
@@ -121,16 +121,16 @@ class TestChurnPipeline:
         n = pa_graph_medium.num_nodes
         values = np.random.default_rng(2).random(n)
         loss = PacketLossModel(0.25, rng=30)
-        engine = VectorGossipEngine(pa_graph_medium, loss_model=loss, rng=31)
+        engine = SparseGossipEngine(pa_graph_medium, loss_model=loss, rng=31)
         out = engine.run(values, np.ones(n), xi=1e-7)
         assert np.allclose(out.estimates, values.mean(), atol=5e-3)
 
     def test_loss_costs_steps(self, pa_graph_medium):
         n = pa_graph_medium.num_nodes
         values = np.random.default_rng(3).random(n)
-        clean = VectorGossipEngine(pa_graph_medium, rng=32).run(values, np.ones(n), xi=1e-6)
+        clean = SparseGossipEngine(pa_graph_medium, rng=32).run(values, np.ones(n), xi=1e-6)
         lossy_model = PacketLossModel(0.4, rng=33)
-        lossy = VectorGossipEngine(pa_graph_medium, loss_model=lossy_model, rng=32).run(
+        lossy = SparseGossipEngine(pa_graph_medium, loss_model=lossy_model, rng=32).run(
             values, np.ones(n), xi=1e-6
         )
         assert lossy.steps >= clean.steps

@@ -20,7 +20,7 @@ from repro.analysis.metrics import average_rms_error
 from repro.attacks.collusion import apply_collusion, group_colluders
 from repro.core.differential import push_counts
 from repro.core.state import UNDEFINED_RATIO, ratios
-from repro.core.vector_engine import VectorGossipEngine
+from repro.core.sparse_engine import SparseGossipEngine
 from repro.core.weights import WeightParams, collusion_damping_factor
 from repro.network.churn import PacketLossModel
 from repro.network.degree_sequence import havel_hakimi_graph, is_graphical
@@ -51,7 +51,7 @@ class TestMassConservation:
         graph = preferential_attachment_graph(n, m=m, rng=seed)
         values = np.random.default_rng(seed).random(n)
         loss_model = PacketLossModel(loss, rng=seed + 1)
-        engine = VectorGossipEngine(graph, loss_model=loss_model, rng=seed + 2)
+        engine = SparseGossipEngine(graph, loss_model=loss_model, rng=seed + 2)
         out = engine.run(values, np.ones(n), xi=1e-3, max_steps=2000)
         assert abs(float(out.values.sum()) - float(values.sum())) < 1e-8 * max(1, n)
         assert abs(float(out.weights.sum()) - n) < 1e-8 * n
@@ -64,7 +64,7 @@ class TestMassConservation:
             n = m + 2
         graph = preferential_attachment_graph(n, m=m, rng=seed)
         values = np.random.default_rng(seed).random(n)
-        engine = VectorGossipEngine(graph, rng=seed + 1)
+        engine = SparseGossipEngine(graph, rng=seed + 1)
         out = engine.run(values, np.ones(n), xi=1e-8, max_steps=5000)
         assert np.allclose(out.estimates, values.mean(), atol=1e-3)
 

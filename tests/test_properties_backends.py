@@ -38,7 +38,7 @@ pytestmark = pytest.mark.property
 #: the fixpoint separately rather than trajectory-for-trajectory).
 #: "sharded" runs inline (workers=1) at these sizes — the identical
 #: shard schedule the multi-process path executes, byte for byte.
-SYNC_BACKENDS = ("message", "dense", "sparse", "sharded")
+SYNC_BACKENDS = ("message", "sparse", "sharded")
 
 SUITE = settings(
     max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -126,7 +126,7 @@ class TestMassConservation:
         params=world,
         knobs=config_knobs,
         loss=st.floats(min_value=0.0, max_value=0.6),
-        backend=st.sampled_from(("dense", "sparse", "sharded")),
+        backend=st.sampled_from(("sparse", "sharded")),
     )
     def test_totals_invariant_under_packet_loss(self, params, knobs, loss, backend):
         """Lost pushes self-redirect, so the global sums never move."""

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro.core.async_engine import AsyncGossipEngine
 from repro.core.engine import MessageLevelGossip
-from repro.core.vector_engine import VectorGossipEngine
+from repro.core.sparse_engine import SparseGossipEngine
 from repro.network.preferential_attachment import preferential_attachment_graph
 
 # Heavier hypothesis suite: one full run per CI matrix (see pyproject markers).
@@ -44,7 +44,7 @@ class TestLinearity:
         base = np.random.default_rng(seed).random(n)
         values = np.column_stack([base, scale * base])
         weights = np.ones((n, 2))
-        out = VectorGossipEngine(graph, rng=seed + 1).run(
+        out = SparseGossipEngine(graph, rng=seed + 1).run(
             values, weights, xi=1e-9, max_steps=40, run_to_max=True
         )
         assert np.allclose(out.values[:, 1], scale * out.values[:, 0], rtol=1e-9)
@@ -59,7 +59,7 @@ class TestLinearity:
         a, b = rng.random(n), rng.random(n)
         values = np.column_stack([a, b, a + b])
         weights = np.ones((n, 3))
-        out = VectorGossipEngine(graph, rng=seed + 2).run(
+        out = SparseGossipEngine(graph, rng=seed + 2).run(
             values, weights, xi=1e-9, max_steps=40, run_to_max=True
         )
         assert np.allclose(
@@ -72,7 +72,7 @@ class TestLinearity:
         """A column equal to its weights keeps ratio exactly 1 everywhere."""
         n, seed = params
         graph = _graph(n, seed)
-        out = VectorGossipEngine(graph, rng=seed + 3).run(
+        out = SparseGossipEngine(graph, rng=seed + 3).run(
             np.ones(n), np.ones(n), xi=1e-9, max_steps=30, run_to_max=True
         )
         assert np.allclose(out.estimates, 1.0, atol=1e-12)
@@ -85,7 +85,7 @@ class TestEngineAgreement:
         n, seed = params
         graph = _graph(n, seed)
         values = np.random.default_rng(seed).random(n)
-        vector = VectorGossipEngine(graph, rng=seed + 4).run(values, np.ones(n), xi=1e-7)
+        vector = SparseGossipEngine(graph, rng=seed + 4).run(values, np.ones(n), xi=1e-7)
         message = MessageLevelGossip(graph, rng=seed + 5).run(values, np.ones(n), xi=1e-7)
         assert np.allclose(vector.estimates, values.mean(), atol=2e-3)
         assert np.allclose(message.estimates, values.mean(), atol=2e-3)

@@ -64,9 +64,9 @@ class TestRandomRegular:
             random_regular_graph(9, 3)  # odd stub count
 
     def test_gossip_converges_on_regular(self):
-        from repro.core.vector_engine import VectorGossipEngine
+        from repro.core.sparse_engine import SparseGossipEngine
 
         g = random_regular_graph(50, 4, rng=9)
         values = np.random.default_rng(0).random(50)
-        out = VectorGossipEngine(g, rng=10).run(values, np.ones(50), xi=1e-7)
+        out = SparseGossipEngine(g, rng=10).run(values, np.ones(50), xi=1e-7)
         assert np.allclose(out.estimates, values.mean(), atol=1e-3)

@@ -59,7 +59,7 @@ class TestRunDynamic:
     def test_replay_is_deterministic(self):
         trace = ChurnTrace.steady(4, population=80, join_rate=0.05, leave_rate=0.05, seed=7)
         runs = [
-            run_dynamic(small_overlay(), trace, GossipConfig(delta=0.0), backend="dense")
+            run_dynamic(small_overlay(), trace, GossipConfig(delta=0.0), backend="sparse")
             for _ in range(2)
         ]
         for a, b in zip(runs[0].records, runs[1].records):
@@ -76,7 +76,7 @@ class TestRunDynamic:
             small_overlay(100, seed=1),
             trace,
             GossipConfig(delta=0.0, max_steps=2000),
-            backend="dense",
+            backend="sparse",
             opinion_drift=0.2,
             epoch_tol=1e-7,
         )
@@ -87,7 +87,7 @@ class TestRunDynamic:
 
     def test_population_follows_trace(self):
         trace = ChurnTrace.steady(4, population=120, join_rate=0.1, leave_rate=0.02, seed=13)
-        result = run_dynamic(small_overlay(120, seed=2), trace, backend="dense")
+        result = run_dynamic(small_overlay(120, seed=2), trace, backend="sparse")
         expected = 120
         for churn, record in zip(trace, result.records):
             expected += churn.arrivals - churn.departures
@@ -97,7 +97,7 @@ class TestRunDynamic:
 
     def test_warm_start_uses_fewer_steady_state_rounds(self):
         trace = ChurnTrace.steady(5, population=400, join_rate=0.005, leave_rate=0.005, seed=17)
-        kwargs = dict(config=GossipConfig(delta=0.0), backend="dense", opinion_drift=0.01)
+        kwargs = dict(config=GossipConfig(delta=0.0), backend="sparse", opinion_drift=0.01)
         warm = run_dynamic(MutableOverlay.grow_preferential(400, m=2, rng=5), trace, **kwargs)
         cold = run_dynamic(
             MutableOverlay.grow_preferential(400, m=2, rng=5), trace, warm_start=False, **kwargs
@@ -113,12 +113,12 @@ class TestRunDynamic:
         # selecting it and then rejecting it.
         trace = ChurnTrace.steady(2, population=50, join_rate=0.03, leave_rate=0.03, seed=1)
         result = run_dynamic(MutableOverlay.grow_preferential(50, m=2, rng=0), trace)
-        assert result.backend == "dense"
+        assert result.backend == "sparse"
         assert all(r.converged_fraction == 1.0 for r in result.records)
 
     def test_accepts_plain_graph_input(self, pa_graph_small):
         trace = ChurnTrace.steady(2, population=60, join_rate=0.05, leave_rate=0.05, seed=19)
-        result = run_dynamic(pa_graph_small, trace, backend="dense")
+        result = run_dynamic(pa_graph_small, trace, backend="sparse")
         assert len(result.records) == 2
 
     def test_newcomer_policy_grants_and_observes(self):
@@ -126,7 +126,7 @@ class TestRunDynamic:
         trace = ChurnTrace.steady(3, population=80, join_rate=0.2, leave_rate=0.0, seed=23)
         overlay = small_overlay()
         runtime = DynamicReputationRuntime(
-            overlay, config=GossipConfig(delta=0.0), backend="dense", newcomer_policy=policy
+            overlay, config=GossipConfig(delta=0.0), backend="sparse", newcomer_policy=policy
         )
         runtime.run(trace)
         assert policy.join_rate() > 0  # every join was observed
@@ -144,7 +144,7 @@ class TestRunDynamic:
         trace = ChurnTrace.steady(3, population=80, join_rate=0.0, leave_rate=0.0, seed=29)
         overlay = small_overlay()
         runtime = DynamicReputationRuntime(
-            overlay, config=GossipConfig(delta=10.0), backend="dense", opinion_drift=0.5
+            overlay, config=GossipConfig(delta=10.0), backend="sparse", opinion_drift=0.5
         )
         result = runtime.run(trace)
         assert result.records[-1].mean_abs_error < 1e-3
@@ -155,7 +155,7 @@ class TestRunDynamic:
             small_overlay(),
             trace,
             GossipConfig(xi=1e-4, delta=0.0),
-            backend="dense",
+            backend="sparse",
             stop_rule="protocol",
         )
         assert all(r.converged_fraction == 1.0 for r in result.records)
@@ -223,7 +223,7 @@ class TestRunDynamic:
             small_overlay(),
             trace,
             GossipConfig(max_steps=4),
-            backend="dense",
+            backend="sparse",
             epoch_tol=1e-12,
         )
         assert result.records[0].converged_fraction == 0.0
@@ -242,9 +242,9 @@ class TestRunDynamic:
 
     def test_to_dict_and_text_roundtrip(self):
         trace = ChurnTrace.steady(2, population=80, join_rate=0.05, leave_rate=0.05, seed=43)
-        result = run_dynamic(small_overlay(), trace, backend="dense")
+        result = run_dynamic(small_overlay(), trace, backend="sparse")
         payload = result.to_dict()
-        assert payload["backend"] == "dense"
+        assert payload["backend"] == "sparse"
         assert len(payload["epochs"]) == 2
         assert "steady-state" in result.to_text()
 
@@ -254,7 +254,7 @@ class TestDynamicScenarios:
         from repro.scenarios import run_scenario
 
         result = run_scenario("flash-crowd", small=True)
-        assert result.backend == "dense"
+        assert result.backend == "sparse"
         assert result.metrics["epochs"] == 8
         assert result.metrics["total_arrivals"] > 100  # the surge arrived
         assert result.metrics["final_mean_abs_error"] < 0.01
@@ -297,7 +297,7 @@ class TestDynamicScenarios:
             seed=99,
         )
         result = run_scenario(scenario, small=True)
-        assert result.backend == "dense"
+        assert result.backend == "sparse"
         assert result.converged_fraction == 1.0
 
 
@@ -313,7 +313,7 @@ class TestEpochPartition:
         runtime = DynamicReputationRuntime(
             small_overlay(n, seed=seed + 1),
             config=GossipConfig(delta=0.0, max_steps=600),
-            backend="dense",
+            backend="sparse",
             partition=EpochPartition(start_epoch=2, heal_epoch=heal),
         )
         return runtime, runtime.run(trace)
@@ -360,9 +360,9 @@ class TestEpochPartition:
         trace = ChurnTrace.steady(3, population=60, join_rate=0.02,
                                   leave_rate=0.02, seed=5)
         base = run_dynamic(small_overlay(60, seed=6), trace,
-                           GossipConfig(delta=0.0), backend="dense")
+                           GossipConfig(delta=0.0), backend="sparse")
         again = run_dynamic(small_overlay(60, seed=6), trace,
-                            GossipConfig(delta=0.0), backend="dense",
+                            GossipConfig(delta=0.0), backend="sparse",
                             partition=None)
         for a, b in zip(base.records, again.records):
             payload_a, payload_b = a.to_dict(), b.to_dict()

@@ -107,7 +107,7 @@ class TestSpecValidation:
 class TestRunScenario:
     def test_static_powerlaw_small(self):
         result = run_scenario("static-powerlaw", small=True)
-        assert result.backend == "dense"  # auto at N=200
+        assert result.backend == "sparse"  # auto at N=200
         assert result.num_nodes == 200
         assert result.converged_fraction == 1.0
         assert result.metrics["max_rel_error"] < 0.01
@@ -156,7 +156,7 @@ class TestRunScenario:
             workload=WorkloadSpec(kind="mean"),
             dynamic=DynamicSpec(epochs=3, join_rate=0.02, leave_rate=0.02),
             attack=AttackSpec(kind="whitewashing", fraction=0.05),
-            backend="dense",
+            backend="sparse",
             xi=1e-5,
             max_steps=400,
             seed=77,
@@ -167,7 +167,7 @@ class TestRunScenario:
 
     def test_computing_vs_delegating_contains_cross_channel_slander(self):
         result = run_scenario("computing-vs-delegating", small=True)
-        assert result.backend == "dense"  # auto at N=200, V=2
+        assert result.backend == "sparse"  # auto at N=200, V=2
         assert result.metrics["num_channels"] == 2.0
         assert result.converged_fraction == 1.0
         # Both channels reach their (post-attack) fixpoints via gossip.
@@ -204,7 +204,7 @@ class TestRunScenario:
     def test_result_to_text_renders(self):
         result = run_scenario("static-powerlaw", small=True)
         text = result.to_text()
-        assert "static-powerlaw" in text and "backend=dense" in text
+        assert "static-powerlaw" in text and "backend=sparse" in text
 
     def test_custom_scenario_composes(self):
         scenario = Scenario(

@@ -79,7 +79,7 @@ class TestAggregation:
 
     def test_message_engine(self, pa_graph_small, small_trust):
         result = aggregate_single_gclr(
-            pa_graph_small, small_trust, target=5, xi=1e-7, rng=2, engine="message"
+            pa_graph_small, small_trust, target=5, xi=1e-7, rng=2, backend="message"
         )
         assert result.max_absolute_error < 0.02
 
@@ -122,7 +122,7 @@ class TestAggregation:
 
     def test_rejects_bad_engine(self, pa_graph_small, small_trust):
         with pytest.raises(ValueError, match="engine"):
-            aggregate_single_gclr(pa_graph_small, small_trust, 5, engine="bogus")
+            aggregate_single_gclr(pa_graph_small, small_trust, 5, backend="bogus")
 
     def test_rejects_size_mismatch(self, pa_graph_small):
         with pytest.raises(ValueError, match="nodes"):

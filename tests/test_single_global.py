@@ -45,14 +45,14 @@ class TestTrueValue:
 class TestAggregation:
     def test_vector_engine_accuracy(self, pa_graph_small, small_trust):
         result = aggregate_single_global(
-            pa_graph_small, small_trust, target=5, xi=1e-6, rng=1
+            pa_graph_small, small_trust, target=5, xi=1e-6, rng=1, backend="sparse"
         )
         assert result.max_relative_error < 0.02
         assert result.estimates.shape == (60,)
 
     def test_message_engine_accuracy(self, pa_graph_small, small_trust):
         result = aggregate_single_global(
-            pa_graph_small, small_trust, target=5, xi=1e-6, rng=2, engine="message"
+            pa_graph_small, small_trust, target=5, xi=1e-6, rng=2, backend="message"
         )
         assert result.max_relative_error < 0.02
 
@@ -67,9 +67,11 @@ class TestAggregation:
         assert result.max_relative_error < 0.02
 
     def test_engines_agree_on_limit(self, pa_graph_small, small_trust):
-        a = aggregate_single_global(pa_graph_small, small_trust, target=7, xi=1e-7, rng=4)
+        a = aggregate_single_global(
+            pa_graph_small, small_trust, target=7, xi=1e-7, rng=4, backend="sparse"
+        )
         b = aggregate_single_global(
-            pa_graph_small, small_trust, target=7, xi=1e-7, rng=5, engine="message"
+            pa_graph_small, small_trust, target=7, xi=1e-7, rng=5, backend="message"
         )
         assert a.true_value == b.true_value
         assert np.allclose(a.estimates.mean(), b.estimates.mean(), atol=0.01)
@@ -81,7 +83,7 @@ class TestAggregation:
 
     def test_invalid_engine(self, pa_graph_small, small_trust):
         with pytest.raises(ValueError, match="engine"):
-            aggregate_single_global(pa_graph_small, small_trust, 0, engine="gpu")
+            aggregate_single_global(pa_graph_small, small_trust, 0, backend="gpu")
 
     def test_invalid_target(self, pa_graph_small, small_trust):
         with pytest.raises(ValueError, match="target"):

@@ -1,10 +1,13 @@
 """Tests for the sparse CSR gossip engine.
 
-The load-bearing checks: the sparse engine is a drop-in for
-``VectorGossipEngine`` (same API, same protocol, same invariants), its
-estimates agree with the dense engine to 1e-8 relative tolerance on
-power-law graphs, and mass is conserved every round.
+The load-bearing checks: the engine validates its inputs, samples k_i
+distinct neighbours per sender, its estimates agree with the sharded
+engine (an independent implementation of the same update rule) to 1e-8
+relative tolerance on power-law graphs, and mass is conserved every
+round.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,16 +15,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import ConvergenceError
+from repro.core.single_gclr import pick_designated_node
+from repro.core.sharded_engine import ShardedGossipEngine
 from repro.core.sparse_engine import SparseGossipEngine
-from repro.core.vector_engine import VectorGossipEngine
+from repro.core.vector_gclr import initial_state_vector_gclr
 from repro.network.churn import PacketLossModel
 from repro.network.graph import Graph
-from repro.network.preferential_attachment import preferential_attachment_graph
+from repro.network.preferential_attachment import (
+    preferential_attachment_graph,
+    preferential_attachment_graph_fast,
+)
 from repro.network.random_graphs import erdos_renyi_graph
+from repro.trust.matrix import random_trust_matrix
 
 
 class TestApiParity:
-    """Construction-time contract matches the dense engine."""
+    """Construction-time contract: typed errors for bad topologies and inputs."""
 
     def test_push_counts_property_read_only(self, fig2_network):
         engine = SparseGossipEngine(fig2_network, rng=0)
@@ -128,34 +137,39 @@ class TestTargetSelection:
         assert len(seen) == 6
 
 
+def _sharded(graph, seed):
+    """The sharded engine on one inline worker: same rule, own sampler."""
+    return ShardedGossipEngine(graph, rng=seed, executor="inline")
+
+
 class TestCrossEngineAgreement:
-    """Sparse and dense engines compute the same aggregate."""
+    """Sparse and sharded engines compute the same aggregate."""
 
     @pytest.mark.parametrize("n,steps", [(1000, 350), (10000, 450)])
-    def test_matches_vector_engine_on_power_law(self, n, steps):
+    def test_matches_sharded_engine_on_power_law(self, n, steps):
         graph = preferential_attachment_graph(n, m=2, rng=42)
         values = np.random.default_rng(0).random(n)
         weights = np.ones(n)
-        dense = VectorGossipEngine(graph, rng=1).run(
+        sharded = _sharded(graph, 1).run(
             values, weights, xi=1e-12, max_steps=steps, run_to_max=True
         )
         sparse = SparseGossipEngine(graph, rng=2).run(
             values, weights, xi=1e-12, max_steps=steps, run_to_max=True
         )
         # Fully mixed state: both engines must sit on the same fixpoint.
-        np.testing.assert_allclose(sparse.estimates, dense.estimates, rtol=1e-8)
+        np.testing.assert_allclose(sparse.estimates, sharded.estimates, rtol=1e-8)
         np.testing.assert_allclose(sparse.estimates, values.mean(), rtol=1e-8)
 
     def test_protocol_mode_parity(self):
         graph = preferential_attachment_graph(500, m=2, rng=7)
         values = np.random.default_rng(5).random(500)
         weights = np.ones(500)
-        dense = VectorGossipEngine(graph, rng=1).run(values, weights, xi=1e-7)
+        sharded = _sharded(graph, 1).run(values, weights, xi=1e-7)
         sparse = SparseGossipEngine(graph, rng=2).run(values, weights, xi=1e-7)
         assert np.allclose(sparse.estimates, values.mean(), atol=1e-4)
-        assert np.allclose(dense.estimates, values.mean(), atol=1e-4)
+        assert np.allclose(sharded.estimates, values.mean(), atol=1e-4)
         # Same stop protocol on the same topology: comparable step counts.
-        assert 0.5 < sparse.steps / dense.steps < 2.0
+        assert 0.5 < sparse.steps / sharded.steps < 2.0
         assert sparse.converged.all()
 
     def test_vector_state_matches(self):
@@ -163,13 +177,13 @@ class TestCrossEngineAgreement:
         d = 5
         values = np.random.default_rng(6).random((300, d))
         weights = np.ones((300, d))
-        dense = VectorGossipEngine(graph, rng=1).run(
+        sharded = _sharded(graph, 1).run(
             values, weights, xi=1e-12, max_steps=250, run_to_max=True
         )
         sparse = SparseGossipEngine(graph, rng=2).run(
             values, weights, xi=1e-12, max_steps=250, run_to_max=True
         )
-        np.testing.assert_allclose(sparse.estimates, dense.estimates, rtol=1e-8)
+        np.testing.assert_allclose(sparse.estimates, sharded.estimates, rtol=1e-8)
 
 
 class TestDeterminismAndInvariants:
@@ -241,3 +255,32 @@ class TestDeterminismAndInvariants:
         assert out.steps == steps
         assert float(out.values.sum()) == pytest.approx(float(values.sum()), rel=1e-9, abs=1e-9)
         assert float(out.weights.sum()) == pytest.approx(float(weights.sum()), rel=1e-9)
+
+
+class TestMemoryFootprint:
+    def test_gclr_shaped_run_peak_memory(self):
+        """An 8-target GCLR round allocates under four state matrices' worth.
+
+        The ``(N, C)`` state (C = 24: value, weight and count columns for
+        8 targets) is the one matrix the round needs; with the float64
+        ratio buffers (2/3 of it), the boolean masks and the per-column
+        share buffer the engine peaks near 2.5x. Per-component input
+        copies, a copied outcome, a second prescale buffer and a
+        ``(P, C)`` share matrix took it to about 7x.
+        """
+        graph = preferential_attachment_graph_fast(3000, 4, rng=1)
+        trust = random_trust_matrix(graph, rng=2)
+        targets = list(range(0, 3000, 375))
+        values, weights, counts = initial_state_vector_gclr(
+            trust, targets, pick_designated_node(graph)
+        )
+        engine = SparseGossipEngine(graph, rng=3)
+        tracemalloc.start()
+        try:
+            out = engine.run(values, weights, extras={"count": counts}, xi=1e-4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.converged.all()
+        state_bytes = graph.num_nodes * 3 * len(targets) * 8
+        assert peak < 4 * state_bytes, f"peak {peak / state_bytes:.2f}x the state matrix"
