@@ -121,7 +121,8 @@ class Graph:
             symmetric.
         validate:
             Skip the O(E) structural checks when ``False`` — only for
-            arrays that provably came from another :class:`Graph`.
+            arrays built by the library's own constructors (the fast PA
+            generator and the mutable overlay's snapshot).
 
         Examples
         --------
@@ -222,8 +223,15 @@ class Graph:
 
     def _compute_avg_neighbor_degree(self) -> np.ndarray:
         """Mean degree over each node's neighbourhood (0.0 for isolated nodes)."""
-        sums = np.zeros(self._num_nodes, dtype=np.float64)
-        np.add.at(sums, np.repeat(np.arange(self._num_nodes), self._degrees), self._degrees[self._indices].astype(np.float64))
+        # Integer prefix sums of the neighbours' degrees, differenced at
+        # the row boundaries. The sums are integers far below 2**53, so
+        # the float64 cast is exact and matches a float scatter-add.
+        # The indices are in range, and mode="clip" gathers straight
+        # into `prefix` without the bounds-checked copy of mode="raise".
+        prefix = np.zeros(self._indices.shape[0] + 1, dtype=np.int64)
+        np.take(self._degrees, self._indices, out=prefix[1:], mode="clip")
+        np.cumsum(prefix, out=prefix)
+        sums = (prefix[self._indptr[1:]] - prefix[self._indptr[:-1]]).astype(np.float64)
         with np.errstate(invalid="ignore", divide="ignore"):
             avg = np.where(self._degrees > 0, sums / np.maximum(self._degrees, 1), 0.0)
         return avg
