@@ -15,7 +15,7 @@ Usage::
 
     PYTHONPATH=src python benchmarks/bench_attacks.py \
         [--n 300] [--targets 40] [--xi 1e-4] [--seed 2016] \
-        [--backends sparse,sharded] [--families all] \
+        [--backends sparse,message] [--families all] \
         [--out BENCH_attacks.json]
 """
 
@@ -58,7 +58,7 @@ def run_benchmark(
     num_targets: int = 40,
     xi: float = 1e-4,
     seed: int = 2016,
-    backends=("sparse", "sharded"),
+    backends=("sparse", "message"),
     families=None,
 ) -> Dict[str, object]:
     """One full family × backend sweep; returns the JSON-ready record."""
@@ -139,8 +139,12 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=2016)
     parser.add_argument(
         "--backends",
-        default="sparse,sharded",
-        help="comma-separated backend names (message is protocol-faithful but slow)",
+        default="sparse,message",
+        help=(
+            "comma-separated backend names; the default pairs the vectorised "
+            "engine with the protocol-faithful message engine, so the spread "
+            "gate compares two implementations"
+        ),
     )
     parser.add_argument(
         "--families", default="all", help="comma-separated attack families, or 'all'"

@@ -7,12 +7,11 @@ cost. This benchmark measures that amortization directly — a single
 ``num_channels = V`` run against V back-to-back ``V = 1`` runs over the
 same graph, seed and fixed step budget.
 
-Methodology matches ``bench_sharded.py``: container wall-clock is
-non-stationary, so every contender runs SHORT and LONG fixed budgets
-back-to-back, contenders interleave round-robin within each repetition,
-per-step cost is the *marginal* ``(long - short) / (steps delta)`` of
-each pair, and the headline speedup is the median of per-repetition
-ratios. The stacked run's per-channel estimates are cross-checked
+Container wall-clock is non-stationary, so every contender runs SHORT
+and LONG fixed budgets back-to-back, contenders interleave round-robin
+within each repetition, per-step cost is the *marginal*
+``(long - short) / (steps delta)`` of each pair, and the headline
+speedup is the median of per-repetition ratios. The stacked run's per-channel estimates are cross-checked
 against the sequential runs (same seed, same channel-oblivious sampling
 stream → identical trajectories), so a speedup obtained by computing
 the wrong thing fails loudly.
@@ -36,8 +35,6 @@ from typing import Callable, Dict, List
 
 import numpy as np
 
-from repro.core.kernels import available_kernels
-from repro.core.sharded_engine import ShardedGossipEngine
 from repro.core.sparse_engine import SparseGossipEngine
 from repro.network.preferential_attachment import preferential_attachment_graph_fast
 from repro.utils.hardware import host_metadata, usable_cpu_count
@@ -50,8 +47,6 @@ TARGET_SPEEDUP = 2.0
 def _make_engine(engine: str, graph, seed: int):
     if engine == "sparse":
         return SparseGossipEngine(graph, rng=seed)
-    if engine == "sharded":
-        return ShardedGossipEngine(graph, rng=seed, executor="inline")
     raise ValueError(f"unknown engine {engine!r}")
 
 
@@ -226,7 +221,6 @@ def run_channel_benchmark(
         "seed": seed,
         "graph_build_seconds": round(build_seconds, 2),
         **host_metadata(),
-        "available_kernels": list(available_kernels()),
         "methodology": (
             "paired marginal differencing: per repetition each contender runs "
             "SHORT then LONG fixed budgets (the sequential contender runs "
@@ -251,7 +245,7 @@ def main(argv=None) -> int:
         "--engines",
         nargs="+",
         default=["sparse"],
-        choices=["sparse", "sharded"],
+        choices=["sparse"],
     )
     parser.add_argument("--seed", type=int, default=2016)
     parser.add_argument("--out", default="BENCH_channels.json")

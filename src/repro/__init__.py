@@ -30,7 +30,6 @@ from repro.core import (
     GossipConfig,
     GossipOutcome,
     MessageLevelGossip,
-    ShardedGossipEngine,
     SparseGossipEngine,
     WeightParams,
     aggregate_single_gclr,
@@ -109,7 +108,6 @@ __all__ = [
     "aggregate_vector_global",
     "aggregate_vector_gclr",
     "SparseGossipEngine",
-    "ShardedGossipEngine",
     "MessageLevelGossip",
     "GossipOutcome",
     "ConvergenceError",

@@ -14,11 +14,9 @@ Public entry points (one per algorithm variant of Section 4.1.2):
 
 Engines (reusable for custom initialisations and baselines):
 
-- :class:`repro.core.sparse_engine.SparseGossipEngine` — the vectorised
-  CSR engine with preallocated buffers, from the paper's 50 000-node
-  sweeps to 250k-node rounds;
-- :class:`repro.core.sharded_engine.ShardedGossipEngine` — multi-process
-  sharded execution over shared memory, for million-peer rounds;
+- :class:`repro.core.sparse_engine.SparseGossipEngine` — the one
+  vectorised CSR engine with preallocated buffers, from the paper's
+  50 000-node sweeps to million-peer rounds;
 - :class:`repro.core.engine.MessageLevelGossip` — protocol-faithful
   object simulation with mailboxes and announcements.
 """
@@ -48,7 +46,6 @@ from repro.core.single_global import (
     aggregate_single_global,
     true_single_global,
 )
-from repro.core.sharded_engine import ShardedGossipEngine
 from repro.core.sparse_engine import SparseGossipEngine
 from repro.core.state import UNDEFINED_RATIO, GossipPair, ratios
 from repro.core.vector_gclr import VectorGclrResult, aggregate_vector_gclr, true_vector_gclr
@@ -77,7 +74,6 @@ __all__ = [
     "VectorGlobalResult",
     "VectorGclrResult",
     "SparseGossipEngine",
-    "ShardedGossipEngine",
     "MessageLevelGossip",
     "GossipOutcome",
     "GossipPair",

@@ -2,8 +2,8 @@
 
 The repro grew several engines that all execute the paper's differential
 push rule at different fidelity/scale trade-offs — the protocol-faithful
-message simulation, the vectorised CSR sparse engine, the multi-process
-sharded engine and the event-driven asynchronous engine. Before this module, every caller
+message simulation, the vectorised CSR sparse engine and the
+event-driven asynchronous engine. Before this module, every caller
 hard-coded one of them; scaling an experiment onto a faster engine meant
 hand-porting it. This module makes the engine a *named backend* behind
 one protocol:
@@ -15,9 +15,9 @@ one protocol:
   ``run(graph, values, weights, extras=..., config=...) ->``
   :class:`repro.core.results.GossipOutcome`;
 - :func:`register_backend` / :func:`get_backend` /
-  :func:`available_backends` manage the registry ("message", "sparse",
-  "sharded", "async" ship built-in; "csr", "dense" and "vector" are
-  aliases of "sparse");
+  :func:`available_backends` manage the registry ("message", "sparse"
+  and "async" ship built-in; "csr", "dense" and "vector" are aliases of
+  "sparse");
 - :func:`choose_backend_name` implements the ``"auto"`` policy — async
   for latency-bearing networks, message for tiny worlds, sparse for
   everything else;
@@ -40,9 +40,8 @@ from typing import Callable, Dict, Optional, Protocol, Tuple, runtime_checkable
 import numpy as np
 
 from repro.core.differential import fixed_push_counts
-from repro.core.errors import GossipError, UnsupportedDtypeError
+from repro.core.errors import GossipError
 from repro.core.results import GossipOutcome
-from repro.core.state import resolve_state_dtype
 from repro.core.weights import WeightParams
 from repro.network.conditions import InstantLink, LinkModel, PacketLossModel
 from repro.network.graph import Graph
@@ -74,6 +73,9 @@ class GossipConfig:
 
     One config object travels unchanged across backends, so a scenario
     or experiment can switch engines without re-plumbing parameters.
+    Every backend gossips float64 state in a single process, and the
+    sparse backend runs one push kernel (:mod:`repro.core.kernels`), so
+    there is no precision, kernel or worker knob to set.
 
     Attributes
     ----------
@@ -140,38 +142,6 @@ class GossipConfig:
     run_to_max:
         Ignore the stop protocol and run exactly ``max_steps`` steps
         (fixed-budget diffusion studies and benchmarks).
-    num_shards:
-        Sharded backend only: partition granularity. Outcomes of the
-        ``"sharded"`` backend depend on ``(rng, num_shards)``, so this
-        is a *determinism* knob; ``None`` selects the backend's fixed
-        default. Other backends ignore it.
-    shard_workers:
-        Sharded backend only: worker count or executor name — a pure
-        *throughput* knob (any value yields byte-identical outcomes).
-        An int sets the worker count under the default executor policy
-        (``1`` runs the shard schedule inline with no processes).
-        ``None`` selects by graph size. The strings ``"inline"``,
-        ``"threads"`` and ``"processes"`` select an executor outright:
-        ``"threads"`` runs shards on a thread pool over one in-process
-        state array (no shared-memory halo round-trips), ``"processes"``
-        forces the shared-memory worker pool, ``"inline"`` forces the
-        calling thread. Other backends ignore it.
-    dtype:
-        Gossip state precision: ``"float64"`` (default, the correctness
-        reference) or ``"float32"`` (halves state memory traffic at
-        ~1e-4-scale drift). Backends that cannot run the requested
-        precision raise
-        :class:`repro.core.errors.UnsupportedDtypeError` — state is
-        never silently cast (the message and async engines are
-        float64-only).
-    kernel:
-        Push-round kernel for the sparse engine: ``None``/"auto" (best
-        available), ``"numba"`` (needs the optional ``kernels`` extra),
-        ``"fused"`` (numpy), or ``"unfused"`` (historical reference
-        path). Unavailable kernels raise
-        :class:`repro.core.kernels.KernelUnavailableError`. Backends
-        without a kernel layer (including sharded, whose per-shard
-        samplers mirror the unfused path) ignore it.
     num_channels:
         Number of independent reputation channels ``V`` packed
         channel-major into the gossiped value columns (the column count
@@ -179,8 +149,8 @@ class GossipConfig:
         draw and one scatter per step; convergence is judged per
         channel (see
         :class:`repro.core.convergence.ConvergenceProtocol`). The
-        sparse and sharded backends support any ``V``; the
-        message and async backends are single-channel and raise
+        sparse backend supports any ``V``; the message and async
+        backends are single-channel and raise
         :class:`BackendCapabilityError` for ``V > 1``. Default 1.
 
     Examples
@@ -208,10 +178,6 @@ class GossipConfig:
     warmup_steps: Optional[int] = None
     track_history: bool = False
     run_to_max: bool = False
-    num_shards: Optional[int] = None
-    shard_workers: "Optional[int | str]" = None
-    dtype: str = "float64"
-    kernel: Optional[str] = None
     num_channels: int = 1
 
     def __post_init__(self) -> None:
@@ -242,20 +208,6 @@ class GossipConfig:
             raise ValueError(f"patience must be >= 1, got {self.patience}")
         if self.delta < 0:
             raise ValueError(f"delta must be >= 0, got {self.delta}")
-        if self.num_shards is not None and self.num_shards < 1:
-            raise ValueError(f"num_shards must be >= 1, got {self.num_shards}")
-        if self.shard_workers is not None:
-            if isinstance(self.shard_workers, str):
-                if self.shard_workers not in ("inline", "threads", "processes"):
-                    raise ValueError(
-                        "shard_workers accepts an int or one of 'inline', 'threads', "
-                        f"'processes', got {self.shard_workers!r}"
-                    )
-            elif self.shard_workers < 1:
-                raise ValueError(f"shard_workers must be >= 1, got {self.shard_workers}")
-        # Fail on unsupported dtypes at config construction, not deep in
-        # an engine — and never silently cast.
-        resolve_state_dtype(self.dtype)
 
     def resolved_push_counts(self, graph: Graph) -> Optional[np.ndarray]:
         """Per-node push counts for ``graph``, or ``None`` for the
@@ -375,17 +327,6 @@ class _SynchronousBackend:
     supports_channels: bool = True
     _engine_class: Optional[Callable] = None
 
-    def _engine_kwargs(self, config: GossipConfig) -> Dict[str, object]:
-        """Extra constructor kwargs derived from ``config``.
-
-        The default forwards ``dtype`` (the vectorised engine takes
-        it). Engines pinned to float64 override this to raise
-        :class:`repro.core.errors.UnsupportedDtypeError` instead of
-        casting; engines with extra knobs (the sparse engine's
-        ``kernel``) extend it.
-        """
-        return {"dtype": resolve_state_dtype(config.dtype)}
-
     def run(
         self,
         graph: Graph,
@@ -402,7 +343,6 @@ class _SynchronousBackend:
             push_counts=config.resolved_push_counts(graph),
             loss_model=loss_model,
             rng=rng,
-            **self._engine_kwargs(config),
         )
         kwargs = dict(
             xi=config.xi,
@@ -416,7 +356,7 @@ class _SynchronousBackend:
             kwargs["run_to_max"] = config.run_to_max
         elif config.run_to_max:
             raise BackendCapabilityError(
-                f"backend {self.name!r} does not support run_to_max; use 'sparse' or 'sharded'"
+                f"backend {self.name!r} does not support run_to_max; use 'sparse'"
             )
         # The kwarg is only forwarded at V > 1 so single-channel runs
         # execute the exact historical call (byte-identity contract).
@@ -424,7 +364,7 @@ class _SynchronousBackend:
             if not self.supports_channels:
                 raise BackendCapabilityError(
                     f"backend {self.name!r} gossips a single reputation channel; "
-                    "use 'sparse' or 'sharded' for num_channels > 1"
+                    "use 'sparse' for num_channels > 1"
                 )
             kwargs["num_channels"] = config.num_channels
         return engine.run(values, weights, **kwargs)
@@ -436,16 +376,6 @@ class MessageBackend(_SynchronousBackend):
     name = "message"
     supports_run_to_max = False
     supports_channels = False
-
-    def _engine_kwargs(self, config: GossipConfig) -> Dict[str, object]:
-        # The message engine gossips Python-float pairs; there is no
-        # float32 state to run, and casting would be silent.
-        if resolve_state_dtype(config.dtype) != np.float64:
-            raise UnsupportedDtypeError(
-                "backend 'message' runs float64 gossip state only; "
-                "use 'sparse' or 'sharded' for float32"
-            )
-        return {}
 
     @property
     def _engine_class(self):
@@ -459,84 +389,11 @@ class SparseBackend(_SynchronousBackend):
 
     name = "sparse"
 
-    def _engine_kwargs(self, config: GossipConfig) -> Dict[str, object]:
-        kwargs = super()._engine_kwargs(config)
-        kwargs["kernel"] = config.kernel
-        return kwargs
-
     @property
     def _engine_class(self):
         from repro.core.sparse_engine import SparseGossipEngine
 
         return SparseGossipEngine
-
-
-class ShardedBackend:
-    """Multi-process sharded CSR engine for million-peer rounds.
-
-    Partitions the graph into edge-balanced node shards
-    (:mod:`repro.network.partition`) and executes each shard's push step
-    in a worker process over shared-memory buffers, exchanging
-    cross-shard pushes through per-shard halo buffers
-    (:class:`repro.core.sharded_engine.ShardedGossipEngine`). Outcomes
-    are byte-identical for any worker count; ``config.num_shards`` and
-    ``config.shard_workers`` tune determinism granularity and
-    parallelism respectively. Packet loss is supported via
-    ``config.loss_probability`` (per-shard seeded loss streams); an
-    explicit ``loss_model`` instance cannot be split across shards and
-    is rejected.
-    """
-
-    name = "sharded"
-    supports_run_to_max = True
-
-    def run(
-        self,
-        graph: Graph,
-        values: np.ndarray,
-        weights: np.ndarray,
-        *,
-        extras: Optional[Dict[str, np.ndarray]] = None,
-        config: Optional[GossipConfig] = None,
-    ) -> GossipOutcome:
-        from repro.core.sharded_engine import ShardedGossipEngine
-
-        config = config if config is not None else GossipConfig()
-        if config.loss_model is not None:
-            raise BackendCapabilityError(
-                "backend 'sharded' derives per-shard loss streams from the seed; "
-                "pass loss_probability instead of an explicit loss_model"
-            )
-        # The network axis resolves to the classic uniform Bernoulli here
-        # (byte-identical to the loss_probability path) or raises for
-        # event-driven-only models.
-        loss_probability = config.uniform_loss_probability()
-        workers = config.shard_workers
-        executor = None
-        if isinstance(workers, str):
-            workers, executor = None, workers
-        engine = ShardedGossipEngine(
-            graph,
-            push_counts=config.resolved_push_counts(graph),
-            loss_probability=loss_probability,
-            rng=config.rng,
-            num_shards=config.num_shards,
-            num_workers=workers,
-            executor=executor,
-            dtype=resolve_state_dtype(config.dtype),
-        )
-        kwargs = dict(
-            xi=config.xi,
-            extras=extras,
-            max_steps=config.max_steps,
-            track_history=config.track_history,
-            run_to_max=config.run_to_max,
-            patience=config.patience,
-            warmup_steps=config.warmup_steps,
-        )
-        if config.num_channels != 1:
-            kwargs["num_channels"] = config.num_channels
-        return engine.run(values, weights, **kwargs)
 
 
 class AsyncBackend:
@@ -578,14 +435,7 @@ class AsyncBackend:
         if config.num_channels != 1:
             raise BackendCapabilityError(
                 "backend 'async' gossips a single reputation channel; "
-                "use 'sparse' or 'sharded' for num_channels > 1"
-            )
-        # Event-driven state lives in per-node float64 scalars; there is
-        # no float32 mode to run and casting would be silent.
-        if resolve_state_dtype(config.dtype) != np.float64:
-            raise UnsupportedDtypeError(
-                "backend 'async' runs float64 gossip state only; "
-                "use 'sparse' or 'sharded' for float32"
+                "use 'sparse' for num_channels > 1"
             )
         if config.loss_model is not None:
             raise BackendCapabilityError(
@@ -712,7 +562,7 @@ def available_backends() -> Tuple[str, ...]:
 
     Examples
     --------
-    >>> {"async", "message", "sparse", "sharded"} <= set(available_backends())
+    >>> {"async", "message", "sparse"} <= set(available_backends())
     True
     """
     return tuple(sorted(_REGISTRY))
@@ -721,7 +571,6 @@ def available_backends() -> Tuple[str, ...]:
 register_backend("message", MessageBackend())
 register_backend("sparse", SparseBackend(), aliases=("csr", "dense", "vector"))
 register_backend("async", AsyncBackend())
-register_backend("sharded", ShardedBackend())
 
 
 # -- auto selection ---------------------------------------------------------
@@ -740,8 +589,8 @@ def choose_backend_name(graph: Graph, config: Optional[GossipConfig] = None) -> 
     ``run_to_max`` or multi-channel state, which it does not support.
     Everything else runs on the CSR sparse engine: it outran the retired
     dense engine at every measured size, and on a 2-core host it also
-    outran the multi-process ``"sharded"`` engine (still selectable by
-    name) at 200k nodes.
+    outran the retired multi-process sharded engine, even at a million
+    nodes.
     """
     if config is not None and config.network is not None and config.network.has_latency:
         return "async"

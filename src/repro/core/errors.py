@@ -35,13 +35,3 @@ class ConvergenceError(GossipError):
 
 class MassConservationError(GossipError):
     """A gossip component's global mass drifted beyond tolerance."""
-
-
-class UnsupportedDtypeError(GossipError):
-    """A backend or engine cannot run gossip state at the requested dtype.
-
-    Raised instead of silently up- or down-casting: a caller asking for
-    ``float32`` on a backend that only implements ``float64`` (or vice
-    versa) gets this error, never a result at a different precision
-    than requested.
-    """

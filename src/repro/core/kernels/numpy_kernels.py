@@ -1,53 +1,40 @@
-"""Pure-numpy push-round kernels: the unfused reference and the fused kernel.
+"""The pure-numpy fused push-round kernel.
 
 A kernel owns every buffer a push round touches and exposes one method,
-:meth:`step`, that advances a ``(N, C)`` state matrix by one gossip
-round: sample targets, split shares, scale the self-share, scatter the
-pushed shares, and record who heard external mass. The engines keep the
-convergence bookkeeping (ratios, deviations, the stop protocol, mass
-checks); the kernels keep the arithmetic.
+:meth:`step`, that advances a ``(N, C)`` float64 state matrix by one
+gossip round: sample targets, split shares, scale the self-share,
+scatter the pushed shares, and record who heard external mass. The
+engine keeps the convergence bookkeeping (ratios, deviations, the stop
+protocol, mass checks); the kernel keeps the arithmetic.
 
-Two implementations live here:
+On full-active steps (every step under ``run_to_max``, and every step
+until the first node stops) :class:`FusedNumpyKernel`:
 
-``unfused``
-    A faithful extraction of the historical sparse-engine step — the
-    chunk-and-concatenate sampler, a gathered share multiply, a masked
-    scale pass and one ``bincount`` per state column. It exists as the
-    measured baseline for the fused kernels and as the
-    byte-compatibility reference: given the same seed it replays the
-    pre-kernel engine bit-for-bit.
+- samples through :meth:`PushPlan.sample_full_active` — preallocated
+  flat target buffer, precomputed sender layout, repeated-argmin
+  selection — instead of building and concatenating per-group
+  temporaries;
+- prescales the whole state matrix in place, once
+  (``state *= 1/(k_i+1)``), and gathers shares from it with
+  ``np.take(..., out=)``, replacing a gathered share multiply *and* a
+  masked scale pass: the prescaled matrix already is the post-scale
+  state (isolated nodes have ``k_i = 0``, so their factor is exactly
+  1.0 and the prescale leaves them bitwise unchanged);
+- scatter-adds all C columns with a single ``bincount`` over
+  ``target * C + column`` keys (one pass over the share buffer instead
+  of C strided passes). States wider than
+  :data:`COMBINED_BINCOUNT_MAX_COLS` per channel skip both the combined
+  keys and the ``(P, C)`` share matrix: they gather and scatter one
+  column at a time through a ``(P,)`` buffer.
 
-``fused``
-    The optimised kernel. On full-active steps (every step under
-    ``run_to_max``, and every step until the first node stops) it:
-
-    - samples through :meth:`PushPlan.sample_full_active` — preallocated
-      flat target buffer, precomputed sender layout, repeated-argmin
-      selection — instead of building and concatenating per-group
-      temporaries;
-    - prescales the whole state matrix in place, once
-      (``state *= 1/(k_i+1)``), and gathers shares from it with
-      ``np.take(..., out=)``, replacing the gathered multiply *and* the
-      masked scale pass: the prescaled matrix already is the post-scale
-      state (isolated nodes have ``k_i = 0``, so their factor is exactly
-      1.0 and the prescale leaves them bitwise unchanged);
-    - scatter-adds all C columns with a single ``bincount`` over
-      ``target * C + column`` keys (one pass over the share buffer
-      instead of C strided passes). States wider than
-      :data:`COMBINED_BINCOUNT_MAX_COLS` per channel skip both the
-      combined keys and the ``(P, C)`` share matrix: they gather and
-      scatter one column at a time through a ``(P,)`` buffer.
-
-    Each fused pass computes the same IEEE operations on the same
-    operand pairs as the unfused step, so per-column results are
-    byte-identical; only the within-sender push order differs (ascending
-    key vs argpartition's unspecified order), which perturbs bincount's
-    per-bin accumulation order at the 1e-16 level. The parity suite pins
-    the sampled k-subsets byte-identical and full-run outputs to 1e-8.
-
-Both kernels run at any supported state dtype; float32 halves memory
-traffic on the gather/scatter passes while keeping the random keys (and
-therefore the sampled targets) in float64, byte-identical across dtypes.
+Each fused pass computes the same IEEE operations on the same operand
+pairs as the historical unfused step (a gathered share multiply, a
+masked scale pass and one ``bincount`` per column, kept in the test
+suite as the parity reference), so per-column results are
+byte-identical; only the within-sender push order differs (ascending
+key vs argpartition's unspecified order), which perturbs bincount's
+per-bin accumulation order at the 1e-16 level. The parity suite pins
+the sampled k-subsets byte-identical and full-run outputs to 1e-8.
 """
 
 from __future__ import annotations
@@ -101,7 +88,7 @@ def scatter_add_shares(
 
 
 class _KernelBase:
-    """Buffers and parameters shared by every push-round kernel."""
+    """Buffers and parameters a push-round kernel needs."""
 
     name = "base"
     #: Memory order ("C" or "F") of the state matrix this kernel walks
@@ -114,19 +101,13 @@ class _KernelBase:
         plan: PushPlan,
         inv_k_plus_one: np.ndarray,
         num_cols: int,
-        dtype,
         num_channels: int = 1,
     ):
-        dtype = np.dtype(dtype)
         self._plan = plan
         self._num_cols = int(num_cols)
         self._num_channels = max(1, int(num_channels))
-        self._dtype = dtype
         self._num_nodes = int(plan.degrees.shape[0])
-        # Share factors in two precisions: float64 for the historical
-        # masked scale pass, state dtype for the share arithmetic.
         self._inv = np.ascontiguousarray(inv_k_plus_one, dtype=np.float64)
-        self._inv_cast = self._inv.astype(dtype, copy=False)
         self._scale = np.empty(self._num_nodes, dtype=np.float64)
 
     def step(
@@ -164,53 +145,18 @@ class _KernelBase:
             heard_out[external] = True
 
 
-class UnfusedNumpyKernel(_KernelBase):
-    """Reference kernel: the historical sparse-engine step, verbatim.
-
-    Byte-for-byte the pre-kernel engine at float64 — including the
-    ``argpartition`` target selection and its randomness consumption —
-    so it doubles as the baseline for the fused kernels' speedup and
-    parity measurements.
-    """
-
-    name = "unfused"
-
-    def __init__(self, plan, inv_k_plus_one, num_cols, dtype, num_channels=1):
-        super().__init__(plan, inv_k_plus_one, num_cols, dtype, num_channels)
-        self._shares_buf = np.empty((plan.max_pushes, num_cols), dtype=self._dtype)
-
-    def step(self, state, active, *, all_active, rng, loss_model, heard_out):
-        senders, targets = self._plan.sample_subset(rng, active)
-        effective_targets = self._effective_targets(senders, targets, loss_model)
-        shares = self._shares_buf[: senders.size]
-        np.multiply(state[senders], self._inv_cast[senders, None], out=shares)
-        scale = self._scale
-        scale.fill(1.0)
-        scale[active] = self._inv[active]
-        state *= scale[:, None]
-        n = state.shape[0]
-        for c in range(state.shape[1]):
-            state[:, c] += np.bincount(
-                effective_targets, weights=shares[:, c], minlength=n
-            )
-        self._record_heard(
-            senders, effective_targets, lossless=loss_model is None, heard_out=heard_out
-        )
-        return state, int(senders.size)
-
-
 class FusedNumpyKernel(_KernelBase):
     """Fused kernel: prescale + flat sampling + combined scatter."""
 
     name = "fused"
 
-    def __init__(self, plan, inv_k_plus_one, num_cols, dtype, num_channels=1):
-        super().__init__(plan, inv_k_plus_one, num_cols, dtype, num_channels)
+    def __init__(self, plan, inv_k_plus_one, num_cols, num_channels=1):
+        super().__init__(plan, inv_k_plus_one, num_cols, num_channels)
         # Whole-matrix prescale factors: eligible rows carry 1/(k_i + 1)
         # (bitwise equal to the reference factors), rows with no
         # neighbours are forced to exactly 1.0 so the prescaled matrix
         # is the post-scale state outright.
-        inv_swap = self._inv_cast.copy()
+        inv_swap = self._inv.copy()
         inv_swap[plan.degrees == 0] = 1.0
         self._inv_swap = inv_swap
         self._targets_buf = np.empty(plan.max_pushes, dtype=np.int64)
@@ -220,10 +166,10 @@ class FusedNumpyKernel(_KernelBase):
         # column, through a (P,) buffer: no (P, C) share matrix at all,
         # and a column-major state keeps every column pass contiguous.
         if num_cols <= COMBINED_BINCOUNT_MAX_COLS * self._num_channels:
-            self._shares_buf = np.empty((plan.max_pushes, num_cols), dtype=self._dtype)
+            self._shares_buf = np.empty((plan.max_pushes, num_cols), dtype=np.float64)
             self._key_buf = np.empty((plan.max_pushes, num_cols), dtype=np.int64)
         else:
-            self._shares_buf = np.empty(plan.max_pushes, dtype=self._dtype)
+            self._shares_buf = np.empty(plan.max_pushes, dtype=np.float64)
             self._key_buf = None
             self.state_order = "F"
 
@@ -262,11 +208,11 @@ class FusedNumpyKernel(_KernelBase):
         scale[active] = self._inv[active]
         if self._key_buf is None:
             self._push_columns(
-                state, senders, effective_targets, self._inv_cast[senders], scale
+                state, senders, effective_targets, self._inv[senders], scale
             )
         else:
             shares = self._shares_buf[: senders.size]
-            np.multiply(state[senders], self._inv_cast[senders, None], out=shares)
+            np.multiply(state[senders], self._inv[senders, None], out=shares)
             state *= scale[:, None]
             scatter_add_shares(state, effective_targets, shares, self._key_buf)
         self._record_heard(

@@ -1,18 +1,14 @@
-"""Shared sampling structures for the push-round kernels.
+"""Shared sampling structures for the push-round kernel.
 
 A :class:`PushPlan` holds everything target sampling needs for one CSR
 topology + push-count assignment: the ``k = 1`` fast-path arrays, the
 padded ``(k, degree-band)`` groups, and the precomputed full-active
-flat sender layout. The plan is kernel-agnostic — the unfused reference
-kernel, the fused numpy kernel and the numba kernel all sample through
-the same plan, which is what makes their target draws byte-identical at
-a fixed seed (they consume the *same* generator stream in the *same*
-order).
-
-The plan is also CSR-relative rather than graph-relative: the sparse
-engine builds one over the global CSR arrays, and each shard of the
-sharded engine builds one over its local owned-first/halo-after CSR
-view, so both engines share one sampling implementation.
+flat sender layout. The sparse engine builds one over the graph's CSR
+arrays, and its push kernel samples through it. Sampling lives apart
+from the share/scatter arithmetic, so any kernel sampling through the
+same plan draws byte-identical targets at a fixed seed (it consumes the
+*same* generator stream in the *same* order) — which is what lets the
+fused kernel be checked against the historical unfused step.
 
 The plan is channel-oblivious by design: multi-channel gossip packs V
 reputation channels into extra state *columns*, and a node pushes its
@@ -28,37 +24,6 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 import numpy as np
-
-def select_k_smallest(keys: np.ndarray, k: int) -> np.ndarray:
-    """Column indices of the ``k`` smallest keys per row, ascending.
-
-    Canonical k-subset selection shared by every kernel: ``keys`` is a
-    ``(rows, width)`` scratch matrix of iid-uniform draws (``inf`` at
-    padding slots) and the return value is ``(rows, k)`` column indices
-    ordered by increasing key. **Mutates** ``keys`` (selected entries
-    are overwritten with ``inf``) — callers pass scratch buffers.
-
-    The k smallest of a row's iid-uniform keys are a uniform random
-    k-subset of its valid slots, so this draws the same subsets as the
-    historical ``argpartition`` selection (only the within-row order
-    differs: ascending key here, unspecified there). Repeated row-wise
-    ``argmin`` is ~2.5x faster than ``argpartition`` on the padded
-    buffers for the small k that dominate real degree sequences, and
-    its first-occurrence tie rule is reproduced exactly by the numba
-    kernel, keeping selection byte-identical across implementations.
-    """
-    rows = keys.shape[0]
-    cols = np.empty((rows, k), dtype=np.int64)
-    if k == 1:
-        np.argmin(keys, axis=1, out=cols[:, 0])
-        return cols
-    row_index = np.arange(rows)
-    for j in range(k):
-        chosen = np.argmin(keys, axis=1)
-        cols[:, j] = chosen
-        if j < k - 1:
-            keys[row_index, chosen] = np.inf
-    return cols
 
 
 class PaddedGroup:
@@ -99,13 +64,12 @@ class PaddedGroup:
 
 
 class PushPlan:
-    """Sampling plan over one CSR view: k=1 arrays + padded groups.
+    """Sampling plan over one CSR topology: k=1 arrays + padded groups.
 
     Parameters
     ----------
     indptr, indices, degrees:
-        The CSR view to sample over (global graph arrays, or a shard's
-        local view).
+        The CSR arrays to sample over.
     push_counts:
         Per-row push counts ``k_i`` aligned with ``degrees``.
     """
@@ -185,10 +149,12 @@ class PushPlan:
             k = group.k
             rows = group.nodes.size
             segment = targets_out[pos : pos + rows * k].reshape(rows, k)
-            # Inlined select_k_smallest: gather each argmin pass's
-            # neighbours straight into the flat target buffer instead of
-            # materialising a column matrix and re-gathering. Same draws,
-            # same ascending-key order, no temporaries.
+            # The k smallest of a row's iid-uniform keys are a uniform
+            # k-subset of its valid slots. k repeated row-wise argmin
+            # passes (~2.5x faster than argpartition for the small k
+            # that dominate real degree sequences) gather each pass's
+            # neighbours straight into the flat target buffer: same
+            # subsets as sample_subset, in ascending-key order.
             row_index = group.row_index
             padded = group.padded_neighbors
             for j in range(k):
@@ -206,9 +172,9 @@ class PushPlan:
 
         The historical chunk-and-concatenate path, byte-faithful to the
         pre-kernel sparse engine (``argpartition`` selection included):
-        the unfused reference kernel uses it on every step, the fused
-        kernels only once some nodes have stopped and the per-step
-        active gathers become unavoidable.
+        the historical unfused step sampled this way on every step, the
+        fused kernel does only once some nodes have stopped and the
+        per-step active gathers become unavoidable.
         """
         sender_chunks: List[np.ndarray] = []
         target_chunks: List[np.ndarray] = []

@@ -21,33 +21,22 @@ is a flat vectorised pass over preallocated buffers — no Python loop
 over nodes, however skewed the degree distribution.
 
 The push round itself — target sampling, share split, self-share scale,
-scatter-accumulate, heard bookkeeping — is delegated to a pluggable
-*kernel* from :mod:`repro.core.kernels`:
+scatter-accumulate, heard bookkeeping — runs in one kernel,
+:class:`~repro.core.kernels.numpy_kernels.FusedNumpyKernel`, over a
+float64 state: it prescales the state matrix once, in place, instead of
+re-scaling, gathers shares with a single ``take``, and scatter-adds
+narrow states through one combined ``bincount`` (wide states column by
+column) — no ``(N, C)`` temporaries in the hot loop. Targets are drawn
+through a :class:`~repro.core.kernels.plan.PushPlan`; see the kernels
+package for the byte-compatibility contract with the historical
+unfused step.
 
-- ``fused`` (default): prescales the state matrix once, in place,
-  instead of re-scaling, gathers shares with a single ``take``, and
-  scatter-adds narrow states through one combined ``bincount`` (wide
-  states column by column) — no ``(N, C)`` temporaries in the hot loop.
-- ``numba``: the same round with compiled selection and a fully fused
-  scatter pass; requires the optional ``kernels`` extra.
-- ``unfused``: the historical step, byte-for-byte, kept as the parity
-  and benchmark reference.
-
-All kernels draw targets through one shared
-:class:`~repro.core.kernels.plan.PushPlan`, so a fixed seed samples the
-same neighbour subsets under every kernel; see the kernels package for
-the exact byte-compatibility contract. The engine also accepts a state
-``dtype`` — float64 is the reference, float32 halves memory traffic
-while keeping sampling (and therefore the gossip communication pattern)
-byte-identical, since random keys always stay float64.
-
-Every step runs the same per-step mass-conservation assertions
-(tolerance scaled to the state dtype) and carries the last defined
-ratio through underflow-drained cells. Everything random flows through
-one generator: identical seeds replay identical runs bit-for-bit under a
-fixed kernel, and the engine converges to the same estimates as the
-message, async and sharded engines (the cross-engine integration tests
-pin this to 1e-8 relative agreement).
+Every step runs the same per-step mass-conservation assertions and
+carries the last defined ratio through underflow-drained cells.
+Everything random flows through one generator: identical seeds replay
+identical runs bit-for-bit, and the engine converges to the same
+estimates as the protocol-faithful message engine and the async engine
+(the cross-backend property suite pins sparse against message to 1e-8).
 
 The engine accepts either a :class:`repro.network.graph.Graph` or any
 ``scipy.sparse`` adjacency matrix (converted once via
@@ -63,14 +52,10 @@ import numpy as np
 from repro.core.convergence import ConvergenceProtocol
 from repro.core.differential import resolve_push_counts
 from repro.core.errors import ConvergenceError, MassConservationError
-from repro.core.kernels import PushPlan, select_kernel
+from repro.core.kernels import PushPlan
+from repro.core.kernels.numpy_kernels import FusedNumpyKernel
 from repro.core.results import GossipOutcome
-from repro.core.state import (
-    UNDEFINED_RATIO,
-    mass_rtol_for,
-    resolve_state_dtype,
-    state_components,
-)
+from repro.core.state import MASS_RTOL, UNDEFINED_RATIO, state_components
 from repro.network.churn import PacketLossModel
 from repro.network.graph import Graph
 from repro.utils.rng import RngLike, as_generator
@@ -103,15 +88,6 @@ class SparseGossipEngine:
         Optional churn/packet-loss model applied to every push.
     rng:
         Seed / generator for target selection.
-    dtype:
-        Gossip state precision: ``"float64"`` (reference, default) or
-        ``"float32"`` (half the memory traffic; target sampling stays
-        byte-identical). Anything else raises
-        :class:`repro.core.errors.UnsupportedDtypeError`.
-    kernel:
-        Push-round kernel name (``"fused"``, ``"numba"``,
-        ``"unfused"``) or ``None``/"auto" for the best available — see
-        :func:`repro.core.kernels.select_kernel`.
 
     Examples
     --------
@@ -133,8 +109,6 @@ class SparseGossipEngine:
         loss_model: Optional[PacketLossModel] = None,
         rng: RngLike = None,
         degree_announcements: Optional[bool] = None,
-        dtype=np.float64,
-        kernel: Optional[str] = None,
     ):
         graph = _coerce_graph(graph)
         self._graph = graph
@@ -145,10 +119,6 @@ class SparseGossipEngine:
         self._push_counts = push_counts
         self._loss_model = loss_model
         self._rng = as_generator(rng)
-        self._dtype = resolve_state_dtype(dtype)
-        # Resolve the kernel spec up front so an unavailable request
-        # fails at construction, not mid-run.
-        self._kernel_spec = select_kernel(kernel)
         self._plan = PushPlan(graph.indptr, graph.indices, graph.degrees, push_counts)
         self._inv_k_plus_one = 1.0 / (push_counts + 1.0)
         self._max_pushes = self._plan.max_pushes
@@ -165,16 +135,6 @@ class SparseGossipEngine:
         view = self._push_counts.view()
         view.flags.writeable = False
         return view
-
-    @property
-    def kernel_name(self) -> str:
-        """Name of the push kernel this engine resolved to."""
-        return self._kernel_spec.name
-
-    @property
-    def dtype(self) -> np.dtype:
-        """Gossip state precision this engine runs at."""
-        return self._dtype
 
     @property
     def _groups(self):
@@ -202,12 +162,8 @@ class SparseGossipEngine:
         key = (num_cols, num_channels)
         kernel = self._kernels.get(key)
         if kernel is None:
-            kernel = self._kernel_spec.factory(
-                self._plan,
-                self._inv_k_plus_one,
-                num_cols,
-                self._dtype,
-                num_channels=num_channels,
+            kernel = FusedNumpyKernel(
+                self._plan, self._inv_k_plus_one, num_cols, num_channels=num_channels
             )
             self._kernels[key] = kernel
         return kernel
@@ -283,16 +239,14 @@ class SparseGossipEngine:
         """
         graph = self._graph
         n = graph.num_nodes
-        names, columns = state_components(values, weights, extras, n, self._dtype, num_channels)
+        names, columns = state_components(values, weights, extras, n, num_channels)
         d = columns[0].shape[1]
         kernel = self._kernel_for(len(names) * d, num_channels)
         # One (N, C) state matrix, laid out in the order the kernel walks
         # it; component i owns columns [i*d, (i+1)*d).
-        state = np.empty(
-            (n, len(names) * d), dtype=self._dtype, order=getattr(kernel, "state_order", "C")
-        )
+        state = np.empty((n, len(names) * d), dtype=np.float64, order=kernel.state_order)
         np.concatenate(columns, axis=1, out=state)
-        del columns  # dtype-converted component copies are dead once stacked
+        del columns  # converted component copies are dead once stacked
         slices = {name: slice(i * d, (i + 1) * d) for i, name in enumerate(names)}
 
         initial_mass = {
@@ -315,16 +269,14 @@ class SparseGossipEngine:
         degrees = graph.degrees
         eligible = degrees > 0
         eligible_count = self._plan.eligible_count
-        mass_rtol = mass_rtol_for(self._dtype)
         mass_bound = {
-            name: mass_rtol * max(abs(initial_mass[name]), 1.0) * max(1.0, np.sqrt(n * d))
+            name: MASS_RTOL * max(abs(initial_mass[name]), 1.0) * max(1.0, np.sqrt(n * d))
             for name in names
         }
 
         # Reusable bookkeeping buffers: the ratio matrices ping-pong
         # between steps, everything else is overwritten in full each
-        # round. All derived quantities are float64 regardless of the
-        # state dtype (the stop protocol is control flow, not mass).
+        # round.
         ratio_a = np.full((n, d), UNDEFINED_RATIO, dtype=np.float64)
         ratio_b = np.empty((n, d), dtype=np.float64)
         deviations = np.empty(n, dtype=np.float64)
@@ -340,10 +292,7 @@ class SparseGossipEngine:
 
         def compute_ratios(out: np.ndarray) -> bool:
             # Same operations as state.ratios(): fill the sentinel, then
-            # a masked divide. The quotient is computed at state
-            # precision and stored float64, so float32 runs carry
-            # float32-accurate ratios — bounded by the dtype-drift
-            # parity tests, and well inside any practical xi.
+            # a masked divide.
             value_view = state[:, slices["value"]]
             weight_view = state[:, slices["weight"]]
             np.not_equal(weight_view, 0.0, out=defined_now)
@@ -471,10 +420,9 @@ class SparseGossipEngine:
                         f"component {name!r} mass drifted from {initial_mass[name]!r} to {total!r} at step {steps}"
                     )
 
-        # The outcome views the final state instead of copying it. Kernels
-        # never keep a reference to the state they return (the numba
-        # kernel's swap scratch is the *other* buffer), so nothing writes
-        # this one again.
+        # The outcome views the final state instead of copying it. The
+        # kernel never keeps a reference to the state it returns, so
+        # nothing writes this one again.
         return GossipOutcome(
             values=state[:, slices["value"]],
             weights=state[:, slices["weight"]],

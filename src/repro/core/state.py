@@ -21,32 +21,6 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.errors import UnsupportedDtypeError
-
-#: Gossip state precisions the vectorised engines implement. float64 is
-#: the reference; float32 halves state memory traffic at ~1e-4-scale
-#: relative drift over a round (bounded by the kernel parity suite).
-SUPPORTED_STATE_DTYPES = (np.dtype(np.float64), np.dtype(np.float32))
-
-
-def resolve_state_dtype(dtype) -> np.dtype:
-    """Validate and normalise a gossip state dtype request.
-
-    Raises
-    ------
-    repro.core.errors.UnsupportedDtypeError
-        For any dtype outside :data:`SUPPORTED_STATE_DTYPES` — the
-        engines never silently cast to a different precision.
-    """
-    resolved = np.dtype(dtype)
-    if resolved not in SUPPORTED_STATE_DTYPES:
-        supported = ", ".join(str(d) for d in SUPPORTED_STATE_DTYPES)
-        raise UnsupportedDtypeError(
-            f"gossip state dtype {resolved} is not supported; choose one of: {supported}"
-        )
-    return resolved
-
-
 #: Sentinel ratio used while a node's gossip weight is exactly zero
 #: (paper: "otherwise u <- 10").
 UNDEFINED_RATIO: float = 10.0
@@ -55,27 +29,15 @@ UNDEFINED_RATIO: float = 10.0
 #: performs O(N) float additions, so drift scales with N * eps.
 MASS_RTOL: float = 1e-9
 
-#: Mass-conservation tolerance for float32 gossip state. float32 eps is
-#: ~2e-7 (9 decimal digits fewer than float64), so the same N-scaled
-#: drift model needs a proportionally looser base tolerance.
-MASS_RTOL_FLOAT32: float = 1e-5
 
+def _as_state_matrix(array: np.ndarray, num_nodes: int, name: str) -> np.ndarray:
+    """View a per-node state array as a float64 ``(N, d)`` matrix.
 
-def mass_rtol_for(dtype) -> float:
-    """Base mass-conservation tolerance for a gossip state dtype."""
-    return MASS_RTOL_FLOAT32 if np.dtype(dtype) == np.float32 else MASS_RTOL
-
-
-def _as_state_matrix(
-    array: np.ndarray, num_nodes: int, name: str, dtype=np.float64
-) -> np.ndarray:
-    """View a per-node state array as a ``(N, d)`` matrix of ``dtype``.
-
-    No copy is made when ``array`` already has ``dtype``: the engines
-    stack these views into a state matrix of their own, so the caller's
-    arrays are never written.
+    No copy is made when ``array`` already is float64: the engine stacks
+    these views into a state matrix of its own, so the caller's arrays
+    are never written.
     """
-    out = np.asarray(array, dtype=dtype)
+    out = np.asarray(array, dtype=np.float64)
     if out.ndim == 1:
         out = out.reshape(-1, 1)
     if out.ndim != 2 or out.shape[0] != num_nodes:
@@ -88,7 +50,6 @@ def state_components(
     weights: np.ndarray,
     extras: Optional[Dict[str, np.ndarray]],
     num_nodes: int,
-    dtype,
     num_channels: int,
 ) -> Tuple[List[str], List[np.ndarray]]:
     """Validated ``(names, matrices)`` of one round's gossip components.
@@ -98,8 +59,8 @@ def state_components(
     ``num_channels``. Component ``i`` of the stacked state owns columns
     ``[i*d, (i+1)*d)``.
     """
-    value = _as_state_matrix(values, num_nodes, "values", dtype=dtype)
-    weight = _as_state_matrix(weights, num_nodes, "weights", dtype=dtype)
+    value = _as_state_matrix(values, num_nodes, "values")
+    weight = _as_state_matrix(weights, num_nodes, "weights")
     d = value.shape[1]
     if num_channels < 1:
         raise ValueError(f"num_channels must be >= 1, got {num_channels}")
@@ -112,7 +73,7 @@ def state_components(
     names: List[str] = ["value", "weight"]
     matrices: List[np.ndarray] = [value, weight]
     for name, extra in (extras or {}).items():
-        matrix = _as_state_matrix(extra, num_nodes, f"extras[{name}]", dtype=dtype)
+        matrix = _as_state_matrix(extra, num_nodes, f"extras[{name}]")
         if matrix.shape != value.shape:
             raise ValueError(
                 f"extras[{name}] shape {matrix.shape} != values shape {value.shape}"

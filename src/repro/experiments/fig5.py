@@ -36,7 +36,7 @@ def run(
     """Regenerate Figure 5 (rows: colluding fraction; column pair per G).
 
     ``backend`` names any registered gossip engine (message / sparse /
-    sharded / async); ``"auto"`` follows the size policy — the
+    async); ``"auto"`` follows the size policy — the
     measurement itself runs through the family-agnostic
     :func:`repro.attacks.evaluate.attack_impact`.
     """

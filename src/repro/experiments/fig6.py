@@ -31,7 +31,7 @@ def run(
     """Regenerate Figure 6 (rows: colluding fraction; G fixed at 1).
 
     ``backend`` names any registered gossip engine (message / sparse /
-    sharded / async); ``"auto"`` follows the size policy — the
+    async); ``"auto"`` follows the size policy — the
     measurement itself runs through the family-agnostic
     :func:`repro.attacks.evaluate.attack_impact`.
     """

@@ -29,7 +29,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-import time
 import zlib
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -71,7 +70,7 @@ DEFAULT_ATTACKS: Dict[str, dict] = {
 DEFAULT_BACKENDS: Tuple[str, ...] = ("sparse",)
 
 #: Full-scale worlds are capped here — the tournament measures relative
-#: algorithm behaviour, not scale ceilings (BENCH_sharded.json does that).
+#: algorithm behaviour, not scale ceilings.
 FULL_SCALE_CAP = 2000
 
 

@@ -245,12 +245,8 @@ def aggregate(
     config:
         Shared knobs of the round
         (:class:`repro.core.backend.GossipConfig`); defaults apply when
-        omitted. Includes the performance knobs: ``dtype`` ("float32"
-        halves state traffic on the sparse/sharded engines;
-        float64-only backends raise
-        :class:`repro.core.errors.UnsupportedDtypeError` rather than
-        silently casting), ``kernel`` (sparse-engine push kernel) and
-        ``shard_workers`` (sharded executor/worker knob — see
+        omitted. It has no performance knobs: every backend gossips
+        float64 state, and the sparse backend runs one push kernel (see
         :doc:`docs/performance.md <../docs/performance>`).
     backend:
         Registered backend name, or ``"auto"`` (async for latency-bearing

@@ -44,7 +44,6 @@ from repro.network.degree_sequence import (
     is_graphical,
 )
 from repro.network.graph import Graph
-from repro.network.partition import GraphPartition, ShardView, partition_graph
 from repro.network.preferential_attachment import (
     preferential_attachment_graph,
     preferential_attachment_graph_fast,
@@ -68,9 +67,6 @@ __all__ = [
     "PartitionWindow",
     "EpochPartition",
     "block_regions",
-    "GraphPartition",
-    "ShardView",
-    "partition_graph",
     "preferential_attachment_graph",
     "preferential_attachment_graph_fast",
     "erdos_renyi_graph",

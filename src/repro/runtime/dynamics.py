@@ -43,7 +43,7 @@ Epochs can stop two ways (``stop_rule``):
   ``epoch_tol``. This accuracy-matched rule makes cold and warm epochs
   directly comparable: both stop at the *same* network-wide accuracy,
   so the round counts isolate what warm-starting buys. Requires a
-  backend with ``run_to_max`` support (sparse/sharded).
+  backend with ``run_to_max`` support (sparse).
 - ``"protocol"``: the paper's distributed per-node stop protocol
   (``xi`` movement bound, warmup, patience) as run by every backend.
   Note that under this rule a round's length is governed by
@@ -51,19 +51,6 @@ Epochs can stop two ways (``stop_rule``):
   little: a single full-amplitude joiner opinion re-pays most of the
   mixing a cold start pays. Use it when protocol fidelity matters more
   than epoch latency.
-
-Sharded epochs
---------------
-The ``"sharded"`` backend runs dynamic epochs like any other
-``run_to_max``-capable engine: every epoch executes against the fresh
-:meth:`MutableOverlay.snapshot`, and because a shard partition is a
-pure function of ``(graph, num_shards)``, the backend re-balances its
-edge-cut shards automatically after churn — no partition state
-survives an epoch, so departed peers can never pin a shard boundary.
-Each ``run_backend`` call (one per accuracy-rule block) starts its own
-worker pool; for large overlays prefer a bigger ``block_steps`` (or
-``config.shard_workers = 1`` to run the shard schedule inline) so pool
-startup amortises.
 """
 
 from __future__ import annotations
@@ -362,7 +349,7 @@ class DynamicReputationRuntime:
         ):
             raise BackendCapabilityError(
                 f"stop_rule 'accuracy' needs run_to_max support, which backend "
-                f"{self._backend!r} lacks; use 'sparse'/'sharded' or stop_rule='protocol'"
+                f"{self._backend!r} lacks; use 'sparse' or stop_rule='protocol'"
             )
         self._stop_rule = stop_rule
         self._epoch_tol = float(epoch_tol)

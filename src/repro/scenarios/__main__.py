@@ -37,18 +37,6 @@ def main(argv=None) -> int:
         default=None,
         help="override the scenario backend (any registered name, or 'auto')",
     )
-    run_parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="sharded backend: worker count (outcomes are identical for any value)",
-    )
-    run_parser.add_argument(
-        "--executor",
-        choices=("inline", "threads", "processes"),
-        default=None,
-        help="sharded backend: shard executor (outcomes are identical for any choice)",
-    )
     args = parser.parse_args(argv)
 
     if args.command == "list":
@@ -65,14 +53,7 @@ def main(argv=None) -> int:
         return 2
 
     for name in names:
-        result = run_scenario(
-            name,
-            small=args.small,
-            seed=args.seed,
-            backend=args.backend,
-            workers=args.workers,
-            executor=args.executor,
-        )
+        result = run_scenario(name, small=args.small, seed=args.seed, backend=args.backend)
         print(result.to_text())
         print()
     return 0

@@ -8,10 +8,10 @@ dynamic scenarios (``flash-crowd``, ``steady-churn-100k``) run the
 epoch runtime of :mod:`repro.runtime` instead of a single static round,
 ``service-soak`` streams a seeded report workload through the serving
 layer of :mod:`repro.service` (bounded ingest, snapshot swaps,
-backpressure), ``million-peer-sharded`` exercises the multi-process
-sharded backend at the scale it exists for, three adversary scenarios
-(``slander-under-churn``, ``sybil-flood-100k``,
-``oscillating-colluders-sharded``) sweep the attack registry of
+backpressure), ``million-peer`` runs the sparse engine at a million
+peers, twenty times the paper's largest world, three adversary
+scenarios (``slander-under-churn``, ``sybil-flood-100k``,
+``oscillating-colluders``) sweep the attack registry of
 :mod:`repro.attacks.models` across the backend spectrum,
 ``computing-vs-delegating`` gossips Golem-style computing + delegating
 dual ranks as two channels of a single multi-channel pass under a
@@ -139,23 +139,21 @@ STEADY_CHURN_100K = register_scenario(
     )
 )
 
-MILLION_PEER_SHARDED = register_scenario(
+MILLION_PEER = register_scenario(
     Scenario(
-        name="million-peer-sharded",
+        name="million-peer",
         description=(
-            "Scale-out ceiling: uniform mean gossip over a 1M-peer, ~8M-edge "
-            "power-law overlay on the multi-process sharded backend (4 workers, "
-            "byte-identical for any worker count)."
+            "Scale ceiling: uniform mean gossip over a 1M-peer, ~8M-edge "
+            "power-law overlay on the sparse CSR backend."
         ),
         topology=TopologySpec(
             kind="powerlaw-fast", num_nodes=1_000_000, small_num_nodes=3000, m=8
         ),
         workload=WorkloadSpec(kind="mean"),
-        backend="sharded",
+        backend="sparse",
         xi=1e-4,
         max_steps=50_000,
         seed=417,
-        shard_workers=4,
     )
 )
 
@@ -196,11 +194,11 @@ SYBIL_FLOOD_100K = register_scenario(
     )
 )
 
-OSCILLATING_COLLUDERS_SHARDED = register_scenario(
+OSCILLATING_COLLUDERS = register_scenario(
     Scenario(
-        name="oscillating-colluders-sharded",
+        name="oscillating-colluders",
         description=(
-            "On-off adversaries on the sharded backend: 5% oscillators slander a "
+            "On-off adversaries on the sparse backend: 5% oscillators slander a "
             "capped victim set on even epochs and behave honestly on odd ones; "
             "the off-phase rms collapses to 0 under shared seeds (rms_gclr_off)."
         ),
@@ -216,7 +214,7 @@ OSCILLATING_COLLUDERS_SHARDED = register_scenario(
             period=2,
             on_epochs=1,
         ),
-        backend="sharded",
+        backend="sparse",
         xi=1e-3,
         max_steps=50_000,
         seed=420,

@@ -555,8 +555,6 @@ class Scenario:
     xi: float = 1e-5
     max_steps: int = 20_000
     seed: int = 2016
-    num_shards: Optional[int] = None
-    shard_workers: "Optional[int | str]" = None
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -683,8 +681,6 @@ def run_scenario(
     small: bool = False,
     seed: Optional[int] = None,
     backend: Optional[str] = None,
-    workers: Optional[int] = None,
-    executor: Optional[str] = None,
 ) -> ScenarioResult:
     """Execute one scenario and summarise it.
 
@@ -700,28 +696,14 @@ def run_scenario(
     backend:
         Override the scenario's backend (any registered name or
         ``"auto"``).
-    workers:
-        Override the scenario's sharded-backend worker count (a
-        throughput knob only — sharded outcomes are byte-identical
-        across worker counts).
-    executor:
-        Override the sharded-backend executor (``"inline"``,
-        ``"threads"`` or ``"processes"``; byte-identical outcomes for
-        any choice). Mutually exclusive with ``workers``.
     """
     if isinstance(scenario, str):
         scenario = get_scenario(scenario)
-    if workers is not None and executor is not None:
-        raise ValueError(
-            "pass either workers (a count under the default executor policy) "
-            "or executor (a named scheduling strategy), not both"
-        )
     root = as_generator(scenario.seed if seed is None else seed)
     graph = scenario.topology.build(
         as_generator(int(root.integers(2**62))), small=small
     )
     backend_name = backend if backend is not None else scenario.backend
-    shard_workers = workers if workers is not None else executor
     # Dynamic/service runs replay the network axis through the overlay
     # (epoch partitions), not through a per-push link model.
     network = (
@@ -737,8 +719,6 @@ def run_scenario(
         loss_probability=scenario.churn.loss_probability,
         network=network,
         rng=int(root.integers(2**62)),
-        num_shards=scenario.num_shards,
-        shard_workers=shard_workers if shard_workers is not None else scenario.shard_workers,
     )
 
     if scenario.dynamic is not None:

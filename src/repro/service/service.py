@@ -109,7 +109,7 @@ class ReputationService:
         (:class:`~repro.core.backend.GossipConfig`); ``config.rng`` is
         ignored — every stream derives from ``seed``.
     backend:
-        Registered gossip backend name or ``"auto"`` (sparse/sharded at
+        Registered gossip backend name or ``"auto"`` (sparse at
         scale; the runtime steers ``"auto"`` to a fixed-budget-capable
         engine for the accuracy stop rule).
     seed:

@@ -1,8 +1,8 @@
-"""Host-capability probes shared by backend selection and executors.
+"""Host-capability probes that stamp benchmark artifacts.
 
-Scheduling policy (which backend, how many workers) must be driven by
-the CPUs a process can *actually use* — a container pinned to one core
-of a 64-core host should behave like a 1-core machine. Python grew
+A timing record must say how many CPUs the process could *actually
+use* — a container pinned to one core of a 64-core host should report
+itself as a 1-core machine. Python grew
 ``os.process_cpu_count`` for exactly this in 3.13; this module provides
 the same semantics across the versions the repo supports.
 """

@@ -2,8 +2,8 @@
 cross-backend agreement and the backend-default regression tests.
 
 The load-bearing acceptance checks live here: every registered attack
-family must be measurable through :func:`attack_impact` on the message,
-sparse and sharded gossip backends with 1e-8 agreement, and the measurement's default
+family must be measurable through :func:`attack_impact` on the message
+and sparse gossip backends with 1e-8 agreement, and the measurement's default
 backend must follow the auto policy instead of silently pinning the
 dense engine (the bug class PR 4 fixed in ``push_sum_average``).
 """
@@ -329,7 +329,7 @@ class TestCrossBackendAgreement:
                         config=config,
                         backend=backend,
                     )
-                    for backend in ("message", "sparse", "sharded")
+                    for backend in ("message", "sparse")
                 },
             }
         return table
@@ -614,13 +614,14 @@ class TestBackendDefaultRegression:
         assert impact.backend == "sparse"
 
     def test_explicit_backend_still_honoured(self, world, spy):
+        # 24 nodes: "auto" would pick the message engine.
         graph, trust = world
         attack = CollusionModel(fraction=0.2, group_size=2, seed=1).attack_for(24)
         collusion_impact(
             graph, trust, attack, targets=[0, 1],
-            config=GossipConfig(xi=1e-2, rng=2), backend="sharded",
+            config=GossipConfig(xi=1e-2, rng=2), backend="sparse",
         )
-        assert spy and set(spy) == {"sharded"}
+        assert spy and set(spy) == {"sparse"}
 
     def test_auto_resolves_once_for_clean_and_dirty(self, world, spy):
         # Sybil floods enlarge the dirty world; both runs must still

@@ -41,7 +41,7 @@ def fixture_values():
 class TestRegistry:
     def test_builtin_backends_registered(self):
         names = available_backends()
-        assert names == ("async", "message", "sharded", "sparse")
+        assert names == ("async", "message", "sparse")
 
     def test_vector_alias_resolves_to_dense(self):
         # "dense" and "vector" name the retired dense engine; both are
@@ -51,10 +51,13 @@ class TestRegistry:
             assert get_backend(alias) is get_backend("sparse")
 
     def test_unknown_backend_raises_value_and_key_error(self):
-        with pytest.raises(ValueError, match="engine"):
-            get_backend("gpu")
-        with pytest.raises(KeyError):
-            get_backend("gpu")
+        # "sharded" named the retired multi-process engine; no alias
+        # quietly turns a request for worker processes into one process.
+        for name in ("gpu", "sharded"):
+            with pytest.raises(ValueError, match="engine"):
+                get_backend(name)
+            with pytest.raises(KeyError):
+                get_backend(name)
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ValueError, match="already registered"):
@@ -169,7 +172,7 @@ class TestCrossBackendEquivalence:
     # "dense" rows below run through the alias of "sparse" that the
     # retired dense engine's name now resolves to.
     @pytest.mark.parametrize(
-        "backend", ["message", "dense", "sparse", "sharded", "async", "auto"]
+        "backend", ["message", "dense", "sparse", "async", "auto"]
     )
     def test_backend_hits_fixpoint_to_1e8(self, fixture_values, backend):
         out = run_backend(
@@ -194,7 +197,7 @@ class TestCrossBackendEquivalence:
                 config=GossipConfig(xi=1e-10, rng=7, max_steps=100_000),
                 backend=name,
             ).estimates.reshape(-1)
-            for name in ("message", "sparse", "sharded", "async")
+            for name in ("message", "sparse", "async")
         }
         names = sorted(estimates)
         for a in names:
@@ -210,8 +213,8 @@ class TestAutoSelection:
 
         Latency-bearing networks go async; N <= 64 goes to the message
         engine unless the config needs ``run_to_max`` or several
-        channels; everything else — including the sizes that used to
-        escalate to the sharded engine — runs on sparse.
+        channels; everything else runs on sparse, up to 250k nodes and
+        beyond.
         """
         from repro.network.churn import PacketLossModel
         from repro.network.conditions import HomogeneousLink, LatencySpec
@@ -256,9 +259,7 @@ class TestAutoSelection:
         assert choose_backend_name(example_network(), config) == "sparse"
 
     def test_loss_model_config_falls_back_to_sparse_at_sharded_scale(self):
-        # Both loss knobs stay on the single-process sparse engine at
-        # the sizes that used to escalate to sharded (which cannot split
-        # an explicit PacketLossModel generator across shards).
+        # Both loss knobs stay on the sparse engine at 250k nodes.
         from repro.network.churn import PacketLossModel
 
         big = ring_graph(250_001)
@@ -299,16 +300,6 @@ class TestCapabilityErrors:
             )
         with pytest.raises(BackendCapabilityError, match="scalar"):
             run_backend(g, np.ones((10, 3)), np.ones((10, 3)), backend="async")
-
-    def test_sharded_rejects_explicit_loss_model(self, fixture_values):
-        from repro.network.churn import PacketLossModel
-
-        with pytest.raises(BackendCapabilityError, match="loss_probability"):
-            run_backend(
-                example_network(), fixture_values, np.ones(10),
-                config=GossipConfig(loss_model=PacketLossModel(0.2, rng=0)),
-                backend="sharded",
-            )
 
     def test_async_rejects_synchronous_stop_knobs(self, fixture_values):
         with pytest.raises(BackendCapabilityError, match="patience"):
@@ -532,7 +523,7 @@ class TestCsrRoundTripWithIsolatedNodes:
 
     def test_gossip_skips_isolates_on_all_backends(self, graph_with_isolates):
         values = np.arange(6, dtype=np.float64)
-        for backend in ("message", "sparse", "sharded"):
+        for backend in ("message", "sparse"):
             out = run_backend(
                 graph_with_isolates,
                 values,
@@ -563,7 +554,7 @@ class TestNetworkAxis:
         with pytest.raises(ValueError, match="not both"):
             GossipConfig(network=InstantLink(0.1), loss_model=PacketLossModel(0.2, rng=0))
 
-    @pytest.mark.parametrize("backend", ["message", "dense", "sparse", "sharded"])
+    @pytest.mark.parametrize("backend", ["message", "dense", "sparse"])
     def test_sync_backends_reject_latency_models(self, fixture_values, backend):
         from repro.network.conditions import HomogeneousLink, LatencySpec
 
@@ -588,7 +579,7 @@ class TestNetworkAxis:
                 config=config, backend="sparse",
             )
 
-    @pytest.mark.parametrize("backend", ["dense", "sparse", "sharded"])
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
     def test_loss_only_network_byte_identical_to_loss_probability(
         self, fixture_values, backend
     ):

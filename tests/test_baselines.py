@@ -79,8 +79,9 @@ class TestPushSum:
             lambda name: chosen.append(backend_mod.resolve_backend_name(name))
             or real_get_backend(name),
         )
-        push_sum_average(pa_graph_small, np.ones(60), xi=1e-2, rng=2, backend="sharded")
-        assert chosen == ["sharded"]
+        # 60 nodes: "auto" would pick the message engine.
+        push_sum_average(pa_graph_small, np.ones(60), xi=1e-2, rng=2, backend="sparse")
+        assert chosen == ["sparse"]
 
 
 class TestPushPull:

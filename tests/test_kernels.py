@@ -1,111 +1,69 @@
-"""Kernel registry, fused/unfused parity, and the float32 drift bound.
+"""Fused-kernel parity with the historical unfused step, and the kernel API.
 
-The fused kernels exist purely for speed: every observable quantity —
+The fused kernel exists purely for speed: every observable quantity —
 steps, state, message counts, convergence flags — must match the
-historical unfused step byte-for-byte at float64 (the two paths draw
-byte-identical targets from one shared :class:`PushPlan`). float32 is
-allowed bounded drift: mass conserved to the dtype tolerance and the
-fixpoint within 1e-4 of the float64 reference, property-tested across
-every backend that implements it; float64-only backends must raise the
-typed :class:`UnsupportedDtypeError`, never silently upcast.
+historical unfused step (:class:`tests.reference_kernel.UnfusedNumpyKernel`)
+byte-for-byte, because the two paths draw byte-identical targets from
+one shared :class:`PushPlan`. The reference runs inside the engine by
+replacing the kernel class the sparse engine instantiates.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-import repro.core.kernels as kernels_mod
-from repro import GossipConfig, aggregate
-from repro.core.backend import run_backend
-from repro.core.errors import UnsupportedDtypeError
-from repro.core.kernels import (
-    KernelSpec,
-    KernelUnavailableError,
-    available_kernels,
-    registered_kernels,
-    select_kernel,
-)
-from repro.core.kernels.numba_kernel import NUMBA_AVAILABLE
+from repro.core.differential import resolve_push_counts
+from repro.core.kernels import PushPlan, create_kernel, select_kernel
 from repro.core.sparse_engine import SparseGossipEngine
-from repro.core.state import mass_rtol_for
 from repro.network.churn import PacketLossModel
 from repro.network.preferential_attachment import (
     preferential_attachment_graph,
     preferential_attachment_graph_fast,
 )
+from tests.reference_kernel import reference_kernel
 
 
-class TestRegistry:
-    def test_auto_selects_best_available(self):
-        spec = select_kernel()
-        assert spec.name == ("numba" if NUMBA_AVAILABLE else "fused")
-        assert spec.available
-        assert select_kernel("auto").name == spec.name
+class TestKernelApi:
+    """The kernel-layer names that replay push rounds outside the engine."""
 
-    def test_fused_and_unfused_always_available(self):
-        names = available_kernels()
-        assert "fused" in names
-        assert "unfused" in names
-
-    def test_unknown_kernel_raises_typed_error(self):
-        with pytest.raises(KernelUnavailableError, match="unknown push kernel"):
-            select_kernel("simd")
-
-    def test_unavailable_kernel_raises_typed_error(self, monkeypatch):
-        spec = kernels_mod._REGISTRY["numba"]
-        monkeypatch.setitem(
-            kernels_mod._REGISTRY,
-            "numba",
-            KernelSpec(
-                name="numba",
-                description=spec.description,
-                factory=spec.factory,
-                is_available=lambda: False,
-            ),
+    def test_replay_calls_run_the_fused_kernel(self):
+        # The same calls, in the same order, as a full-active kernel
+        # replay: build the plan, create the kernel, sample, step.
+        graph = preferential_attachment_graph_fast(2000, 4, rng=3)
+        counts = resolve_push_counts(graph, None)
+        plan = PushPlan(graph.indptr, graph.indices, graph.degrees, counts)
+        num_cols = 3
+        kernel = create_kernel(None, plan, 1.0 / (counts + 1.0), num_cols, np.float64)
+        assert select_kernel().name == "fused"
+        assert kernel.name == "fused"
+        active = graph.degrees > 0
+        rng = np.random.default_rng(5)
+        targets = np.empty(plan.max_pushes, dtype=np.int64)
+        senders, sampled = plan.sample(rng, active, all_active=True, targets_out=targets)
+        assert senders.size == sampled.size == plan.max_pushes
+        heard = np.empty(graph.num_nodes, dtype=bool)
+        state = np.random.default_rng(6).random((graph.num_nodes, num_cols))
+        mass = state.sum(axis=0)
+        state, pushes = kernel.step(
+            state, active, all_active=True, rng=rng, loss_model=None, heard_out=heard
         )
-        with pytest.raises(KernelUnavailableError, match="not available"):
-            select_kernel("numba")
+        assert pushes == plan.max_pushes
+        np.testing.assert_allclose(state.sum(axis=0), mass, rtol=1e-12)
+        assert heard.any()
 
-    def test_unfused_is_never_auto_selected(self, monkeypatch):
-        # With every auto-eligible kernel unavailable, selection fails
-        # loudly rather than falling back to the reference step.
-        for name in ("numba", "fused"):
-            spec = kernels_mod._REGISTRY[name]
-            monkeypatch.setitem(
-                kernels_mod._REGISTRY,
-                name,
-                KernelSpec(
-                    name=name,
-                    description=spec.description,
-                    factory=spec.factory,
-                    is_available=lambda: False,
-                ),
-            )
-        with pytest.raises(KernelUnavailableError, match="no push kernel"):
-            select_kernel()
-
-    def test_registered_specs_describe_themselves(self):
-        by_name = {spec.name: spec for spec in registered_kernels()}
-        assert set(by_name) >= {"numba", "fused", "unfused"}
-        assert all(spec.description for spec in by_name.values())
-
-    def test_engine_reports_resolved_kernel(self, pa_graph_small):
-        engine = SparseGossipEngine(pa_graph_small, rng=0)
-        assert engine.kernel_name == select_kernel().name
-        assert SparseGossipEngine(pa_graph_small, rng=0, kernel="unfused").kernel_name == (
-            "unfused"
-        )
-
-    def test_engine_rejects_unavailable_kernel_at_construction(self, pa_graph_small):
-        if NUMBA_AVAILABLE:
-            pytest.skip("numba installed; no unavailable kernel to request")
-        with pytest.raises(KernelUnavailableError):
-            SparseGossipEngine(pa_graph_small, rng=0, kernel="numba")
+    def test_create_kernel_rejects_other_kernels_and_precisions(self):
+        graph = preferential_attachment_graph_fast(200, 2, rng=1)
+        counts = resolve_push_counts(graph, None)
+        plan = PushPlan(graph.indptr, graph.indices, graph.degrees, counts)
+        inv = 1.0 / (counts + 1.0)
+        assert create_kernel("fused", plan, inv, 2, "float64").name == "fused"
+        with pytest.raises(ValueError, match="only kernel"):
+            create_kernel("unfused", plan, inv, 2, np.float64)
+        with pytest.raises(ValueError, match="float64"):
+            create_kernel(None, plan, inv, 2, np.float32)
 
 
 class TestSamplingParity:
-    """Fused and unfused paths draw byte-identical targets."""
+    """The full-active and subset samplers draw byte-identical targets."""
 
     def test_full_active_matches_subset_sampling(self):
         graph = preferential_attachment_graph(400, m=3, rng=9)
@@ -122,28 +80,36 @@ class TestSamplingParity:
             np.testing.assert_array_equal(t_fast, t_ref)
 
 
-def _run(engine, values, weights, **kw):
-    return engine.run(values, weights, **kw)
+def _kernel_names(engine):
+    """Names of the push kernels ``engine`` has built so far."""
+    return {kernel.name for kernel in engine._kernels.values()}
 
 
 class TestKernelParity:
-    """Fused float64 outcomes are byte-identical to the unfused reference."""
+    """Fused outcomes are byte-identical to the unfused reference."""
 
-    KERNELS = ["fused"] + (["numba"] if NUMBA_AVAILABLE else [])
+    #: The kernel under test, named in the test ids.
+    KERNELS = ["fused"]
 
     def _graph(self):
         return preferential_attachment_graph_fast(3000, 4, rng=11)
 
     def _compare(self, kernel, make_kwargs, run_kwargs):
+        assert select_kernel().name == kernel
         graph = self._graph()
         n = graph.num_nodes
         values = np.random.default_rng(5).random(n)
         weights = np.ones(n)
-        outs = []
-        for name in ("unfused", kernel):
-            engine = SparseGossipEngine(graph, rng=77, kernel=name, **make_kwargs())
-            outs.append(engine.run(values, weights, **run_kwargs()))
-        ref, out = outs
+
+        def run():
+            engine = SparseGossipEngine(graph, rng=77, **make_kwargs())
+            return engine, engine.run(values, weights, **run_kwargs())
+
+        with reference_kernel():
+            ref_engine, ref = run()
+        engine, out = run()
+        assert _kernel_names(ref_engine) == {"unfused"}
+        assert _kernel_names(engine) == {kernel}
         assert out.steps == ref.steps
         assert out.push_messages == ref.push_messages
         assert out.active_node_steps == ref.active_node_steps
@@ -183,106 +149,18 @@ class TestKernelParity:
         values = rng.random((n, d))
         weights = np.ones((n, d))
         extras = {"count": rng.random((n, d))}
-        outs = []
-        for name in ("unfused", kernel):
-            engine = SparseGossipEngine(graph, rng=31, kernel=name)
-            outs.append(engine.run(values, weights, xi=1e-5, extras=extras))
-        ref, out = outs
+        assert select_kernel().name == kernel
+
+        def run():
+            engine = SparseGossipEngine(graph, rng=31)
+            return engine, engine.run(values, weights, xi=1e-5, extras=extras)
+
+        with reference_kernel():
+            ref_engine, ref = run()
+        engine, out = run()
+        assert _kernel_names(ref_engine) == {"unfused"}
+        assert _kernel_names(engine) == {kernel}
         assert out.steps == ref.steps
         np.testing.assert_array_equal(out.values, ref.values)
         np.testing.assert_array_equal(out.weights, ref.weights)
         np.testing.assert_array_equal(out.extras["count"], ref.extras["count"])
-
-
-class TestFloat32:
-    def test_sparse_float32_state_dtype_and_accuracy(self):
-        graph = preferential_attachment_graph_fast(3000, 4, rng=11)
-        n = graph.num_nodes
-        values = np.random.default_rng(5).random(n)
-        weights = np.ones(n)
-        ref = SparseGossipEngine(graph, rng=77).run(values, weights, xi=1e-5)
-        out = SparseGossipEngine(graph, rng=77, dtype=np.float32).run(
-            values, weights, xi=1e-5
-        )
-        assert out.values.dtype == np.float32
-        est_ref = ref.values[:, 0] / ref.weights[:, 0]
-        est = out.values[:, 0].astype(np.float64) / out.weights[:, 0].astype(np.float64)
-        assert float(np.abs(est - est_ref).max()) < 1e-4
-
-    def test_message_backend_raises_typed_error(self, pa_graph_small):
-        values = np.ones(pa_graph_small.num_nodes)
-        with pytest.raises(UnsupportedDtypeError, match="float64"):
-            run_backend(
-                pa_graph_small,
-                values,
-                np.ones_like(values),
-                config=GossipConfig(dtype="float32", rng=1),
-                backend="message",
-            )
-
-    def test_async_backend_raises_typed_error(self, pa_graph_small):
-        values = np.ones(pa_graph_small.num_nodes)
-        with pytest.raises(UnsupportedDtypeError):
-            run_backend(
-                pa_graph_small,
-                values,
-                np.ones_like(values),
-                config=GossipConfig(dtype="float32", rng=1),
-                backend="async",
-            )
-
-    def test_unsupported_dtype_rejected_at_config_construction(self):
-        with pytest.raises(UnsupportedDtypeError, match="not supported"):
-            GossipConfig(dtype="int32")
-        with pytest.raises(UnsupportedDtypeError):
-            GossipConfig(dtype="float16")
-
-
-@settings(max_examples=8, deadline=None)
-@given(
-    seed=st.integers(min_value=0, max_value=2**31 - 1),
-    n=st.integers(min_value=24, max_value=96),
-    backend=st.sampled_from(["sparse", "sharded"]),
-)
-def test_float32_drift_bound_property(seed, n, backend):
-    """Property row: float32 gossip conserves mass and lands within 1e-4.
-
-    For every backend implementing float32, a full round at float32 must
-    (a) keep each component's mass within the float32 tolerance of its
-    initial total and (b) reach a fixpoint within 1e-4 of the float64
-    reference run of the same backend and seed.
-    """
-    graph = preferential_attachment_graph(n, m=2, rng=seed)
-    values = np.random.default_rng(seed).random(n)
-    common = dict(xi=1e-6, rng=seed + 1, patience=2)
-    ref = aggregate(graph, values, GossipConfig(**common), backend=backend)
-    out = aggregate(graph, values, GossipConfig(dtype="float32", **common), backend=backend)
-    assert out.values.dtype == np.float32
-
-    rtol = mass_rtol_for(np.float32) * max(1.0, np.sqrt(n))
-    for component, initial in (
-        (out.values, values.sum()),
-        (out.weights, float(n)),
-    ):
-        total = float(component.astype(np.float64).sum())
-        assert abs(total - initial) <= rtol * max(abs(initial), 1.0)
-
-    est_ref = ref.values[:, 0] / ref.weights[:, 0]
-    est = out.values[:, 0].astype(np.float64) / out.weights[:, 0].astype(np.float64)
-    assert float(np.abs(est - est_ref).max()) < 1e-4
-
-
-@pytest.mark.skipif(not NUMBA_AVAILABLE, reason="optional 'kernels' extra not installed")
-class TestNumbaKernel:
-    def test_auto_selection_prefers_numba(self):
-        assert select_kernel().name == "numba"
-
-    def test_config_kernel_numba_runs(self, pa_graph_medium):
-        n = pa_graph_medium.num_nodes
-        out = aggregate(
-            pa_graph_medium,
-            np.linspace(0.0, 1.0, n),
-            GossipConfig(rng=3, kernel="numba", xi=1e-6),
-            backend="sparse",
-        )
-        assert bool(np.allclose(out.estimates, 0.5, atol=1e-3))

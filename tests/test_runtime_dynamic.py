@@ -173,45 +173,6 @@ class TestRunDynamic:
         )
         assert len(result.records) == 2 and result.records[1].warm
 
-    def test_sharded_backend_rebalances_shards_under_churn(self):
-        # Each epoch runs against the fresh MutableOverlay.snapshot and
-        # the sharded backend re-partitions it from scratch, so heavy
-        # churn must never desynchronise shard boundaries from the live
-        # peer set — with Δ = 0 the exact-mean invariant still holds.
-        from repro.network.partition import partition_graph
-
-        trace = ChurnTrace.steady(4, population=120, join_rate=0.1, leave_rate=0.1, seed=21)
-        overlay = small_overlay(120, seed=4)
-        before, _ = overlay.snapshot()
-        result = run_dynamic(
-            overlay,
-            trace,
-            GossipConfig(delta=0.0, num_shards=4, max_steps=2000),
-            backend="sharded",
-            opinion_drift=0.1,
-            epoch_tol=1e-7,
-        )
-        assert result.backend == "sharded"
-        for record in result.records:
-            assert record.converged_fraction == 1.0
-            assert record.mean_abs_error < 1e-6
-        after, _ = overlay.snapshot()
-        # The churned snapshot partitions to the new peer set, not the old.
-        boundaries = partition_graph(after, 4).boundaries
-        assert boundaries[-1] == after.num_nodes != before.num_nodes
-
-    def test_sharded_protocol_rule_warm_epochs(self):
-        trace = ChurnTrace.steady(2, population=100, join_rate=0.03, leave_rate=0.03, seed=53)
-        result = run_dynamic(
-            small_overlay(100, seed=6),
-            trace,
-            GossipConfig(xi=1e-4, delta=0.0, num_shards=3),
-            backend="sharded",
-            stop_rule="protocol",
-        )
-        assert len(result.records) == 2 and result.records[1].warm
-        assert all(r.converged_fraction == 1.0 for r in result.records)
-
     def test_accuracy_rule_rejects_backends_without_run_to_max(self):
         trace = ChurnTrace.steady(2, population=80, join_rate=0.0, leave_rate=0.0, seed=37)
         with pytest.raises(BackendCapabilityError):

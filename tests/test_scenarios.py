@@ -17,7 +17,7 @@ from repro.scenarios import (
 from repro.scenarios.__main__ import main as scenarios_main
 
 SEEDED = ("static-powerlaw", "churn-heavy", "collusion-under-churn", "free-riding-500k")
-ATTACK_SEEDED = ("slander-under-churn", "sybil-flood-100k", "oscillating-colluders-sharded")
+ATTACK_SEEDED = ("slander-under-churn", "sybil-flood-100k", "oscillating-colluders")
 
 
 class TestCatalogue:
@@ -139,9 +139,15 @@ class TestRunScenario:
         )
         assert result.metrics["rms_gclr"] > 0.0
 
+    def test_million_peer_scenario_small_shape(self):
+        result = run_scenario("million-peer", small=True)
+        assert result.backend == "sparse"
+        assert result.converged_fraction == 1.0
+        assert result.metrics["mean_abs_error"] < 1e-3
+
     def test_oscillating_colluders_off_phase_cancels(self):
-        result = run_scenario("oscillating-colluders-sharded", small=True)
-        assert result.backend == "sharded"
+        result = run_scenario("oscillating-colluders", small=True)
+        assert result.backend == "sparse"
         assert result.metrics["rms_gclr"] > 0.0
         # Honest phase under identical seeds: the poison vanishes.
         assert result.metrics["rms_gclr_off"] == 0.0
@@ -243,6 +249,12 @@ class TestCli:
             == 0
         )
         assert "backend=sparse" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", ["--workers", "--executor"])
+    def test_run_rejects_retired_shard_flags(self, flag, capsys):
+        with pytest.raises(SystemExit):
+            scenarios_main(["run", "static-powerlaw", "--small", flag, "2"])
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_free_riding_full_shape_uses_sparse_by_spec():
