@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.core.sparse_engine import SparseGossipEngine
-from repro.network.churn import PacketLossModel
+from repro.network.conditions import PacketLossModel
 
 XI = 1e-4
 

@@ -18,7 +18,7 @@ Run:
 import numpy as np
 
 from repro.core.sparse_engine import SparseGossipEngine
-from repro.network.churn import PacketLossModel
+from repro.network.conditions import PacketLossModel
 from repro.network.preferential_attachment import preferential_attachment_graph
 from repro.utils.rng import as_generator
 from repro.utils.tables import format_table

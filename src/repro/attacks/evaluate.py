@@ -31,7 +31,6 @@ from repro.attacks.models import AttackModel, make_attack
 from repro.core.backend import GossipConfig, choose_backend_name
 from repro.core.results import GossipOutcome
 from repro.core.vector_gclr import gclr_reputations, true_vector_gclr
-from repro.core.weights import WeightParams
 from repro.facade import aggregate
 from repro.network.graph import Graph
 from repro.trust.matrix import TrustMatrix
@@ -172,7 +171,6 @@ def attack_impact(
     trust: TrustMatrix,
     attack: AttackLike,
     *,
-    params: Optional[WeightParams] = None,
     targets: Optional[Sequence[int]] = None,
     use_gossip: bool = True,
     config: Optional[GossipConfig] = None,
@@ -192,8 +190,6 @@ def attack_impact(
         :class:`~repro.attacks.collusion.CollusionAttack` (wrapped), or
         a registered family name with default parameters. The honest
         matrix is never mutated.
-    params:
-        GCLR weighting constants; defaults to ``config.params``.
     targets:
         Tracked reputation columns (default: every honest node).
     use_gossip:
@@ -202,13 +198,13 @@ def attack_impact(
     config:
         Gossip knobs, forwarded whole through :func:`repro.aggregate`
         (``k``/``push_counts``, ``warmup_steps``, ``track_history``,
-        ... all apply). ``rng`` is reduced to one integer seed shared by
-        the clean and poisoned runs, and ``loss_probability`` churn is
-        derived statelessly from that seed
-        (:meth:`~repro.core.backend.GossipConfig.materialize`), so both
-        gossip noise and churn noise cancel between the two runs. A
-        stateful ``loss_model`` cannot be replayed per run and is
-        rejected — use ``loss_probability``.
+        ... all apply); ``config.params`` holds the GCLR weighting
+        constants. ``rng`` is reduced to one integer seed shared by the
+        clean and poisoned runs. Packet loss rides on ``config.network``
+        and draws from a stream derived statelessly from that seed
+        (:meth:`~repro.core.backend.GossipConfig.link_stream`), so it
+        replays identically in the clean and poisoned runs: both gossip
+        noise and loss noise cancel.
     backend:
         Registered gossip backend name. The default ``"auto"`` follows
         :func:`~repro.core.backend.choose_backend_name` — resolved
@@ -225,8 +221,8 @@ def attack_impact(
         :class:`~repro.algorithms.base.AggregationAlgorithm` instance)
         instead runs *that* algorithm on the clean and poisoned worlds
         under one shared seed and reports its estimate shift in
-        ``rms_gclr``; ``use_gossip`` and ``params`` are ignored on this
-        path (the adapter owns its own execution), while ``config``,
+        ``rms_gclr``; ``use_gossip`` and ``config.params`` are ignored
+        on this path (the adapter owns its own execution), while ``config``,
         ``backend`` (for backend-routed algorithms) and the
         noise-cancellation seed discipline apply unchanged.
 
@@ -258,7 +254,7 @@ def attack_impact(
     target_list = list(targets) if targets is not None else list(range(n))
     dirty_graph, poisoned = _poisoned_world(graph, trust, model, epoch)
     config = config if config is not None else GossipConfig(xi=1e-5)
-    params = params if params is not None else config.params
+    params = config.params
 
     cache = _clean_cache if _clean_cache is not None else _CleanRunCache()
 
@@ -321,12 +317,6 @@ def attack_impact(
     clean_outcome = dirty_outcome = None
     resolved: Optional[str] = None
     if use_gossip:
-        if config.loss_model is not None:
-            raise ValueError(
-                "attack_impact replays churn identically across the clean and "
-                "poisoned runs; a shared stateful loss_model cannot be re-seeded — "
-                "pass loss_probability instead"
-            )
         run_config = replace(config, rng=_derive_seed(config))
         # Resolve once — against the poisoned (larger) world, or from
         # the series cache so every epoch runs on the same engine.
@@ -391,7 +381,6 @@ def attack_impact_series(
     attack: AttackLike,
     *,
     epochs: int,
-    params: Optional[WeightParams] = None,
     targets: Optional[Sequence[int]] = None,
     use_gossip: bool = True,
     config: Optional[GossipConfig] = None,
@@ -419,7 +408,6 @@ def attack_impact_series(
             graph,
             trust,
             attack,
-            params=params,
             targets=targets,
             use_gossip=use_gossip,
             config=shared,
@@ -437,7 +425,6 @@ def collusion_impact(
     trust: TrustMatrix,
     attack: CollusionAttack,
     *,
-    params: Optional[WeightParams] = None,
     targets: Optional[Sequence[int]] = None,
     use_gossip: bool = True,
     config: Optional[GossipConfig] = None,
@@ -453,7 +440,6 @@ def collusion_impact(
         graph,
         trust,
         attack,
-        params=params,
         targets=targets,
         use_gossip=use_gossip,
         config=config,

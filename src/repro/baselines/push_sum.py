@@ -8,14 +8,12 @@ algorithm Chierichetti et al. proved *slow* — which is the gap
 differential push closes, and what Figure 3 measures.
 
 Implemented as a thin configuration of the shared engine so that every
-other knob (convergence protocol, churn, metrics) is identical between
+other knob (convergence protocol, packet loss, metrics) is identical between
 baseline and contribution — differences in results are attributable to
 the push rule alone.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
@@ -23,7 +21,6 @@ from repro.core.backend import GossipConfig, run_backend
 from repro.core.differential import fixed_push_counts
 from repro.core.results import GossipOutcome
 from repro.core.sparse_engine import SparseGossipEngine
-from repro.network.churn import PacketLossModel
 from repro.network.graph import Graph
 from repro.utils.rng import RngLike, as_generator
 
@@ -31,7 +28,6 @@ from repro.utils.rng import RngLike, as_generator
 def normal_push_engine(
     graph: Graph,
     *,
-    loss_model: Optional[PacketLossModel] = None,
     rng: RngLike = None,
 ) -> SparseGossipEngine:
     """A :class:`SparseGossipEngine` configured as normal push (``k = 1``).
@@ -44,7 +40,6 @@ def normal_push_engine(
     return SparseGossipEngine(
         graph,
         push_counts=fixed_push_counts(graph, 1),
-        loss_model=loss_model,
         rng=as_generator(rng),
     )
 
@@ -55,7 +50,6 @@ def push_sum_average(
     *,
     xi: float = 1e-4,
     rng: RngLike = None,
-    loss_model: Optional[PacketLossModel] = None,
     max_steps: int = 10_000,
     patience: int = 3,
     backend: str = "auto",
@@ -75,7 +69,7 @@ def push_sum_average(
         Topology.
     values:
         Per-node numbers to average, shape ``(N,)``.
-    xi, rng, loss_model, max_steps, patience:
+    xi, rng, max_steps, patience:
         As in :meth:`repro.core.sparse_engine.SparseGossipEngine.run`.
     backend:
         Registered gossip backend name; the default ``"auto"`` follows
@@ -101,7 +95,6 @@ def push_sum_average(
         config=GossipConfig(
             xi=xi,
             k=1,
-            loss_model=loss_model,
             rng=rng,
             max_steps=max_steps,
             patience=patience,

@@ -10,14 +10,14 @@ one protocol:
 
 - :class:`GossipConfig` captures every shared knob of a gossip round
   (push counts ``k_i``, GCLR weighting constants, the Δ re-push
-  threshold, the convergence criterion, randomness, packet loss);
+  threshold, the convergence criterion, randomness, the network's link
+  model);
 - :class:`GossipBackend` is the protocol all engines are adapted to:
   ``run(graph, values, weights, extras=..., config=...) ->``
   :class:`repro.core.results.GossipOutcome`;
 - :func:`register_backend` / :func:`get_backend` /
   :func:`available_backends` manage the registry ("message", "sparse"
-  and "async" ship built-in; "csr", "dense" and "vector" are aliases of
-  "sparse");
+  and "async" ship built-in);
 - :func:`choose_backend_name` implements the ``"auto"`` policy — async
   for latency-bearing networks, message for tiny worlds, sparse for
   everything else;
@@ -43,13 +43,13 @@ from repro.core.differential import fixed_push_counts
 from repro.core.errors import GossipError
 from repro.core.results import GossipOutcome
 from repro.core.weights import WeightParams
-from repro.network.conditions import InstantLink, LinkModel, PacketLossModel
+from repro.network.conditions import LinkModel, PacketLossModel
 from repro.network.graph import Graph
 from repro.utils.rng import RngLike, spawn_child, stateless_child_sequence
 
-#: Spawn key of the loss-model stream derived by GossipConfig.materialize.
+#: Spawn key of the link/loss stream derived by GossipConfig.link_stream.
 #: Deliberately far above any realistic spawn_seed_sequences sweep index,
-#: so churn streams never alias a sweep point's stream (see
+#: so link streams never alias a sweep point's stream (see
 #: repro.utils.rng.stateless_child_sequence).
 LOSS_STREAM_KEY = 0xFFFF1055
 
@@ -95,38 +95,29 @@ class GossipConfig:
         Explicit per-node push-count array (ablations); overrides ``k``.
     params:
         GCLR weighting constants ``a``, ``b`` of eq. 2. Engines never
-        read them; they are the defaults consumed by the config-aware
-        layers — :func:`repro.attacks.evaluate.collusion_impact` and
-        :class:`repro.core.rounds.GossipRoundManager` (via its
-        ``config=`` argument). The variant entry points keep their own
-        explicit ``params=`` keyword.
+        read them; the config-aware layers do —
+        :class:`repro.core.rounds.GossipRoundManager` and the attack
+        evaluators of :mod:`repro.attacks.evaluate`. The variant entry
+        points keep their own explicit ``params=`` keyword.
     delta:
         Algorithm 2's Δ re-push threshold — an opinion is re-announced
-        between rounds only when it moved more than this. Like
-        ``params``, consumed by
-        :class:`repro.core.rounds.GossipRoundManager` when constructed
-        with ``config=``, not by single-round engines.
-    loss_probability:
-        Per-push packet-loss probability; when > 0 and no explicit
-        ``loss_model`` is given, a mass-conserving
-        :class:`repro.network.churn.PacketLossModel` is derived from
-        ``rng``.
-    loss_model:
-        Explicit churn model (takes precedence over
-        ``loss_probability``).
+        between rounds only when it moved more than this. Read by
+        :class:`repro.core.rounds.GossipRoundManager`, not by
+        single-round engines.
     network:
-        Optional :class:`repro.network.conditions.LinkModel` — the
-        network-conditions axis (per-edge loss, latency distributions,
-        bandwidth caps, regions, partitions). Mutually exclusive with
-        the legacy loss knobs. Loss-only models run on every backend
-        via :meth:`materialize` (byte-identical to the equivalent
-        ``loss_probability``); latency-bearing models need the
+        Optional :class:`repro.network.conditions.LinkModel` — the one
+        way to ask for packet loss, and the network-conditions axis
+        (per-edge loss, latency distributions, bandwidth caps, regions,
+        partitions). ``InstantLink(p)`` is the paper's churn model:
+        each push is lost with probability ``p`` and the sender keeps
+        the pair (Section 5.3). Loss-only models run on every backend
+        via :meth:`materialize`; latency-bearing models need the
         event-driven ``"async"`` backend — synchronous backends raise
         :class:`BackendCapabilityError`, and :func:`choose_backend_name`
         steers such configs to ``"async"`` automatically.
     rng:
-        Seed / generator for target selection (and the derived loss
-        model, when ``loss_probability`` is used).
+        Seed / generator for target selection; the link model draws
+        from a child stream of it (:meth:`link_stream`).
     max_steps:
         Safety budget before
         :class:`repro.core.errors.ConvergenceError` (interpreted as a
@@ -169,8 +160,6 @@ class GossipConfig:
     push_counts: Optional[np.ndarray] = None
     params: WeightParams = field(default_factory=WeightParams)
     delta: float = 0.05
-    loss_probability: float = 0.0
-    loss_model: Optional[PacketLossModel] = None
     network: Optional[LinkModel] = None
     rng: RngLike = None
     max_steps: int = 10_000
@@ -189,19 +178,11 @@ class GossipConfig:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.k is not None and self.push_counts is not None:
             raise ValueError("pass either k (uniform) or push_counts (per-node), not both")
-        if not 0.0 <= self.loss_probability <= 1.0:
-            raise ValueError(f"loss_probability must be in [0, 1], got {self.loss_probability}")
-        if self.network is not None:
-            if not isinstance(self.network, LinkModel):
-                raise ValueError(
-                    f"network must be a repro.network.conditions.LinkModel, "
-                    f"got {type(self.network).__name__}"
-                )
-            if self.loss_probability != 0.0 or self.loss_model is not None:
-                raise ValueError(
-                    "pass either network= (a LinkModel) or the legacy loss knobs "
-                    "(loss_probability / loss_model), not both"
-                )
+        if self.network is not None and not isinstance(self.network, LinkModel):
+            raise ValueError(
+                f"network must be a repro.network.conditions.LinkModel, "
+                f"got {type(self.network).__name__}"
+            )
         if self.max_steps < 1:
             raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
         if self.patience < 1:
@@ -254,12 +235,13 @@ class GossipConfig:
         """The single per-push loss probability a synchronous backend runs.
 
         Resolves the ``network`` axis down to the classic uniform
-        Bernoulli, or raises :class:`BackendCapabilityError` when the
-        model needs the event-driven engine (latency, bandwidth,
-        partitions, or per-edge loss).
+        Bernoulli (0.0 without a network), or raises
+        :class:`BackendCapabilityError` when the model needs the
+        event-driven engine (latency, bandwidth, partitions, or per-edge
+        loss).
         """
         if self.network is None:
-            return self.loss_probability
+            return 0.0
         if self.network.has_latency:
             raise BackendCapabilityError(
                 "step-synchronous backends cannot run latency-bearing network "
@@ -278,19 +260,20 @@ class GossipConfig:
     def materialize(self) -> Tuple[np.random.Generator, Optional[PacketLossModel]]:
         """Resolve ``(generator, loss_model)`` for one engine run.
 
-        The loss model derived from ``loss_probability`` — or from a
-        loss-only ``network`` model, which resolves to the *same*
-        :class:`PacketLossModel` over the same stream (byte-identity
-        contract) — draws from the dedicated :meth:`link_stream`, so the
+        A loss-only ``network`` model materialises as a
+        :class:`PacketLossModel` drawing from the dedicated
+        :meth:`link_stream` (the ``LOSS_STREAM_KEY`` stream), so the
         engine's target-selection stream is identical to a loss-free run
         of the same seed. Latency-bearing network models raise
         :class:`BackendCapabilityError` here: a synchronous round
         schedule has no time axis to express them.
         """
-        loss = self.loss_model
         probability = self.uniform_loss_probability()
-        if loss is None and probability > 0.0:
-            loss = PacketLossModel(probability, rng=self.link_stream())
+        loss = (
+            PacketLossModel(probability, rng=self.link_stream())
+            if probability > 0.0
+            else None
+        )
         return self.main_stream(), loss
 
 
@@ -408,8 +391,8 @@ class AsyncBackend:
     This is the one backend that runs the full network-conditions axis:
     ``config.network`` link models with latency, bandwidth caps,
     regions and partition windows execute natively (a push becomes a
-    *send* event that lands after its sampled delay), and the classic
-    ``config.loss_probability`` runs as the equivalent zero-latency
+    *send* event that lands after its sampled delay), and the paper's
+    uniform loss runs as the zero-latency
     :class:`~repro.network.conditions.InstantLink`. The link's
     randomness draws from the same ``LOSS_STREAM_KEY`` child stream the
     synchronous loss path uses, so attaching a link model never
@@ -437,11 +420,6 @@ class AsyncBackend:
                 "backend 'async' gossips a single reputation channel; "
                 "use 'sparse' for num_channels > 1"
             )
-        if config.loss_model is not None:
-            raise BackendCapabilityError(
-                "backend 'async' models the network through link models; pass "
-                "loss_probability or network= instead of an explicit loss_model"
-            )
         if config.track_history or config.run_to_max:
             raise BackendCapabilityError(
                 "backend 'async' does not support track_history/run_to_max"
@@ -455,8 +433,6 @@ class AsyncBackend:
                 "patience/warmup_steps do not apply"
             )
         link = config.network
-        if link is None and config.loss_probability > 0.0:
-            link = InstantLink(config.loss_probability)
         # Derive the link stream before touching the main stream: for
         # Generator rng the child split advances the parent (same order
         # materialize uses on the synchronous path).
@@ -496,17 +472,10 @@ class AsyncBackend:
 # -- registry ---------------------------------------------------------------
 
 _REGISTRY: Dict[str, GossipBackend] = {}
-_ALIASES: Dict[str, str] = {}
 
 
-def register_backend(
-    name: str,
-    backend: GossipBackend,
-    *,
-    aliases: Tuple[str, ...] = (),
-    overwrite: bool = False,
-) -> None:
-    """Register ``backend`` under ``name`` (plus optional aliases).
+def register_backend(name: str, backend: GossipBackend, *, overwrite: bool = False) -> None:
+    """Register ``backend`` under ``name``.
 
     Third-party engines plug in here; after registration the backend is
     selectable everywhere a backend name is accepted — the
@@ -521,44 +490,38 @@ def register_backend(
     """
     if not name or not isinstance(name, str):
         raise ValueError(f"backend name must be a non-empty string, got {name!r}")
-    if not overwrite:
-        # Validate every name before mutating anything, so a conflict
-        # never leaves a half-registered backend behind.
-        if name in _REGISTRY or name in _ALIASES:
-            raise ValueError(f"backend {name!r} is already registered (pass overwrite=True)")
-        for alias in aliases:
-            if alias in _REGISTRY or alias in _ALIASES:
-                raise ValueError(f"backend alias {alias!r} is already registered")
+    if not overwrite and name in _REGISTRY:
+        raise ValueError(f"backend {name!r} is already registered (pass overwrite=True)")
     _REGISTRY[name] = backend
-    for alias in aliases:
-        _ALIASES[alias] = name
 
 
 def resolve_backend_name(name: str) -> str:
-    """Canonical registry name for ``name`` (resolving aliases)."""
+    """``name`` itself, once checked against the registry."""
     if name in _REGISTRY:
         return name
-    if name in _ALIASES:
-        return _ALIASES[name]
-    catalogue = ", ".join(sorted(_REGISTRY) + sorted(_ALIASES))
+    catalogue = ", ".join(sorted(_REGISTRY))
     raise UnknownBackendError(
         f"unknown gossip backend/engine {name!r}; available: {catalogue}, auto"
     )
 
 
 def get_backend(name: str) -> GossipBackend:
-    """Look up a registered backend by name or alias.
+    """Look up a registered backend by name.
 
     Examples
     --------
-    >>> get_backend("dense") is get_backend("sparse")  # aliases resolve
-    True
+    >>> get_backend("sparse").name
+    'sparse'
+    >>> get_backend("dense")  # doctest: +IGNORE_EXCEPTION_DETAIL
+    Traceback (most recent call last):
+        ...
+    repro.core.backend.UnknownBackendError: unknown gossip backend/engine 'dense'
     """
     return _REGISTRY[resolve_backend_name(name)]
 
 
 def available_backends() -> Tuple[str, ...]:
-    """Canonical names of all registered backends, sorted.
+    """Names of all registered backends, sorted.
 
     Examples
     --------
@@ -569,7 +532,7 @@ def available_backends() -> Tuple[str, ...]:
 
 
 register_backend("message", MessageBackend())
-register_backend("sparse", SparseBackend(), aliases=("csr", "dense", "vector"))
+register_backend("sparse", SparseBackend())
 register_backend("async", AsyncBackend())
 
 

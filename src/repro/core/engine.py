@@ -26,7 +26,7 @@ from repro.core.differential import resolve_push_counts
 from repro.core.errors import ConvergenceError
 from repro.core.results import GossipOutcome
 from repro.core.state import UNDEFINED_RATIO
-from repro.network.churn import PacketLossModel
+from repro.network.conditions import PacketLossModel
 from repro.network.graph import Graph
 from repro.utils.rng import RngLike, as_generator
 from repro.utils.validation import check_positive
@@ -178,7 +178,8 @@ class MessageLevelGossip:
     push_counts:
         Per-node ``k_i``; defaults to the differential rule.
     loss_model:
-        Optional churn model; a lost push is re-enqueued to the sender.
+        Optional packet-loss model; a lost push is re-enqueued to the
+        sender (the backend layer builds it from ``GossipConfig.network``).
     rng:
         Seed / generator for target selection.
 

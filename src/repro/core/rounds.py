@@ -25,10 +25,9 @@ import numpy as np
 
 from repro.core.backend import GossipConfig
 from repro.core.vector_gclr import VectorGclrResult, aggregate_vector_gclr
-from repro.core.weights import WeightParams
 from repro.network.graph import Graph
 from repro.trust.matrix import TrustMatrix
-from repro.utils.rng import RngLike, as_generator
+from repro.utils.rng import as_generator
 from repro.utils.validation import check_positive
 
 
@@ -71,17 +70,14 @@ class GossipRoundManager:
     Parameters
     ----------
     graph:
-        Topology (fixed across rounds; churn is modelled at the message
-        layer).
+        Topology (fixed across rounds).
     config:
-        Optional shared :class:`repro.core.backend.GossipConfig`; its
-        ``params``, ``delta``, ``xi`` and ``rng`` become the defaults
-        for the matching keyword arguments below.
-    params:
-        GCLR weighting constants.
-    delta:
-        Algorithm 2's re-push threshold: an opinion is re-announced only
-        when it moved more than this since its last announcement.
+        The round knobs, as a :class:`repro.core.backend.GossipConfig`:
+        ``params`` (GCLR weighting constants), ``delta`` (Algorithm 2's
+        re-push threshold — an opinion is re-announced only when it
+        moved more than this since its last announcement), ``xi`` and
+        ``rng`` (seed / generator handed to each round's gossip).
+        Defaults to ``GossipConfig(xi=1e-5)``.
     base_gap:
         Inter-round gap when the network changes at the reference rate.
     min_gap, max_gap:
@@ -91,15 +87,13 @@ class GossipRoundManager:
     backend:
         Gossip backend each round runs on (any registered name or
         ``"auto"``).
-    rng:
-        Seed / generator handed to each round's gossip.
 
     Examples
     --------
     >>> from repro.network.preferential_attachment import preferential_attachment_graph
     >>> from repro.trust.matrix import random_trust_matrix
     >>> g = preferential_attachment_graph(40, m=2, rng=0)
-    >>> manager = GossipRoundManager(g, rng=1)
+    >>> manager = GossipRoundManager(g, config=GossipConfig(xi=1e-5, rng=1))
     >>> record = manager.run_round(random_trust_matrix(g, rng=2), targets=[1, 2])
     >>> record.total_opinions > 0
     True
@@ -110,28 +104,13 @@ class GossipRoundManager:
         graph: Graph,
         *,
         config: Optional[GossipConfig] = None,
-        params: Optional[WeightParams] = None,
-        delta: Optional[float] = None,
         base_gap: float = 25.0,
         min_gap: float = 5.0,
         max_gap: float = 100.0,
         adaptive: bool = True,
-        xi: Optional[float] = None,
         backend: str = "auto",
-        rng: RngLike = None,
     ):
-        # A shared GossipConfig supplies params / delta / xi / rng
-        # defaults; explicit keyword arguments still win.
-        if config is not None:
-            params = params if params is not None else config.params
-            delta = delta if delta is not None else config.delta
-            xi = xi if xi is not None else config.xi
-            rng = rng if rng is not None else config.rng
-        params = params if params is not None else WeightParams()
-        delta = delta if delta is not None else 0.05
-        xi = xi if xi is not None else 1e-5
-        if delta < 0:
-            raise ValueError(f"delta must be >= 0, got {delta}")
+        config = config if config is not None else GossipConfig(xi=1e-5)
         check_positive(base_gap, "base_gap")
         check_positive(min_gap, "min_gap")
         check_positive(max_gap, "max_gap")
@@ -140,15 +119,15 @@ class GossipRoundManager:
                 f"need min_gap <= base_gap <= max_gap, got {min_gap}, {base_gap}, {max_gap}"
             )
         self._graph = graph
-        self._params = params
-        self._delta = float(delta)
+        self._params = config.params
+        self._delta = float(config.delta)
         self._base_gap = float(base_gap)
         self._min_gap = float(min_gap)
         self._max_gap = float(max_gap)
         self._adaptive = bool(adaptive)
-        self._xi = float(xi)
+        self._xi = float(config.xi)
         self._backend = backend
-        self._rng = as_generator(rng)
+        self._rng = as_generator(config.rng)
         self._published: Dict[tuple, float] = {}
         self._clock = 0.0
         self._history: List[RoundRecord] = []

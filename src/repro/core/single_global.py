@@ -23,7 +23,6 @@ import numpy as np
 
 from repro.core.backend import GossipConfig, run_backend
 from repro.core.results import GossipOutcome
-from repro.network.churn import PacketLossModel
 from repro.network.graph import Graph
 from repro.trust.matrix import TrustMatrix
 from repro.utils.rng import RngLike
@@ -99,7 +98,6 @@ def aggregate_single_global(
     convention: Convention = "observers",
     backend: str = "auto",
     push_counts: Optional[np.ndarray] = None,
-    loss_model: Optional[PacketLossModel] = None,
     rng: RngLike = None,
     max_steps: int = 10_000,
     track_history: bool = False,
@@ -127,8 +125,6 @@ def aggregate_single_global(
         :func:`repro.aggregate` for the facade form.
     push_counts:
         Override the differential push counts (baselines/ablations).
-    loss_model:
-        Optional churn model (Figure 4 experiments).
     rng:
         Seed / generator.
     max_steps:
@@ -161,7 +157,6 @@ def aggregate_single_global(
         config=GossipConfig(
             xi=xi,
             push_counts=push_counts,
-            loss_model=loss_model,
             rng=rng,
             max_steps=max_steps,
             track_history=track_history,

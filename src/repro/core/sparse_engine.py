@@ -7,8 +7,8 @@ Per step, for every still-active node ``i``:
 1. split the node's components into ``k_i + 1`` equal shares;
 2. keep one share (the self-push);
 3. send one share to each of ``k_i`` *distinct* random neighbours
-   (a push lost to churn is redirected back to the sender, conserving
-   mass — :class:`repro.network.churn.PacketLossModel`);
+   (a lost push is redirected back to the sender, conserving mass —
+   :class:`repro.network.conditions.PacketLossModel`);
 4. sum everything received; compare the new estimate to the previous
    step's and run the convergence/stop protocol
    (:class:`repro.core.convergence.ConvergenceProtocol`).
@@ -56,7 +56,7 @@ from repro.core.kernels import PushPlan
 from repro.core.kernels.numpy_kernels import FusedNumpyKernel
 from repro.core.results import GossipOutcome
 from repro.core.state import MASS_RTOL, UNDEFINED_RATIO, state_components
-from repro.network.churn import PacketLossModel
+from repro.network.conditions import PacketLossModel
 from repro.network.graph import Graph
 from repro.utils.rng import RngLike, as_generator
 
@@ -85,7 +85,8 @@ class SparseGossipEngine:
         (:func:`repro.core.differential.push_counts`). Pass
         ``fixed_push_counts(graph, 1)`` for the normal-push baseline.
     loss_model:
-        Optional churn/packet-loss model applied to every push.
+        Optional packet-loss model applied to every push (the backend
+        layer builds it from ``GossipConfig.network``).
     rng:
         Seed / generator for target selection.
 

@@ -20,7 +20,6 @@ from repro.core.backend import GossipConfig, run_backend
 from repro.core.results import GossipOutcome
 from repro.core.single_gclr import DenominatorConvention, pick_designated_node
 from repro.core.weights import WeightParams, excess_weights
-from repro.network.churn import PacketLossModel
 from repro.network.graph import Graph
 from repro.trust.matrix import TrustMatrix
 from repro.utils.rng import RngLike
@@ -181,7 +180,6 @@ def aggregate_vector_gclr(
     backend: str = "auto",
     designated_node: Optional[int] = None,
     push_counts: Optional[np.ndarray] = None,
-    loss_model: Optional[PacketLossModel] = None,
     rng: RngLike = None,
     max_steps: int = 10_000,
     track_history: bool = False,
@@ -236,7 +234,6 @@ def aggregate_vector_gclr(
         config=GossipConfig(
             xi=xi,
             push_counts=push_counts,
-            loss_model=loss_model,
             rng=rng,
             max_steps=max_steps,
             track_history=track_history,

@@ -22,7 +22,6 @@ import numpy as np
 from repro.core.backend import GossipConfig, run_backend
 from repro.core.results import GossipOutcome
 from repro.core.single_global import Convention
-from repro.network.churn import PacketLossModel
 from repro.network.graph import Graph
 from repro.trust.matrix import TrustMatrix
 from repro.utils.rng import RngLike
@@ -87,7 +86,6 @@ def aggregate_vector_global(
     convention: Convention = "observers",
     backend: str = "auto",
     push_counts: Optional[np.ndarray] = None,
-    loss_model: Optional[PacketLossModel] = None,
     rng: RngLike = None,
     max_steps: int = 10_000,
     track_history: bool = False,
@@ -144,7 +142,6 @@ def aggregate_vector_global(
         config=GossipConfig(
             xi=xi,
             push_counts=push_counts,
-            loss_model=loss_model,
             rng=rng,
             max_steps=max_steps,
             track_history=track_history,

@@ -138,10 +138,9 @@ def measure_collusion(
         graph,
         trust,
         attack,
-        params=params,
         targets=targets,
         use_gossip=use_gossip,
-        config=GossipConfig(xi=xi, rng=seed),
+        config=GossipConfig(xi=xi, params=params, rng=seed),
         backend=backend,
     )
     return impact.rms_gclr, impact.rms_unweighted

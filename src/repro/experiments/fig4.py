@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence
 from repro.core.backend import GossipConfig
 from repro.experiments.runner import ExperimentResult, Stopwatch, full_scale_enabled
 from repro.facade import aggregate
-from repro.network.churn import PacketLossModel
+from repro.network.conditions import InstantLink
 from repro.network.preferential_attachment import preferential_attachment_graph
 from repro.utils.rng import as_generator
 
@@ -48,14 +48,16 @@ def run(
         for loss in loss_probabilities:
             row: list = [f"p={loss:g}"]
             for xi in xis:
-                loss_model = PacketLossModel(loss, rng=as_generator(int(root.integers(2**62))))
+                # A seed-like rng keeps the target draws of a lossy cell
+                # identical to a loss-free run at the same seed: the loss
+                # draws come from the config's separate link stream.
                 outcome = aggregate(
                     graph,
                     values,
                     GossipConfig(
                         xi=xi,
-                        loss_model=loss_model,
-                        rng=as_generator(int(root.integers(2**62))),
+                        network=InstantLink(loss),
+                        rng=int(root.integers(2**62)),
                     ),
                     backend=backend,
                 )

@@ -14,8 +14,8 @@ package provides:
   network of the paper's Figure 2 (degree sequence 4,4,7,3,3,2,2,2,3,2);
 - :mod:`repro.network.conditions` — seeded link models for network
   realism: :class:`~repro.network.conditions.PacketLossModel` (the
-  mass-conserving packet-loss model of Figure 4, formerly in
-  ``churn``), plus latency/bandwidth/region/partition-aware
+  mass-conserving packet-loss model of Figure 4), plus
+  latency/bandwidth/region/partition-aware
   :class:`~repro.network.conditions.LinkModel` implementations
   (:class:`~repro.network.conditions.InstantLink`,
   :class:`~repro.network.conditions.HomogeneousLink`,

@@ -6,22 +6,22 @@ with heterogeneous latency, lossy last miles, regional clustering and
 occasional partitions that heal. This module is the single home for all
 of that *network realism*, factored out of the engines:
 
-- :class:`PacketLossModel` — the paper's mass-conserving per-push loss
-  (moved here from :mod:`repro.network.churn`, which keeps a
-  deprecation re-export);
+- :class:`PacketLossModel` — the paper's mass-conserving per-push loss,
+  the form a synchronous engine applies;
 - :class:`LatencySpec` — a seeded one-dimensional delay distribution
   (constant / uniform / exponential / lognormal);
-- :class:`LinkModel` — the protocol every network condition implements.
-  It has two faces: :meth:`LinkModel.uniform_loss_probability` lets the
-  *synchronous* engines keep their vectorised loss path (byte-identical
-  to the historical ``loss_probability`` knob), and
-  :meth:`LinkModel.bind` produces a per-run :class:`BoundLink` whose
-  :meth:`BoundLink.transfer` the *event-driven* engine consults per
-  push (drop? how much delay?);
-- :class:`InstantLink` — the compatibility shim: zero latency,
+- :class:`LinkModel` — the protocol every network condition implements,
+  and what ``GossipConfig(network=...)`` takes: the one way to ask a
+  gossip round for packet loss. It has two faces:
+  :meth:`LinkModel.uniform_loss_probability` lets the *synchronous*
+  engines run a loss-only model on their vectorised
+  :class:`PacketLossModel` path, and :meth:`LinkModel.bind` produces a
+  per-run :class:`BoundLink` whose :meth:`BoundLink.transfer` the
+  *event-driven* engine consults per push (drop? how much delay?);
+- :class:`InstantLink` — the paper's churn model: zero latency,
   optional uniform loss. ``InstantLink(0.0)`` is provably a no-op (it
-  consumes no randomness), so the refactored async engine is
-  byte-identical to the pre-refactor one under it;
+  consumes no randomness), so an async run under it is byte-identical
+  to one without a link model;
 - :class:`HomogeneousLink` — one loss probability, one latency
   distribution and one optional bandwidth cap for every edge;
 - :class:`RegionalLinkModel` — region/cluster assignment with intra- vs
@@ -37,11 +37,11 @@ Determinism contract
 --------------------
 A link model instance is pure configuration; all randomness enters at
 :meth:`LinkModel.bind` through an explicit generator. The backend layer
-derives that generator *statelessly* from the run's seed via the same
-``LOSS_STREAM_KEY`` child used for the classic loss stream, so link
-randomness never perturbs an engine's target-selection stream — a
-lossless zero-latency run draws the exact byte sequence of a run with
-no link model at all. Per transfer, the bound link draws the loss
+derives that generator *statelessly* from the run's seed via the
+``LOSS_STREAM_KEY`` child (the stream a synchronous engine's
+:class:`PacketLossModel` draws from), so link randomness never perturbs
+an engine's target-selection stream — a lossless zero-latency run draws
+the exact byte sequence of a run with no link model at all. Per transfer, the bound link draws the loss
 Bernoulli first and samples latency only for delivered pushes.
 """
 
@@ -58,7 +58,6 @@ from repro.utils.validation import check_probability
 
 __all__ = [
     "PacketLossModel",
-    "no_loss",
     "LatencySpec",
     "INSTANT",
     "BoundLink",
@@ -156,11 +155,6 @@ class PacketLossModel:
         """Zero the delivered/lost counters (configuration is kept)."""
         self._lost_count = 0
         self._delivered_count = 0
-
-
-def no_loss() -> PacketLossModel:
-    """A :class:`PacketLossModel` that never loses a push."""
-    return PacketLossModel(0.0, rng=0)
 
 
 #: LatencySpec sampling families.
@@ -321,8 +315,8 @@ class LinkModel(abc.ABC):
     Synchronous engines have no time axis, so they can only express
     *uniform, instant* loss: when :attr:`has_latency` is False and
     :attr:`uniform_loss_probability` is not None, the backend layer
-    materialises the model as the classic :class:`PacketLossModel`
-    (byte-identical to the historical ``loss_probability`` path).
+    materialises the model as a :class:`PacketLossModel` on the
+    ``LOSS_STREAM_KEY`` stream.
     Everything else — latency, bandwidth, per-region loss, partitions —
     requires the event-driven engine, which calls :meth:`bind` and
     consults the returned :class:`BoundLink` per push.
@@ -370,13 +364,16 @@ class _InstantBound(BoundLink):
 
 
 class InstantLink(LinkModel):
-    """The compatibility shim: zero latency, optional uniform loss.
+    """The paper's churn model: zero latency, optional uniform loss.
 
+    ``GossipConfig(network=InstantLink(p))`` loses each push with
+    probability ``p``, and the sender keeps the pair (Section 5.3). On
+    the synchronous backends it materialises as
+    ``PacketLossModel(p, rng=config.link_stream())``; on the async
+    backend it is bound per run to the same stream.
     ``InstantLink(0.0)`` consumes no randomness and delivers everything
-    inline — the refactored async engine under it is byte-identical to
-    the pre-refactor engine, and the sync backends under
-    ``InstantLink(p)`` are byte-identical to ``loss_probability=p``
-    (both contracts are pinned by tests).
+    inline, so an async run under it is byte-identical to one without
+    a link model (both contracts are pinned by tests).
 
     Examples
     --------

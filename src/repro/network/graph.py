@@ -7,10 +7,11 @@ Storing adjacency in compressed-sparse-row form gives each of these as an
 O(1) slice / precomputed array lookup, and makes the vectorised engine's
 scatter-adds cache-friendly for networks up to the paper's 50 000 nodes.
 
-Graphs are immutable after construction; churn is modelled at the
-message layer (see :mod:`repro.network.churn`), matching the paper's
-assumption that a leaving node hands its gossip mass to another node
-rather than mutating the topology mid-round.
+Graphs are immutable after construction; churn within a round is
+modelled at the message layer as packet loss (see
+:mod:`repro.network.conditions`), matching the paper's assumption that
+a push to a departed node falls back to its sender rather than
+mutating the topology mid-round.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Composable scenario layer: topology × workload × churn × attack × backend.
+"""Composable scenario layer: topology × workload × network × attack × ….
 
 Scenarios are data (:class:`~repro.scenarios.spec.Scenario`), executed
 through the :func:`repro.aggregate` facade so every registered gossip
@@ -20,7 +20,6 @@ Run from the command line::
 from repro.scenarios.spec import (
     AlgorithmSpec,
     AttackSpec,
-    ChurnSpec,
     DynamicSpec,
     NetworkSpec,
     Scenario,
@@ -38,7 +37,6 @@ from repro.scenarios import library  # noqa: F401  (registers the seeded catalog
 __all__ = [
     "AlgorithmSpec",
     "AttackSpec",
-    "ChurnSpec",
     "DynamicSpec",
     "NetworkSpec",
     "Scenario",

@@ -17,7 +17,7 @@ def main(argv=None) -> int:
     )
     parser = argparse.ArgumentParser(
         prog="python -m repro.scenarios",
-        description="Run composable gossip scenarios (topology x workload x churn x attack x backend).",
+        description="Run composable gossip scenarios (topology x workload x network x attack x ...).",
         epilog=epilog,
     )
     sub = parser.add_subparsers(dest="command", required=True)

@@ -2,7 +2,7 @@
 
 Sixteen scenarios ship with the repro, spanning the design space the
 ROADMAP names; each composes the same axes (topology × workload ×
-churn × network × attack × dynamics × service × algorithm × backend),
+network × attack × dynamics × service × algorithm × backend),
 so new scenarios are a registration call away — no new plumbing. The two
 dynamic scenarios (``flash-crowd``, ``steady-churn-100k``) run the
 epoch runtime of :mod:`repro.runtime` instead of a single static round,
@@ -30,7 +30,6 @@ from __future__ import annotations
 from repro.scenarios.spec import (
     AlgorithmSpec,
     AttackSpec,
-    ChurnSpec,
     DynamicSpec,
     NetworkSpec,
     Scenario,
@@ -64,7 +63,7 @@ CHURN_HEAVY = register_scenario(
         ),
         topology=TopologySpec(kind="powerlaw", num_nodes=2000, small_num_nodes=250, m=2),
         workload=WorkloadSpec(kind="mean"),
-        churn=ChurnSpec(loss_probability=0.3),
+        network=NetworkSpec(loss=0.3),
         backend="auto",
         xi=1e-5,
         seed=412,
@@ -81,7 +80,7 @@ COLLUSION_UNDER_CHURN = register_scenario(
         ),
         topology=TopologySpec(kind="powerlaw", num_nodes=250, small_num_nodes=80, m=2),
         workload=WorkloadSpec(kind="trust-gclr", num_targets=20, observations="complete"),
-        churn=ChurnSpec(loss_probability=0.2),
+        network=NetworkSpec(loss=0.2),
         attack=AttackSpec(fraction=0.3, group_size=5),
         backend="auto",
         xi=1e-4,
@@ -167,7 +166,7 @@ SLANDER_UNDER_CHURN = register_scenario(
         ),
         topology=TopologySpec(kind="powerlaw", num_nodes=250, small_num_nodes=80, m=2),
         workload=WorkloadSpec(kind="trust-gclr", num_targets=30, observations="complete"),
-        churn=ChurnSpec(loss_probability=0.2),
+        network=NetworkSpec(loss=0.2),
         attack=AttackSpec(kind="slandering", fraction=0.25, victim_fraction=0.15),
         backend="auto",
         xi=1e-4,

@@ -1,7 +1,8 @@
 """Composable scenario specifications.
 
 A scenario is the cross product the ROADMAP asks for: **topology ×
-workload × churn × attack × backend**, captured as data. Each axis is a
+workload × network × attack × …** (dynamics, service, algorithm,
+backend), captured as data. Each axis is a
 small frozen spec; :func:`run_scenario` interprets the combination
 through the :func:`repro.aggregate` facade, so any scenario runs on any
 registered gossip backend without new plumbing — adding a workload or a
@@ -146,29 +147,19 @@ class WorkloadSpec:
 
 
 @dataclass(frozen=True)
-class ChurnSpec:
-    """Message-layer churn: per-push loss probability (Section 5.3)."""
-
-    loss_probability: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.loss_probability <= 1.0:
-            raise ValueError(f"loss_probability must be in [0, 1], got {self.loss_probability}")
-
-
-@dataclass(frozen=True)
 class NetworkSpec:
     """Network-conditions axis: link models for the scenario's pushes.
 
-    Where :class:`ChurnSpec` keeps the paper's uniform instant loss,
-    this axis reaches the full :mod:`repro.network.conditions` surface:
-    per-edge latency distributions, bandwidth caps, region structure
-    and scheduled partitions. Two kinds:
+    The one way a scenario asks for packet loss, from the paper's
+    uniform instant loss (Section 5.3) to the full
+    :mod:`repro.network.conditions` surface: per-edge latency
+    distributions, bandwidth caps, region structure and scheduled
+    partitions. Two kinds:
 
     - ``"uniform"``: every edge shares ``loss`` and one latency
       distribution (``latency_kind``/``latency_mean``/
-      ``latency_spread``). With zero latency this is exactly the
-      legacy loss path (:class:`~repro.network.conditions.InstantLink`).
+      ``latency_spread``). With zero latency this is the paper's churn
+      model, :class:`~repro.network.conditions.InstantLink`.
     - ``"regional"``: peers split into ``num_regions`` contiguous
       blocks — LAN conditions inside a region (``loss``,
       ``latency_mean``), WAN conditions across (``inter_loss``,
@@ -539,13 +530,12 @@ class ServiceSpec:
 
 @dataclass(frozen=True)
 class Scenario:
-    """One named point in topology × workload × churn × attack × backend."""
+    """One named point in topology × workload × network × attack × …."""
 
     name: str
     description: str
     topology: TopologySpec
     workload: WorkloadSpec
-    churn: ChurnSpec = field(default_factory=ChurnSpec)
     network: Optional[NetworkSpec] = None
     attack: Optional[AttackSpec] = None
     dynamic: Optional[DynamicSpec] = None
@@ -583,11 +573,6 @@ class Scenario:
                     f"(the 'mean' workload); got {self.workload.kind!r}"
                 )
         if self.network is not None:
-            if self.churn.loss_probability > 0.0:
-                raise ValueError(
-                    "the network axis subsumes the churn loss knob; put the loss "
-                    "on NetworkSpec and drop ChurnSpec.loss_probability"
-                )
             if self.dynamic is not None or self.service is not None:
                 if self.network.epoch_partition() is None:
                     raise ValueError(
@@ -692,7 +677,7 @@ def run_scenario(
         Run the scenario's CI-smoke shape instead of full scale.
     seed:
         Override the scenario's seed (one seed determines the whole
-        run: topology, workload, gossip, churn, attack).
+        run: topology, workload, gossip, network, attack).
     backend:
         Override the scenario's backend (any registered name or
         ``"auto"``).
@@ -716,7 +701,6 @@ def run_scenario(
     config = GossipConfig(
         xi=scenario.xi,
         max_steps=scenario.max_steps,
-        loss_probability=scenario.churn.loss_probability,
         network=network,
         rng=int(root.integers(2**62)),
     )
@@ -1006,8 +990,15 @@ def _run_algorithm(scenario, graph, config, backend_name, root, *, small):
     )
 
 
+def _loss_probability(config: GossipConfig) -> float:
+    """The uniform per-push loss of the run's network; 0.0 without a
+    network, and for models whose loss depends on the edge."""
+    uniform = config.network.uniform_loss_probability if config.network is not None else None
+    return 0.0 if uniform is None else uniform
+
+
 def _run_mean(scenario, graph, config, backend, root):
-    """Uniform-gossip mean estimation (optionally under churn)."""
+    """Uniform-gossip mean estimation (optionally under packet loss)."""
     n = graph.num_nodes
     values = as_generator(int(root.integers(2**62))).random(n)
     truth = float(values.mean())
@@ -1017,9 +1008,9 @@ def _run_mean(scenario, graph, config, backend, root):
         "true_mean": truth,
         "max_abs_error": float(errors.max()),
         "mean_abs_error": float(errors.mean()),
-        "loss_probability": scenario.churn.loss_probability,
+        "loss_probability": _loss_probability(config),
     }
-    notes = ["mass-conserving self-push repair keeps the estimate exact under churn"]
+    notes = ["mass-conserving self-push repair keeps the estimate exact under packet loss"]
     if scenario.network is not None:
         notes.append(f"network conditions: {config.network!r}")
     return outcome, metrics, notes
@@ -1097,7 +1088,7 @@ def _run_trust_gclr(scenario, graph, config, backend, root):
         "rms_gclr": impact.rms_gclr,
         "rms_unweighted": impact.rms_unweighted,
         "num_nodes_dirty": float(impact.num_nodes_dirty),
-        "loss_probability": scenario.churn.loss_probability,
+        "loss_probability": _loss_probability(config),
     }
     if isinstance(model, CollusionModel):
         metrics["num_colluders"] = float(model.attack_for(n).num_colluders)

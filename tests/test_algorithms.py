@@ -107,9 +107,7 @@ class TestRegistry:
 
 
 class TestDiffGossipByteIdentity:
-    # "dense" is the retired engine's name, now an alias of "sparse";
-    # its row keeps the alias path covered for callers that still pass it.
-    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    @pytest.mark.parametrize("backend", ["sparse"])
     def test_adapter_matches_direct_facade_call(self, world, backend):
         graph, trust = world
         targets = [0, 3, 7, 11]

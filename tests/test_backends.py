@@ -43,25 +43,22 @@ class TestRegistry:
         names = available_backends()
         assert names == ("async", "message", "sparse")
 
-    def test_vector_alias_resolves_to_dense(self):
-        # "dense" and "vector" name the retired dense engine; both are
-        # now aliases of the one vectorised engine, like "csr".
-        for alias in ("dense", "vector", "csr"):
-            assert resolve_backend_name(alias) == "sparse"
-            assert get_backend(alias) is get_backend("sparse")
-
     def test_unknown_backend_raises_value_and_key_error(self):
-        # "sharded" named the retired multi-process engine; no alias
-        # quietly turns a request for worker processes into one process.
-        for name in ("gpu", "sharded"):
+        # "sharded", "dense" and "vector" named retired engines, and
+        # "csr" was a second name for "sparse": each backend has one name.
+        for name in ("gpu", "sharded", "dense", "vector", "csr"):
             with pytest.raises(ValueError, match="engine"):
                 get_backend(name)
             with pytest.raises(KeyError):
                 get_backend(name)
+            with pytest.raises(KeyError):
+                resolve_backend_name(name)
+        assert resolve_backend_name("sparse") == "sparse"
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ValueError, match="already registered"):
-            register_backend("dense", get_backend("sparse"))
+            register_backend("sparse", get_backend("message"))
+        assert get_backend("sparse").name == "sparse"
 
     def test_custom_backend_plugs_into_facade(self, fixture_values):
         class Recorder:
@@ -98,10 +95,12 @@ class TestGossipConfig:
             GossipConfig(k=1, push_counts=np.ones(3, dtype=np.int64))
 
     def test_rejects_bad_k_loss_patience(self):
+        from repro.network.conditions import InstantLink
+
         with pytest.raises(ValueError, match="k"):
             GossipConfig(k=0)
         with pytest.raises(ValueError, match="loss_probability"):
-            GossipConfig(loss_probability=1.5)
+            GossipConfig(network=InstantLink(1.5))
         with pytest.raises(ValueError, match="patience"):
             GossipConfig(patience=0)
 
@@ -112,19 +111,23 @@ class TestGossipConfig:
 
     def test_loss_probability_does_not_perturb_engine_stream(self):
         # The loss model's stream is derived statelessly from the seed,
-        # so a churn run and a loss-free run of the same seed draw
+        # so a lossy run and a loss-free run of the same seed draw
         # identical gossip targets — loss effects are isolatable.
+        from repro.network.conditions import InstantLink
+
         rng_plain, _ = GossipConfig(rng=7).materialize()
-        rng_churn, loss = GossipConfig(rng=7, loss_probability=0.5).materialize()
+        rng_lossy, loss = GossipConfig(rng=7, network=InstantLink(0.5)).materialize()
         assert loss is not None
-        np.testing.assert_array_equal(rng_plain.random(16), rng_churn.random(16))
+        np.testing.assert_array_equal(rng_plain.random(16), rng_lossy.random(16))
 
     def test_loss_probability_materializes_seeded_model(self):
-        config = GossipConfig(loss_probability=0.4, rng=11)
+        from repro.network.conditions import InstantLink
+
+        config = GossipConfig(network=InstantLink(0.4), rng=11)
         _, loss = config.materialize()
         assert loss is not None and loss.loss_probability == 0.4
         # Same seed -> same loss draws (the model is re-derivable).
-        _, loss2 = GossipConfig(loss_probability=0.4, rng=11).materialize()
+        _, loss2 = GossipConfig(network=InstantLink(0.4), rng=11).materialize()
         senders = np.arange(50)
         targets = (senders + 1) % 50
         np.testing.assert_array_equal(
@@ -169,11 +172,7 @@ class TestResolvePushCounts:
 class TestCrossBackendEquivalence:
     """Acceptance: every backend agrees to 1e-8 on the fixture topology."""
 
-    # "dense" rows below run through the alias of "sparse" that the
-    # retired dense engine's name now resolves to.
-    @pytest.mark.parametrize(
-        "backend", ["message", "dense", "sparse", "async", "auto"]
-    )
+    @pytest.mark.parametrize("backend", ["message", "sparse", "async", "auto"])
     def test_backend_hits_fixpoint_to_1e8(self, fixture_values, backend):
         out = run_backend(
             example_network(),
@@ -216,8 +215,7 @@ class TestAutoSelection:
         channels; everything else runs on sparse, up to 250k nodes and
         beyond.
         """
-        from repro.network.churn import PacketLossModel
-        from repro.network.conditions import HomogeneousLink, LatencySpec
+        from repro.network.conditions import HomogeneousLink, InstantLink, LatencySpec
 
         columns = {
             "plain": GossipConfig(),
@@ -226,7 +224,7 @@ class TestAutoSelection:
             "latency": GossipConfig(
                 network=HomogeneousLink(latency=LatencySpec("exponential", 0.5))
             ),
-            "loss_model": GossipConfig(loss_model=PacketLossModel(0.2, rng=0)),
+            "loss": GossipConfig(network=InstantLink(0.2)),
         }
         expected = {
             64: ["message", "sparse", "sparse", "async", "message"],
@@ -243,13 +241,11 @@ class TestAutoSelection:
     def test_small_graph_uses_message(self):
         assert choose_backend_name(example_network()) == "message"
 
-    def test_medium_graph_uses_dense(self):
-        # Just above the message engine's ceiling, auto runs the engine
-        # that the name "dense" now resolves to: the one sparse engine.
+    def test_medium_graph_uses_sparse(self):
+        # Just above the message engine's ceiling, auto runs the one
+        # vectorised engine.
         ring = ring_graph(AUTO_MESSAGE_MAX_NODES + 10)
-        name = choose_backend_name(ring)
-        assert name == "sparse"
-        assert get_backend(name) is get_backend("dense")
+        assert choose_backend_name(ring) == "sparse"
 
     def test_large_graph_uses_sparse(self):
         assert choose_backend_name(ring_graph(20_001)) == "sparse"
@@ -259,14 +255,12 @@ class TestAutoSelection:
         assert choose_backend_name(example_network(), config) == "sparse"
 
     def test_loss_model_config_falls_back_to_sparse_at_sharded_scale(self):
-        # Both loss knobs stay on the sparse engine at 250k nodes.
-        from repro.network.churn import PacketLossModel
+        # Packet loss stays on the sparse engine at 250k nodes, the size
+        # at which the retired sharded engine used to take over.
+        from repro.network.conditions import InstantLink
 
-        big = ring_graph(250_001)
-        lossy = GossipConfig(loss_model=PacketLossModel(0.2, rng=0))
-        assert choose_backend_name(big, lossy) == "sparse"
-        seeded = GossipConfig(loss_probability=0.2, rng=0)
-        assert choose_backend_name(big, seeded) == "sparse"
+        lossy = GossipConfig(network=InstantLink(0.2), rng=0)
+        assert choose_backend_name(ring_graph(250_001), lossy) == "sparse"
 
 
 class TestCapabilityErrors:
@@ -280,23 +274,12 @@ class TestCapabilityErrors:
                 backend="message",
             )
 
-    def test_async_rejects_extras_loss_model_and_matrix_state(self, fixture_values):
-        from repro.network.conditions import PacketLossModel
-
+    def test_async_rejects_extras_and_matrix_state(self, fixture_values):
         g = example_network()
         with pytest.raises(BackendCapabilityError, match="extra"):
             run_backend(
                 g, fixture_values, np.ones(10),
                 extras={"count": np.ones(10)}, backend="async",
-            )
-        # Uniform loss_probability now runs natively (as an InstantLink);
-        # only an explicit pre-built loss_model is rejected, because its
-        # generator is not the derived link stream.
-        with pytest.raises(BackendCapabilityError, match="link model"):
-            run_backend(
-                g, fixture_values, np.ones(10),
-                config=GossipConfig(loss_model=PacketLossModel(0.2, rng=0)),
-                backend="async",
             )
         with pytest.raises(BackendCapabilityError, match="scalar"):
             run_backend(g, np.ones((10, 3)), np.ones((10, 3)), backend="async")
@@ -431,12 +414,6 @@ class TestVariantEntryPointsOnOtherBackends:
         )
         assert result.max_absolute_error < 0.01
 
-    def test_single_global_engine_alias_still_works(self, pa_graph_small, small_trust):
-        result = aggregate_single_global(
-            pa_graph_small, small_trust, 2, xi=1e-6, rng=7, backend="vector"
-        )
-        assert result.max_relative_error < 0.01
-
     def test_single_global_on_sparse_backend(self, pa_graph_small, small_trust):
         result = aggregate_single_global(
             pa_graph_small, small_trust, 2, xi=1e-6, rng=7, backend="sparse"
@@ -468,20 +445,22 @@ class TestConfigAwareLayers:
     def test_collusion_impact_churn_noise_cancels(self, pa_graph_small, small_trust):
         from repro.attacks.collusion import group_colluders, select_colluders
         from repro.attacks.evaluate import collusion_impact
-        from repro.network.churn import PacketLossModel
+        from repro.network.conditions import InstantLink
 
         attack = group_colluders(select_colluders(60, 0.2, rng=2), 3)
+        config = GossipConfig(xi=1e-5, rng=4, network=InstantLink(0.2))
         impact = collusion_impact(
-            pa_graph_small, small_trust, attack,
-            targets=[0, 5, 9],
-            config=GossipConfig(xi=1e-5, rng=4, loss_probability=0.2),
+            pa_graph_small, small_trust, attack, targets=[0, 5, 9], config=config
         )
         assert np.isfinite(impact.rms_gclr)
-        with pytest.raises(ValueError, match="loss_probability"):
-            collusion_impact(
-                pa_graph_small, small_trust, attack,
-                config=GossipConfig(xi=1e-5, rng=4, loss_model=PacketLossModel(0.2, rng=0)),
-            )
+        # The loss draws replay identically in the clean and poisoned
+        # runs, so an attack that poisons nothing measures exactly zero.
+        noop = group_colluders(np.array([], dtype=np.int64), 3)
+        null = collusion_impact(
+            pa_graph_small, small_trust, noop, targets=[0, 5, 9], config=config
+        )
+        assert null.rms_gclr == 0.0
+        np.testing.assert_array_equal(null.clean_outcome.values, null.dirty_outcome.values)
 
     def test_round_manager_reads_config_defaults(self, pa_graph_small, small_trust):
         from repro.core.rounds import GossipRoundManager
@@ -546,15 +525,7 @@ class TestNetworkAxis:
         with pytest.raises(ValueError, match="LinkModel"):
             GossipConfig(network=0.3)
 
-    def test_network_excludes_legacy_loss_knobs(self, fixture_values):
-        from repro.network.conditions import InstantLink, PacketLossModel
-
-        with pytest.raises(ValueError, match="not both"):
-            GossipConfig(network=InstantLink(0.1), loss_probability=0.2)
-        with pytest.raises(ValueError, match="not both"):
-            GossipConfig(network=InstantLink(0.1), loss_model=PacketLossModel(0.2, rng=0))
-
-    @pytest.mark.parametrize("backend", ["message", "dense", "sparse"])
+    @pytest.mark.parametrize("backend", ["message", "sparse"])
     def test_sync_backends_reject_latency_models(self, fixture_values, backend):
         from repro.network.conditions import HomogeneousLink, LatencySpec
 
@@ -579,25 +550,42 @@ class TestNetworkAxis:
                 config=config, backend="sparse",
             )
 
-    @pytest.mark.parametrize("backend", ["dense", "sparse"])
-    def test_loss_only_network_byte_identical_to_loss_probability(
-        self, fixture_values, backend
-    ):
-        from repro.network.conditions import InstantLink
+    @pytest.mark.parametrize("backend", ["message", "sparse", "async"])
+    def test_loss_only_network_runs_on_the_link_stream(self, fixture_values, backend):
+        # The stream contract: a loss-only network draws its losses from
+        # config.link_stream() and its targets from config.main_stream(),
+        # exactly as an engine built by hand from those two streams.
+        from repro.core.async_engine import AsyncGossipEngine
+        from repro.core.engine import MessageLevelGossip
+        from repro.core.sparse_engine import SparseGossipEngine
+        from repro.network.conditions import InstantLink, PacketLossModel
 
-        legacy = run_backend(
-            example_network(), fixture_values, np.ones(10),
-            config=GossipConfig(xi=1e-8, rng=11, loss_probability=0.3),
-            backend=backend,
-        )
-        linked = run_backend(
-            example_network(), fixture_values, np.ones(10),
-            config=GossipConfig(xi=1e-8, rng=11, network=InstantLink(0.3)),
-            backend=backend,
-        )
-        assert linked.steps == legacy.steps
-        assert np.array_equal(linked.values, legacy.values)
-        assert np.array_equal(linked.weights, legacy.weights)
+        graph = example_network()
+        config = GossipConfig(xi=1e-6, rng=11, network=InstantLink(0.3))
+        out = run_backend(graph, fixture_values, np.ones(10), config=config, backend=backend)
+        if backend == "async":
+            engine = AsyncGossipEngine(
+                graph,
+                rng=config.main_stream(),
+                link=InstantLink(0.3),
+                link_rng=config.link_stream(),
+            )
+            ref = engine.run(
+                fixture_values, np.ones(10), xi=config.xi, max_time=float(config.max_steps)
+            )
+            assert out.push_messages == ref.total_pushes
+            assert out.steps == int(round(ref.simulated_time))
+        else:
+            engine_class = {"message": MessageLevelGossip, "sparse": SparseGossipEngine}[backend]
+            engine = engine_class(
+                graph,
+                loss_model=PacketLossModel(0.3, rng=config.link_stream()),
+                rng=config.main_stream(),
+            )
+            ref = engine.run(fixture_values, np.ones(10), xi=config.xi)
+            assert (out.steps, out.push_messages) == (ref.steps, ref.push_messages)
+        assert np.array_equal(out.values.reshape(-1), ref.values.reshape(-1))
+        assert np.array_equal(out.weights.reshape(-1), ref.weights.reshape(-1))
 
     def test_uniform_regional_loss_resolves_on_sync_backends(self, fixture_values):
         from repro.network.conditions import RegionalLinkModel
@@ -636,19 +624,3 @@ class TestNetworkAxis:
         )
         assert float(out.values.sum()) == pytest.approx(45.0, rel=1e-9)
         assert np.allclose(out.estimates, TRUE_MEAN, atol=5e-2)
-
-    def test_async_loss_probability_matches_instant_link(self, fixture_values):
-        from repro.network.conditions import InstantLink
-
-        legacy = run_backend(
-            example_network(), fixture_values, np.ones(10),
-            config=GossipConfig(xi=1e-5, rng=6, loss_probability=0.2),
-            backend="async",
-        )
-        linked = run_backend(
-            example_network(), fixture_values, np.ones(10),
-            config=GossipConfig(xi=1e-5, rng=6, network=InstantLink(0.2)),
-            backend="async",
-        )
-        assert np.array_equal(linked.values, legacy.values)
-        assert np.array_equal(linked.weights, legacy.weights)

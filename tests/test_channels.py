@@ -5,7 +5,7 @@ Covers the tentpole contract from every side:
 - the swept ``backend="dense"`` defaults are pinned to ``"auto"`` (the
   get_backend-spy regression pattern of the PR-4 ``push_sum_average``
   fix), plus a source lint that no ``backend``/``engine`` default in
-  ``src/repro`` names a registered backend or alias;
+  ``src/repro`` names a registered backend;
 - every channel hits its own fixpoint at V ∈ {1, 2, 4} on sparse, and
   sparse agrees with the message engine at V = 1;
 - V = 1 byte-identity on the fused kernel and on the unfused reference
@@ -115,7 +115,7 @@ class TestSweptBackendDefaults:
         from repro.core.rounds import GossipRoundManager
 
         g = preferential_attachment_graph(40, m=2, rng=0)
-        manager = GossipRoundManager(g, rng=1)
+        manager = GossipRoundManager(g, config=GossipConfig(xi=1e-5, rng=1))
         manager.run_round(random_trust_matrix(g, rng=2), targets=[1, 2])
         assert spy == [choose_backend_name(g)]
 
@@ -130,8 +130,8 @@ class TestSweptBackendDefaults:
         """Source lint: every ``backend``/``engine`` default is ``"auto"``.
 
         Flags a parameter or dataclass-field default that names any
-        registered backend or alias (``"dense"``, ``"vector"``,
-        ``"sparse"``, ...): a pinned default bypasses the auto policy.
+        registered backend (``"sparse"``, ``"message"``, ...): a pinned
+        default bypasses the auto policy.
         Call sites (a scenario pinning its engine) and doctests may
         still name a backend.
         """
@@ -217,16 +217,16 @@ class TestV1ByteIdentity:
         np.testing.assert_array_equal(plain.values, listed.values)
         np.testing.assert_array_equal(plain.weights, listed.weights)
 
-    def test_config_channel_one_is_byte_identical_on_dense(self, graph):
+    def test_config_channel_one_is_byte_identical_on_sparse(self, graph):
         values = np.random.default_rng(3).random(graph.num_nodes)
         weights = np.ones_like(values)
         old = run_backend(
             graph, values, weights, config=GossipConfig(xi=1e-6, rng=9),
-            backend="dense",
+            backend="sparse",
         )
         new = run_backend(
             graph, values, weights,
-            config=GossipConfig(xi=1e-6, rng=9, num_channels=1), backend="dense",
+            config=GossipConfig(xi=1e-6, rng=9, num_channels=1), backend="sparse",
         )
         assert old.steps == new.steps
         np.testing.assert_array_equal(old.values, new.values)
@@ -343,7 +343,7 @@ class TestChannelApi:
         t2 = random_trust_matrix(graph, rng=2)
         out = aggregate(
             graph, [t1, t2], GossipConfig(xi=1e-5, rng=4),
-            backend="dense", variant="vector-global", targets=[0, 1, 2],
+            backend="sparse", variant="vector-global", targets=[0, 1, 2],
         )
         assert out.num_channels == 2
         assert out.components_per_channel == 3
@@ -358,7 +358,7 @@ class TestChannelApi:
         with pytest.raises(ValueError, match="num_channels"):
             aggregate(
                 graph, [t1, t2], GossipConfig(num_channels=3),
-                backend="dense", variant="vector-global", targets=[0],
+                backend="sparse", variant="vector-global", targets=[0],
             )
 
     def test_facade_rejects_ragged_channels(self, graph):
@@ -368,7 +368,7 @@ class TestChannelApi:
                 graph,
                 [np.ones(graph.num_nodes), np.ones((graph.num_nodes, 2))],
                 GossipConfig(),
-                backend="dense",
+                backend="sparse",
             )
 
     def test_cross_channel_slander_targets_one_channel(self):

@@ -98,6 +98,15 @@ class TestFig4:
         assert lossy >= clean  # loss never helps
         assert lossy < clean * 4  # but degrades gracefully
 
+    def test_runs_on_async_backend(self):
+        # Regression: fig4 used to pass a pre-built loss model, which the
+        # async backend rejects even at p = 0.
+        result = fig4.run(
+            num_nodes=60, loss_probabilities=(0.0, 0.2), xis=(1e-2,), seed=1, backend="async"
+        )
+        assert [row[0] for row in result.rows] == ["p=0", "p=0.2"]
+        assert all(row[1] > 0 for row in result.rows)
+
 
 class TestFig5:
     def test_rms_grows_with_colluding_fraction(self):

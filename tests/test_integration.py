@@ -16,7 +16,7 @@ from repro.core.sparse_engine import SparseGossipEngine
 from repro.core.vector_gclr import aggregate_vector_gclr, true_vector_gclr
 from repro.core.weights import WeightParams
 from repro.analysis.metrics import average_rms_error
-from repro.network.churn import PacketLossModel
+from repro.network.conditions import PacketLossModel
 from repro.network.preferential_attachment import preferential_attachment_graph
 from repro.trust.matrix import complete_trust_matrix, random_trust_matrix
 
@@ -57,7 +57,7 @@ class TestGossipReachesFixpoints:
     """Gossip estimates converge to the closed-form eq.-6 values."""
 
     def test_single_gclr_both_engines(self, pa_graph_small, small_trust):
-        for engine_name in ("vector", "message"):
+        for engine_name in ("sparse", "message"):
             result = aggregate_single_gclr(
                 pa_graph_small, small_trust, target=9, xi=1e-8, rng=7, backend=engine_name
             )

@@ -14,7 +14,7 @@ import pytest
 from repro.core.differential import resolve_push_counts
 from repro.core.kernels import PushPlan, create_kernel, select_kernel
 from repro.core.sparse_engine import SparseGossipEngine
-from repro.network.churn import PacketLossModel
+from repro.network.conditions import PacketLossModel
 from repro.network.preferential_attachment import (
     preferential_attachment_graph,
     preferential_attachment_graph_fast,

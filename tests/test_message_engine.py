@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.engine import GossipNode, MessageLevelGossip, PushMessage
 from repro.core.errors import ConvergenceError
-from repro.network.churn import PacketLossModel
+from repro.network.conditions import PacketLossModel
 from repro.network.graph import Graph
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.backend import GossipConfig
 from repro.core.rounds import GossipRoundManager
 from repro.network.preferential_attachment import preferential_attachment_graph
 from repro.trust.matrix import random_trust_matrix
@@ -14,24 +15,29 @@ def world():
     return graph, trust
 
 
+def config(rng, **knobs):
+    """The manager's round knobs: its default xi, seeded."""
+    return GossipConfig(xi=1e-5, rng=rng, **knobs)
+
+
 class TestDeltaRepush:
     def test_first_round_pushes_everything(self, world):
         graph, trust = world
-        manager = GossipRoundManager(graph, rng=2)
+        manager = GossipRoundManager(graph, config=config(2))
         record = manager.run_round(trust, targets=[0, 1])
         assert record.changed_opinions == record.total_opinions
         assert record.churn_fraction == 1.0
 
     def test_unchanged_opinions_not_repushed(self, world):
         graph, trust = world
-        manager = GossipRoundManager(graph, rng=3)
+        manager = GossipRoundManager(graph, config=config(3))
         manager.run_round(trust, targets=[0])
         record = manager.run_round(trust, targets=[0])  # identical snapshot
         assert record.changed_opinions == 0
 
     def test_only_material_changes_repush(self, world):
         graph, trust = world
-        manager = GossipRoundManager(graph, delta=0.05, rng=4)
+        manager = GossipRoundManager(graph, config=config(4, delta=0.05))
         manager.run_round(trust, targets=[0])
         # One small move (below delta), one large move (above delta).
         items = list(trust.items())
@@ -43,7 +49,7 @@ class TestDeltaRepush:
 
     def test_pending_announcements_preview(self, world):
         graph, trust = world
-        manager = GossipRoundManager(graph, rng=5)
+        manager = GossipRoundManager(graph, config=config(5))
         assert manager.pending_announcements(trust) == trust.num_observations
         manager.run_round(trust, targets=[0])
         assert manager.pending_announcements(trust) == 0
@@ -52,26 +58,26 @@ class TestDeltaRepush:
 class TestAdaptiveGap:
     def test_quiet_network_long_gap(self, world):
         graph, trust = world
-        manager = GossipRoundManager(graph, base_gap=25.0, max_gap=100.0, rng=6)
+        manager = GossipRoundManager(graph, base_gap=25.0, max_gap=100.0, config=config(6))
         manager.run_round(trust, targets=[0])
         record = manager.run_round(trust, targets=[0])  # zero churn
         assert record.next_gap == 100.0  # clamped at max
 
     def test_churning_network_short_gap(self, world):
         graph, trust = world
-        manager = GossipRoundManager(graph, base_gap=25.0, min_gap=5.0, rng=7)
+        manager = GossipRoundManager(graph, base_gap=25.0, min_gap=5.0, config=config(7))
         record = manager.run_round(trust, targets=[0])  # 100% churn
         assert record.next_gap == 5.0  # clamped at min
 
     def test_constant_mode(self, world):
         graph, trust = world
-        manager = GossipRoundManager(graph, adaptive=False, base_gap=25.0, rng=8)
+        manager = GossipRoundManager(graph, adaptive=False, base_gap=25.0, config=config(8))
         record = manager.run_round(trust, targets=[0])
         assert record.next_gap == 25.0
 
     def test_clock_advances_by_gap(self, world):
         graph, trust = world
-        manager = GossipRoundManager(graph, adaptive=False, base_gap=25.0, rng=9)
+        manager = GossipRoundManager(graph, adaptive=False, base_gap=25.0, config=config(9))
         manager.run_round(trust, targets=[0])
         assert manager.clock == 25.0
         manager.run_round(trust, targets=[0])
@@ -79,7 +85,7 @@ class TestAdaptiveGap:
 
     def test_history_recorded(self, world):
         graph, trust = world
-        manager = GossipRoundManager(graph, rng=10)
+        manager = GossipRoundManager(graph, config=config(10))
         manager.run_round(trust, targets=[0])
         manager.run_round(trust, targets=[0])
         assert len(manager.history) == 2
@@ -90,7 +96,7 @@ class TestValidation:
     def test_bad_parameters(self, world):
         graph, _ = world
         with pytest.raises(ValueError):
-            GossipRoundManager(graph, delta=-1.0)
+            GossipRoundManager(graph, config=GossipConfig(delta=-1.0))
         with pytest.raises(ValueError):
             GossipRoundManager(graph, base_gap=0.0)
         with pytest.raises(ValueError):
@@ -98,7 +104,7 @@ class TestValidation:
 
     def test_round_results_are_aggregations(self, world):
         graph, trust = world
-        manager = GossipRoundManager(graph, rng=11)
+        manager = GossipRoundManager(graph, config=config(11))
         record = manager.run_round(trust, targets=[3, 7])
         assert record.result.reputations.shape == (40, 2)
         assert record.result.max_absolute_error < 0.05

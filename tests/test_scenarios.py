@@ -5,7 +5,6 @@ import pytest
 
 from repro.scenarios import (
     AttackSpec,
-    ChurnSpec,
     Scenario,
     TopologySpec,
     WorkloadSpec,
@@ -44,10 +43,6 @@ class TestSpecValidation:
     def test_bad_workload_kind(self):
         with pytest.raises(ValueError, match="workload kind"):
             WorkloadSpec(kind="bogus")
-
-    def test_bad_churn_probability(self):
-        with pytest.raises(ValueError, match="loss_probability"):
-            ChurnSpec(loss_probability=1.5)
 
     def test_bad_attack(self):
         with pytest.raises(ValueError, match="fraction"):
@@ -299,15 +294,6 @@ class TestNetworkSpec:
         with pytest.raises(ValueError, match="partition_groups"):
             NetworkSpec(kind="regional", partition_start=2.0,
                         partition_duration=3.0, partition_groups=1)
-
-    def test_network_excludes_churn_loss(self):
-        from repro.scenarios import NetworkSpec
-
-        with pytest.raises(ValueError, match="subsumes the churn loss"):
-            self._scenario(
-                NetworkSpec(kind="uniform", loss=0.1),
-                churn=ChurnSpec(loss_probability=0.1),
-            )
 
     def test_latency_network_requires_mean_workload(self):
         from repro.scenarios import NetworkSpec

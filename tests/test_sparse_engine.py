@@ -21,7 +21,7 @@ from repro.core.single_gclr import pick_designated_node
 from repro.core.sparse_engine import SparseGossipEngine
 from repro.core.state import UNDEFINED_RATIO
 from repro.core.vector_gclr import initial_state_vector_gclr
-from repro.network.churn import PacketLossModel
+from repro.network.conditions import PacketLossModel
 from repro.network.graph import Graph
 from repro.network.preferential_attachment import (
     preferential_attachment_graph,
