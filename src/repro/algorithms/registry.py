@@ -46,6 +46,7 @@ def register_algorithm(
     >>> register_algorithm("demo", get_algorithm("eigentrust"), overwrite=True)
     >>> get_algorithm("demo") is get_algorithm("eigentrust")
     True
+    >>> del _REGISTRY["demo"]  # leave the process-wide registry as it was
     """
     if not name or not isinstance(name, str):
         raise ValueError(f"algorithm name must be a non-empty string, got {name!r}")

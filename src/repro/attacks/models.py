@@ -672,6 +672,7 @@ def register_attack(
     >>> register_attack("demo-slander", SlanderingModel, overwrite=True)
     >>> make_attack("demo-slander", fraction=0.1, seed=3).name
     'slandering'
+    >>> del _ATTACKS["demo-slander"]  # leave the process-wide registry as it was
     """
     if not name or not isinstance(name, str):
         raise ValueError(f"attack name must be a non-empty string, got {name!r}")

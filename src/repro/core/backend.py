@@ -487,6 +487,7 @@ def register_backend(name: str, backend: GossipBackend, *, overwrite: bool = Fal
     >>> register_backend("demo", get_backend("sparse"), overwrite=True)
     >>> get_backend("demo") is get_backend("sparse")
     True
+    >>> del _REGISTRY["demo"]  # leave the process-wide registry as it was
     """
     if not name or not isinstance(name, str):
         raise ValueError(f"backend name must be a non-empty string, got {name!r}")

@@ -282,30 +282,28 @@ class MutableOverlay:
 
         This is the preferential-attachment rule: an existing peer is
         chosen with probability proportional to its degree, so joins
-        preserve the overlay's power-law shape. Falls back to uniform
-        when the overlay has no edges yet.
+        preserve the overlay's power-law shape. When fewer than
+        ``count`` live peers have edges (none, before the first edge),
+        every peer that has one is taken and the rest are drawn
+        uniformly from the isolated live peers.
         """
         excluded = tuple(exclude)
         weights = self._deg.astype(np.float64) * self._alive
         for pid in excluded:
             if pid < weights.shape[0]:
                 weights[pid] = 0.0
-        total = weights.sum()
-        if total <= 0:
-            candidates = np.flatnonzero(self._alive)
-            if excluded:
-                candidates = candidates[~np.isin(candidates, np.array(excluded, dtype=np.int64))]
-            if candidates.shape[0] < count:
-                raise ValueError("not enough live peers to attach to")
-            picks = as_generator(rng).choice(candidates, size=count, replace=False)
+        positive = weights > 0
+        if np.count_nonzero(positive) >= count:
+            picks = rng.choice(weights.shape[0], size=count, replace=False, p=weights / weights.sum())
             return [int(p) for p in picks]
-        available = int(np.count_nonzero(weights > 0))
-        if available < count:
-            raise ValueError(
-                f"cannot pick {count} distinct attachment targets from {available} candidates"
-            )
-        picks = rng.choice(weights.shape[0], size=count, replace=False, p=weights / total)
-        return [int(p) for p in picks]
+        wired = np.flatnonzero(positive)
+        isolated = np.flatnonzero(self._alive & ~positive)
+        if excluded:
+            isolated = isolated[~np.isin(isolated, np.array(excluded, dtype=np.int64))]
+        if wired.shape[0] + isolated.shape[0] < count:
+            raise ValueError("not enough live peers to attach to")
+        fill = as_generator(rng).choice(isolated, size=count - wired.shape[0], replace=False)
+        return [int(p) for p in wired] + [int(p) for p in fill]
 
     def _grow_pid_arrays(self) -> None:
         if self._next_pid >= self._deg.shape[0]:

@@ -601,7 +601,12 @@ class Scenario:
 
 @dataclass
 class ScenarioResult:
-    """What one scenario run produced."""
+    """What one scenario run produced.
+
+    ``metrics`` are seeded, so two runs print them identically;
+    wall-clock rates go in ``timings`` and print beside ``elapsed:``
+    under a ``timing:`` prefix, so a determinism diff can drop them.
+    """
 
     name: str
     backend: str
@@ -614,6 +619,7 @@ class ScenarioResult:
     metrics: Dict[str, float]
     elapsed_seconds: float
     notes: List[str] = field(default_factory=list)
+    timings: Dict[str, float] = field(default_factory=dict)
 
     def to_text(self) -> str:
         """Human-readable report block."""
@@ -626,6 +632,7 @@ class ScenarioResult:
         for key in sorted(self.metrics):
             lines.append(f"  {key} = {self.metrics[key]:.6g}")
         lines.extend(f"  note: {note}" for note in self.notes)
+        lines.extend(f"  timing: {key} = {self.timings[key]:.6g}" for key in sorted(self.timings))
         lines.append(f"  elapsed: {self.elapsed_seconds:.2f}s")
         return "\n".join(lines)
 
@@ -897,8 +904,6 @@ def _run_service(scenario, graph, config, backend, root, *, small):
         "reports_folded": float(snapshot.reports_folded),
         "ticks": float(len(ticks)),
         "final_version": float(snapshot.version),
-        "ingest_reports_per_second": num_reports / ingest_elapsed if ingest_elapsed else 0.0,
-        "query_per_second": spec.query_samples / query_elapsed if query_elapsed else 0.0,
         "max_staleness": float(max(staleness, default=0)),
         "mean_staleness": float(np.mean(staleness)) if staleness else 0.0,
         "shed_events": float(shed_events),
@@ -923,6 +928,10 @@ def _run_service(scenario, graph, config, backend, root, *, small):
         metrics=metrics,
         elapsed_seconds=elapsed,
         notes=notes,
+        timings={
+            "ingest_reports_per_second": num_reports / ingest_elapsed if ingest_elapsed else 0.0,
+            "query_per_second": spec.query_samples / query_elapsed if query_elapsed else 0.0,
+        },
     )
 
 

@@ -313,9 +313,14 @@ class ReputationService:
         """Apply one drained batch; re-announce changed column aggregates.
 
         Returns the (sorted) re-published target ids. The fold is pure
-        matrix state application, so the *final* published opinions
-        after a stream is fully folded do not depend on how the stream
-        was batched — the replay byte-identity guarantee.
+        matrix state application, and each aggregate is the exact column
+        sum over ``N``, so the *final* published opinions after a stream
+        is fully folded do not depend on how the stream was batched —
+        the replay byte-identity guarantee. Each ``set`` and each
+        re-announced aggregate costs O(1), however many observers the
+        target has (see :class:`~repro.trust.matrix.TrustMatrix`), so a
+        tick's fold costs O(batch). The matrix is read and written only
+        here, under the fold lock.
         """
         changed = set()
         for report in batch:

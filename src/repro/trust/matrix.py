@@ -11,6 +11,14 @@ Absent entries mean "never interacted". The paper maps that to an
 initial trust of 0 to blunt whitewashing; the aggregation algorithms
 distinguish "no entry" (gossip weight 0) from "entry with value 0.0"
 (gossip weight 1), which is why the matrix keeps explicit zeros.
+
+Column sums are exact. Every finite double is an integer multiple of
+``2**-1074``, so a column read once keeps its sum as a Python int
+scaled by ``2**1074``; ``set`` and ``discard`` then update it by
+``new - old`` in O(1), and a read divides it back with CPython's
+correctly rounded int/int division. A column sum is therefore
+``math.fsum`` of the column — the same bits whatever order the entries
+arrived in — and costs O(1) after the column's first read.
 """
 
 from __future__ import annotations
@@ -22,6 +30,15 @@ import numpy as np
 from repro.network.graph import Graph
 from repro.utils.rng import RngLike, as_generator
 from repro.utils.validation import check_probability, check_trust_value
+
+#: A column accumulator holds its column's sum times this scale, exactly.
+_SCALE = 1 << 1074
+
+
+def _scaled(value: float) -> int:
+    """``value * 2**1074`` as an exact int (any finite double)."""
+    num, den = value.as_integer_ratio()
+    return num << (1075 - den.bit_length())
 
 
 class TrustMatrix:
@@ -42,9 +59,14 @@ class TrustMatrix:
     0.0
     >>> sorted(t.observers_of(1))
     [0]
+
+    A column's first :meth:`column_sum` builds its exact accumulator,
+    so even a read writes to the matrix: share one between threads only
+    under a lock (the reputation service reads and writes its matrix
+    under the fold lock alone).
     """
 
-    __slots__ = ("_num_nodes", "_rows", "_by_target")
+    __slots__ = ("_num_nodes", "_rows", "_by_target", "_sums")
 
     def __init__(self, num_nodes: int):
         if num_nodes < 1:
@@ -52,6 +74,8 @@ class TrustMatrix:
         self._num_nodes = int(num_nodes)
         self._rows: Dict[int, Dict[int, float]] = {}
         self._by_target: Dict[int, set] = {}
+        # target -> column sum * 2**1074, for columns read at least once.
+        self._sums: Dict[int, int] = {}
 
     # -- mutation -------------------------------------------------------------
 
@@ -63,7 +87,13 @@ class TrustMatrix:
         """
         self._check_pair(observer, target)
         check_trust_value(value, f"t[{observer},{target}]")
-        self._rows.setdefault(observer, {})[target] = float(value)
+        value = float(value)
+        row = self._rows.setdefault(observer, {})
+        acc = self._sums.get(target)
+        if acc is not None:
+            old = row.get(target)
+            self._sums[target] = acc + _scaled(value) - (0 if old is None else _scaled(old))
+        row[target] = value
         self._by_target.setdefault(target, set()).add(observer)
 
     def fold_report(self, observer: int, target: int, value: float) -> float:
@@ -76,8 +106,10 @@ class TrustMatrix:
         value is :meth:`column_mean_over_all` of ``target`` (eq. 1's
         ``R_global`` column aggregate), i.e. the published opinion the
         service re-announces for ``target``. Folding is pure state
-        application, so any batching of the same report stream yields
-        identical matrices and identical aggregates.
+        application and the aggregate is the correctly rounded exact
+        column sum over ``N``, so any batching or ordering of the same
+        final entries yields identical aggregates. After the column's
+        first fold a report costs O(1), however many observers it has.
 
         Examples
         --------
@@ -96,13 +128,16 @@ class TrustMatrix:
         """Remove the ``(observer, target)`` entry if present."""
         row = self._rows.get(observer)
         if row is not None and target in row:
-            del row[target]
+            value = row.pop(target)
             if not row:
                 del self._rows[observer]
             observers = self._by_target[target]
             observers.discard(observer)
             if not observers:
                 del self._by_target[target]
+                self._sums.pop(target, None)
+            elif target in self._sums:
+                self._sums[target] -= _scaled(value)
 
     # -- queries --------------------------------------------------------------
 
@@ -144,13 +179,28 @@ class TrustMatrix:
         return frozenset(self._by_target.get(target, frozenset()))
 
     def column_sum(self, target: int) -> float:
-        """``sum_i t_{i,target}`` over explicit observers."""
-        return float(sum(self.column(target).values()))
+        """``sum_i t_{i,target}`` over explicit observers, correctly rounded.
+
+        Equals ``math.fsum(self.column(target).values())`` bit for bit,
+        whatever order the entries were set in. The first read of a
+        column costs O(observers) and builds its exact accumulator;
+        every later read costs O(1).
+        """
+        self._check_ids(target)
+        acc = self._sums.get(target)
+        if acc is None:
+            observers = self._by_target.get(target)
+            if not observers:
+                return 0.0
+            acc = sum(_scaled(self._rows[obs][target]) for obs in observers)
+            self._sums[target] = acc
+        return acc / _SCALE
 
     def column_mean_over_observers(self, target: int) -> float:
         """Mean opinion about ``target`` over its observers (0.0 if none)."""
-        col = self.column(target)
-        return float(sum(col.values()) / len(col)) if col else 0.0
+        total = self.column_sum(target)
+        count = len(self._by_target.get(target, ()))
+        return total / count if count else 0.0
 
     def column_mean_over_all(self, target: int) -> float:
         """Mean opinion about ``target`` over *all* ``N`` nodes (eq. 1).

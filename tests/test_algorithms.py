@@ -83,11 +83,18 @@ class TestRegistry:
         assert "diff-gossip" in str(excinfo.value)
 
     def test_register_round_trip(self):
+        from repro.algorithms import registry as registry_mod
+
         sentinel = get_algorithm("flooding")
         register_algorithm("test-rt", sentinel, aliases=("test-rt-alias",), overwrite=True)
-        assert get_algorithm("test-rt") is sentinel
-        assert get_algorithm("test-rt-alias") is sentinel
-        assert "test-rt" in available_algorithms()
+        try:
+            assert get_algorithm("test-rt") is sentinel
+            assert get_algorithm("test-rt-alias") is sentinel
+            assert "test-rt" in available_algorithms()
+        finally:
+            # Don't leak the fixture algorithm into the global registry.
+            registry_mod._REGISTRY.pop("test-rt", None)
+            registry_mod._ALIASES.pop("test-rt-alias", None)
 
     def test_duplicate_name_rejected_before_mutation(self):
         with pytest.raises(ValueError, match="already registered"):

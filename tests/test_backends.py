@@ -73,14 +73,20 @@ class TestRegistry:
                     graph, values, weights, extras=extras, config=config
                 )
 
+        from repro.core import backend as backend_mod
+
         recorder = Recorder()
         register_backend("recorder-test", recorder, overwrite=True)
-        out = aggregate(
-            example_network(),
-            fixture_values,
-            GossipConfig(xi=1e-6, rng=3),
-            backend="recorder-test",
-        )
+        try:
+            out = aggregate(
+                example_network(),
+                fixture_values,
+                GossipConfig(xi=1e-6, rng=3),
+                backend="recorder-test",
+            )
+        finally:
+            # Don't leak the fixture backend into the global registry.
+            backend_mod._REGISTRY.pop("recorder-test", None)
         assert recorder.calls == 1
         assert np.allclose(out.estimates, TRUE_MEAN, atol=1e-3)
 

@@ -8,8 +8,8 @@ Two failure modes this file pins down:
    algorithm catalogue in ``docs/tournament.md``) must list exactly what
    ``available_backends()`` / ``available_attacks()`` /
    ``available_algorithms()`` / ``available_scenarios()`` expose.
-   Registries are snapshotted in a subprocess because the doctest suite
-   registers throwaway ``demo`` entries in-process.
+   Registries are snapshotted in a subprocess, so that an entry some
+   test registers in-process cannot leak into the comparison.
 """
 
 import json

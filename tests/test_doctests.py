@@ -10,6 +10,9 @@ import pkgutil
 import pytest
 
 import repro
+from repro.algorithms.registry import available_algorithms
+from repro.attacks.models import available_attacks
+from repro.core.backend import available_backends
 
 
 def _all_modules():
@@ -21,11 +24,33 @@ def _all_modules():
     return names
 
 
+def _run_doctests(module_name):
+    results = doctest.testmod(importlib.import_module(module_name), verbose=False)
+    assert results.failed == 0, f"{results.failed} doctest failure(s) in {module_name}"
+
+
 @pytest.mark.parametrize("module_name", _all_modules())
 def test_module_doctests(module_name):
-    module = importlib.import_module(module_name)
-    results = doctest.testmod(module, verbose=False)
-    assert results.failed == 0, f"{results.failed} doctest failure(s) in {module_name}"
+    _run_doctests(module_name)
+
+
+def test_backend_doctests_leave_the_registry_as_they_found_it():
+    # The register_backend example registers "demo"; a later test in the
+    # same process must still see only the built-in backends.
+    _run_doctests("repro.core.backend")
+    assert available_backends() == ("async", "message", "sparse")
+
+
+@pytest.mark.parametrize(
+    "module_name, listing, demo",
+    [
+        ("repro.attacks.models", available_attacks, "demo-slander"),
+        ("repro.algorithms.registry", available_algorithms, "demo"),
+    ],
+)
+def test_registry_doctests_do_not_leak(module_name, listing, demo):
+    _run_doctests(module_name)
+    assert demo not in listing()
 
 
 @pytest.mark.parametrize("symbol", [name for name in repro.__all__ if not name.startswith("__")])

@@ -53,6 +53,15 @@ class TestMutation:
         assert overlay.degree_of(pid) == 3
         assert len(set(overlay.neighbors_of(pid))) == 3
 
+    def test_add_peer_fills_up_from_isolated_peers(self):
+        # Only peers 0 and 1 have edges, so a 3-edge join takes both and
+        # one of the isolated peers 2 and 3 (it used to raise).
+        overlay = MutableOverlay.from_graph(Graph(4, [(0, 1)]))
+        pid = overlay.add_peer(m=3, rng=0)
+        neighbors = set(overlay.neighbors_of(pid))
+        assert len(neighbors) == 3 and {0, 1} <= neighbors
+        overlay.check_invariants()
+
     def test_add_peer_explicit_targets(self, fig2_network):
         overlay = MutableOverlay.from_graph(fig2_network)
         pid = overlay.add_peer(targets=[0, 3])

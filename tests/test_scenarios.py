@@ -197,6 +197,16 @@ class TestRunScenario:
         assert a.metrics == b.metrics
         assert a.metrics != c.metrics
 
+    def test_service_soak_rates_are_timings_not_metrics(self):
+        # Wall-clock rates live in `timings`, so two runs print the same
+        # metric lines and a determinism diff can drop the `timing:` ones.
+        a = run_scenario("service-soak", small=True)
+        b = run_scenario("service-soak", small=True)
+        assert a.metrics == b.metrics
+        assert set(a.timings) == {"ingest_reports_per_second", "query_per_second"}
+        timing_lines = [line for line in a.to_text().splitlines() if line.startswith("  timing: ")]
+        assert len(timing_lines) == 2
+
     def test_backend_override(self):
         result = run_scenario("churn-heavy", small=True, backend="sparse")
         assert result.backend == "sparse"

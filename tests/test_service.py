@@ -30,6 +30,7 @@ from repro.service import (
     replay_trace,
 )
 from repro.service.httpd import make_server, start_background
+from repro.trust.matrix import TrustMatrix
 
 DATA_DIR = Path(__file__).parent / "data"
 TRACE_PATH = DATA_DIR / "service_trace.jsonl"
@@ -132,6 +133,24 @@ def test_unknown_peer_rejected_with_plain_message():
         service.submit_report(0, 10_000, 0.5)
     assert "10000" in str(excinfo.value)
     assert not str(excinfo.value).startswith("'")  # KeyError repr-quoting defeated
+
+
+def test_fold_reads_hot_columns_without_rebuilding_them(monkeypatch):
+    # A hot target's aggregate comes from its O(1) column accumulator;
+    # the fold must never rebuild the {observer: value} column.
+    peers = 3000
+    service = ReputationService(peers, seed=3, batch_size=peers, high_watermark=2 * peers)
+    service.submit_batch([TrustReport(observer, 0, 0.5) for observer in range(1, peers)])
+    service.tick()
+
+    def rebuild(self, target):
+        raise AssertionError(f"the fold rebuilt column {target}")
+
+    monkeypatch.setattr(TrustMatrix, "column", rebuild)
+    service.submit_batch([TrustReport(1, 0, 1.0), TrustReport(2, 0, 0.0)])
+    record = service.tick()
+    assert (record.reports_folded, record.targets_republished) == (2, 1)
+    assert service.get_reputation(0) == (0.5 * (peers - 3) + 1.0) / peers
 
 
 def test_monotonic_versions_under_concurrent_readers():

@@ -1,7 +1,12 @@
 """Unit tests for the sparse trust matrix."""
 
+import math
+import random
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.trust.matrix import TrustMatrix, complete_trust_matrix, random_trust_matrix
 
@@ -176,3 +181,102 @@ class TestGenerators:
     def test_complete_rejects_tiny(self):
         with pytest.raises(ValueError):
             complete_trust_matrix(1)
+
+
+# -- exact column sums, checked against math.fsum ----------------------------
+
+SMALLEST_NORMAL = 2.2250738585072014e-308
+N_SMALL = 5
+
+trust_values = st.one_of(
+    st.sampled_from([0.0, 1.0, 5e-324, 1e-310, SMALLEST_NORMAL, 1 - 2**-53, 1 - 2**-52]),
+    st.floats(min_value=0.0, max_value=SMALLEST_NORMAL, exclude_max=True),  # subnormals
+    st.floats(min_value=1 - 2**-40, max_value=1.0, exclude_max=True),  # just below 1
+    st.floats(min_value=0.0, max_value=1.0),
+)
+# ("set", o, t, v) adds or overwrites t[o, t]; "overwrite" and "discard" act
+# on an existing entry picked by (o, t); ("read", _, t, _) sums column t
+# between mutations, so later writes update a live accumulator.
+operations = st.lists(
+    st.tuples(
+        st.sampled_from(["set", "overwrite", "discard", "read"]),
+        st.integers(0, N_SMALL - 1),
+        st.integers(0, N_SMALL - 1),
+        trust_values,
+    ),
+    max_size=120,
+)
+
+
+def assert_exact_column(t, target):
+    """column_sum is fsum of the column; both means divide that one sum."""
+    total = t.column_sum(target)
+    assert total == math.fsum(t.column(target).values())
+    assert t.column_mean_over_all(target) == total / t.num_nodes
+    observers = len(t.observers_of(target))
+    assert t.column_mean_over_observers(target) == (total / observers if observers else 0.0)
+
+
+def test_column_sum_is_independent_of_insertion_order():
+    # Plain left-to-right float addition gives 1.0 in this order and
+    # 1.0000000000000002 in the reverse one; the exact sum gives fsum's.
+    values = [1.0, 2**-53, 2**-53]
+    forward, backward = TrustMatrix(4), TrustMatrix(4)
+    for observer, value in enumerate(values, start=1):
+        forward.set(observer, 0, value)
+    for observer, value in reversed(list(enumerate(values, start=1))):
+        backward.set(observer, 0, value)
+    assert forward.column_sum(0) == backward.column_sum(0) == math.fsum(values) == 1.0000000000000002
+
+
+def test_emptied_column_sums_to_zero_and_restarts():
+    t = TrustMatrix(4)
+    t.set(1, 0, 0.3)
+    t.set(2, 0, 5e-324)
+    assert t.column_sum(0) == math.fsum([0.3, 5e-324])
+    t.discard(1, 0)
+    t.discard(2, 0)
+    assert t.column_sum(0) == 0.0
+    assert t.column_mean_over_observers(0) == 0.0
+    t.set(3, 0, 0.7)
+    assert_exact_column(t, 0)
+
+
+@pytest.mark.property
+@settings(max_examples=300, deadline=None)
+@example(ops=[("set", 1, 0, 0.5), ("set", 2, 0, 0.25), ("read", 0, 0, 0.0),
+              ("overwrite", 0, 0, 1.0), ("read", 0, 0, 0.0), ("discard", 0, 0, 0.0),
+              ("read", 0, 0, 0.0), ("discard", 0, 0, 0.0), ("set", 3, 0, 1e-310)], seed=0)
+@given(ops=operations, seed=st.integers(0, 2**32 - 1))
+def test_exact_column_sums_match_fsum_under_any_mutation_sequence(ops, seed):
+    t = TrustMatrix(N_SMALL)
+    for op, a, b, value in ops:
+        entries = sorted((observer, target) for observer, target, _ in t.items())
+        if op == "read":
+            assert_exact_column(t, b)
+        elif op == "set":
+            if a != b:
+                t.set(a, b, value)
+        elif entries:
+            observer, target = entries[(a * N_SMALL + b) % len(entries)]
+            if op == "overwrite":
+                t.set(observer, target, value)
+            else:
+                t.discard(observer, target)
+    for target in range(N_SMALL):
+        assert_exact_column(t, target)
+
+    # The same final entries, set in a shuffled order with the
+    # accumulators built halfway through, sum to the same bits.
+    entries = list(t.items())
+    random.Random(seed).shuffle(entries)
+    replay = TrustMatrix(N_SMALL)
+    half = len(entries) // 2
+    for observer, target, value in entries[:half]:
+        replay.set(observer, target, value)
+    for target in range(N_SMALL):
+        replay.column_sum(target)
+    for observer, target, value in entries[half:]:
+        replay.set(observer, target, value)
+    for target in range(N_SMALL):
+        assert replay.column_sum(target).hex() == t.column_sum(target).hex()
