@@ -14,6 +14,7 @@ Run:
 import numpy as np
 
 from repro import (
+    GossipConfig,
     WeightParams,
     aggregate_vector_gclr,
     preferential_attachment_graph,
@@ -36,13 +37,12 @@ def main() -> None:
 
     # 3. One Differential Gossip Trust round for five target peers.
     targets = [3, 42, 99, 250, 400]
+    params = WeightParams(a=4.0, b=1.0)
     result = aggregate_vector_gclr(
         graph,
         trust,
         targets=targets,
-        params=WeightParams(a=4.0, b=1.0),
-        xi=1e-6,
-        rng=3,
+        config=GossipConfig(xi=1e-6, params=params, rng=3),
     )
     outcome = result.outcome
     print(f"gossip: converged in {outcome.steps} steps, "
@@ -51,7 +51,7 @@ def main() -> None:
 
     # 4. Every node now holds its own calibrated estimate; check them
     #    against the exact eq.-6 fixpoint.
-    exact = true_vector_gclr(graph, trust, targets, WeightParams(a=4.0, b=1.0))
+    exact = true_vector_gclr(graph, trust, targets, params)
     worst = float(np.abs(result.reputations - exact).max())
     print(f"accuracy: max |gossip - exact| = {worst:.2e}")
 

@@ -2,10 +2,11 @@
 
 A complete, self-contained reproduction of Gupta & Singh, *"Reputation
 Aggregation in Peer-to-Peer Network Using Differential Gossip
-Algorithm"*: the differential push gossip primitive, all four
-aggregation variants, the power-law network substrate, trust estimation,
-a composable adversary engine (collusion, whitewashing, slandering,
-on–off oscillation, sybil floods — :mod:`repro.attacks`), churn,
+Algorithm"*: the differential push gossip primitive, the paper's two
+aggregation algorithms (each over one target or a target list), the
+power-law network substrate, trust estimation, a composable adversary
+engine (collusion, whitewashing, slandering, on–off oscillation, sybil
+floods — :mod:`repro.attacks`), churn,
 comparison baselines behind a first-class algorithm registry
 (:mod:`repro.algorithms` — see ``docs/tournament.md``), the full
 experiment harness that regenerates
@@ -16,11 +17,14 @@ reputation service with streaming ingest and versioned snapshots
 Quickstart
 ----------
 >>> from repro import (
-...     preferential_attachment_graph, random_trust_matrix, aggregate_vector_gclr,
+...     GossipConfig, preferential_attachment_graph, random_trust_matrix,
+...     aggregate_vector_gclr,
 ... )
 >>> graph = preferential_attachment_graph(200, m=2, rng=1)
 >>> trust = random_trust_matrix(graph, rng=2)
->>> result = aggregate_vector_gclr(graph, trust, targets=[0, 5, 9], rng=3)
+>>> result = aggregate_vector_gclr(
+...     graph, trust, targets=[0, 5, 9], config=GossipConfig(rng=3)
+... )
 >>> result.reputations.shape
 (200, 3)
 """
@@ -32,8 +36,6 @@ from repro.core import (
     MessageLevelGossip,
     SparseGossipEngine,
     WeightParams,
-    aggregate_single_gclr,
-    aggregate_single_global,
     aggregate_vector_gclr,
     aggregate_vector_global,
     available_backends,
@@ -103,8 +105,6 @@ __all__ = [
     "available_backends",
     "get_backend",
     "register_backend",
-    "aggregate_single_global",
-    "aggregate_single_gclr",
     "aggregate_vector_global",
     "aggregate_vector_gclr",
     "SparseGossipEngine",

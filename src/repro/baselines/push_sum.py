@@ -15,6 +15,9 @@ the push rule alone.
 
 from __future__ import annotations
 
+from dataclasses import replace
+from typing import Optional
+
 import numpy as np
 
 from repro.core.backend import GossipConfig, run_backend
@@ -48,10 +51,7 @@ def push_sum_average(
     graph: Graph,
     values: np.ndarray,
     *,
-    xi: float = 1e-4,
-    rng: RngLike = None,
-    max_steps: int = 10_000,
-    patience: int = 3,
+    config: Optional[GossipConfig] = None,
     backend: str = "auto",
 ) -> GossipOutcome:
     """Estimate the average of ``values`` with classic push-sum.
@@ -69,8 +69,10 @@ def push_sum_average(
         Topology.
     values:
         Per-node numbers to average, shape ``(N,)``.
-    xi, rng, max_steps, patience:
-        As in :meth:`repro.core.sparse_engine.SparseGossipEngine.run`.
+    config:
+        Knobs of the round (:class:`repro.core.backend.GossipConfig`;
+        defaults apply when omitted). Its push rule is overridden:
+        ``k = 1``, no ``push_counts``.
     backend:
         Registered gossip backend name; the default ``"auto"`` follows
         :func:`repro.core.backend.choose_backend_name`. Pass an
@@ -80,8 +82,9 @@ def push_sum_average(
     --------
     >>> from repro.network.preferential_attachment import preferential_attachment_graph
     >>> import numpy as np
+    >>> from repro.core.backend import GossipConfig
     >>> g = preferential_attachment_graph(50, m=2, rng=0)
-    >>> out = push_sum_average(g, np.arange(50.0), xi=1e-6, rng=1)
+    >>> out = push_sum_average(g, np.arange(50.0), config=GossipConfig(xi=1e-6, rng=1))
     >>> bool(np.allclose(out.estimates, 24.5, atol=0.05))
     True
     """
@@ -92,12 +95,8 @@ def push_sum_average(
         graph,
         values,
         np.ones(graph.num_nodes),
-        config=GossipConfig(
-            xi=xi,
-            k=1,
-            rng=rng,
-            max_steps=max_steps,
-            patience=patience,
+        config=replace(
+            config if config is not None else GossipConfig(), k=1, push_counts=None
         ),
         backend=backend,
     )

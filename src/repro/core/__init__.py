@@ -1,16 +1,17 @@
 """Differential Gossip Trust — the paper's core contribution.
 
-Prefer the unified facade :func:`repro.aggregate`, which runs any
-variant on any registered backend
-(:mod:`repro.core.backend`); the per-variant entry points below remain
-as typed wrappers over the same backend layer.
+Prefer the unified facade :func:`repro.aggregate`, which runs either
+aggregation variant on any registered backend
+(:mod:`repro.core.backend`); the two entry points below build their
+state through it and add the exact values and eq.-6 reputations.
 
-Public entry points (one per algorithm variant of Section 4.1.2):
+Public entry points (Section 4.1.2; the paper's single-target
+Algorithms 1 and 2 are the one-column case, ``targets=[j]``):
 
-- :func:`repro.core.single_global.aggregate_single_global` — Algorithm 1
-- :func:`repro.core.single_gclr.aggregate_single_gclr` — Algorithm 2
-- :func:`repro.core.vector_global.aggregate_vector_global` — variant 3
-- :func:`repro.core.vector_gclr.aggregate_vector_gclr` — variant 4
+- :func:`repro.core.vector_global.aggregate_vector_global` — Algorithm 1
+  and its vector form (variant 3)
+- :func:`repro.core.vector_gclr.aggregate_vector_gclr` — Algorithm 2
+  and its vector form (variant 4)
 
 Engines (reusable for custom initialisations and baselines):
 
@@ -39,13 +40,6 @@ from repro.core.differential import fixed_push_counts, push_counts, push_ratio
 from repro.core.engine import MessageLevelGossip
 from repro.core.errors import ConvergenceError, GossipError, MassConservationError
 from repro.core.results import GossipOutcome
-from repro.core.rounds import GossipRoundManager, RoundRecord
-from repro.core.single_gclr import SingleGclrResult, aggregate_single_gclr, true_single_gclr
-from repro.core.single_global import (
-    SingleGlobalResult,
-    aggregate_single_global,
-    true_single_global,
-)
 from repro.core.sparse_engine import SparseGossipEngine
 from repro.core.state import UNDEFINED_RATIO, GossipPair, ratios
 from repro.core.vector_gclr import VectorGclrResult, aggregate_vector_gclr, true_vector_gclr
@@ -62,15 +56,9 @@ __all__ = [
     "get_backend",
     "register_backend",
     "run_backend",
-    "aggregate_single_global",
-    "aggregate_single_gclr",
     "aggregate_vector_global",
     "aggregate_vector_gclr",
-    "true_single_global",
-    "true_single_gclr",
     "true_vector_gclr",
-    "SingleGlobalResult",
-    "SingleGclrResult",
     "VectorGlobalResult",
     "VectorGclrResult",
     "SparseGossipEngine",
@@ -85,8 +73,6 @@ __all__ = [
     "AdaptiveWeightPolicy",
     "AsyncGossipEngine",
     "AsyncGossipOutcome",
-    "GossipRoundManager",
-    "RoundRecord",
     "collusion_damping_factor",
     "push_counts",
     "push_ratio",

@@ -95,15 +95,14 @@ class GossipConfig:
         Explicit per-node push-count array (ablations); overrides ``k``.
     params:
         GCLR weighting constants ``a``, ``b`` of eq. 2. Engines never
-        read them; the config-aware layers do —
-        :class:`repro.core.rounds.GossipRoundManager` and the attack
-        evaluators of :mod:`repro.attacks.evaluate`. The variant entry
-        points keep their own explicit ``params=`` keyword.
+        read them; the GCLR entry point
+        :func:`repro.core.vector_gclr.aggregate_vector_gclr` and the
+        attack evaluators of :mod:`repro.attacks.evaluate` do.
     delta:
         Algorithm 2's Δ re-push threshold — an opinion is re-announced
-        between rounds only when it moved more than this. Read by
-        :class:`repro.core.rounds.GossipRoundManager`, not by
-        single-round engines.
+        between rounds only when it moved more than this. Read by the
+        dynamic runtime (:mod:`repro.runtime`), not by single-round
+        engines.
     network:
         Optional :class:`repro.network.conditions.LinkModel` — the one
         way to ask for packet loss, and the network-conditions axis
@@ -578,8 +577,8 @@ def run_backend(
     """Run one gossip round on a named (or auto-chosen) backend.
 
     This is the single engine-execution path shared by the
-    :func:`repro.aggregate` facade, the four aggregation variants, the
-    baselines and the benchmarks.
+    :func:`repro.aggregate` facade (and the two variant entry points
+    built on it), the baselines and the benchmarks.
     """
     config = config if config is not None else GossipConfig()
     name = choose_backend_name(graph, config) if backend == "auto" else backend

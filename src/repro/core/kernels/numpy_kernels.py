@@ -136,9 +136,10 @@ class _KernelBase:
 
     def _record_heard(self, senders, effective_targets, lossless, heard_out):
         heard_out[:] = False
-        if lossless and self._plan.no_self_loops:
-            # Targets are sampled from zero-diagonal neighbour lists, so
-            # every delivered push is external by construction.
+        if lossless:
+            # Targets are sampled from zero-diagonal neighbour lists
+            # (every Graph and overlay rejects self-loops at
+            # construction), so every delivered push is external.
             heard_out[effective_targets] = True
         else:
             external = effective_targets[effective_targets != senders]

@@ -113,14 +113,6 @@ class PushPlan:
         self.senders_full = (
             np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
         )
-        # Simple-graph invariant (no self-loops): lets the no-loss heard
-        # pass scatter targets directly instead of comparing to senders.
-        n = degrees.shape[0]
-        if indices.size:
-            owners = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-            self.no_self_loops = not bool(np.any(indices[: owners.size] == owners))
-        else:
-            self.no_self_loops = True
 
     def sample_full_active(
         self, rng: np.random.Generator, targets_out: np.ndarray

@@ -1,28 +1,45 @@
-"""Algorithm variant 4 — simultaneous GCLR aggregation for all nodes.
+"""Algorithm 2 and its vector form — globally calibrated local reputation.
 
-The full Differential Gossip Trust system: one gossip round carries,
-slot-wise for every tracked target ``j``, the value sum ``sum_i t_ij``,
-the single-unit gossip weight and the observer count ``N_dj``; each
-estimating node then folds in its weighted neighbour feedback via eq. 6.
-The result is the ``(N, d)`` matrix of *per-node* reputations
-``Rep_I,j`` — the quantity the collusion experiments (Figures 5–6)
-measure RMS error over.
+Each estimating node ``I`` computes (eq. 6):
+
+``Rep_I,j = (sum_{k in NS_I} (w_Ik - 1) t_kj  +  sum_i t_ij)
+           / (sum_{k in NS_I} (w_Ik - 1)      +  N_d)``
+
+The two global sums — ``sum_i t_ij`` and the observer count ``N_dj`` —
+come out of one gossip round in which exactly *one* designated node
+starts with gossip weight 1 (so every ratio converges to a *sum*, not a
+mean), and observers additionally gossip a ``count`` component seeded
+at 1. The neighbour terms need each neighbour's direct feedback about
+``j``, which neighbours push directly before the round starts (the
+pre-gossip feedback exchange in the paper's Figure 1 timeline). The
+pseudocode's denominator uses the observer count ``N_d``; the derivation
+in eq. 6 uses ``N`` (all nodes). ``denominator_convention`` selects
+between them, defaulting to the pseudocode.
+
+The full Differential Gossip Trust system (variant 4) carries these
+sums slot-wise for every tracked target ``j`` in one gossip round, and
+each estimating node folds in its weighted neighbour feedback. The
+result is the ``(N, d)`` matrix of *per-node* reputations ``Rep_I,j`` —
+the quantity the collusion experiments (Figures 5–6) measure RMS error
+over. Per-slot dynamics are those of Algorithm 2 under shared push
+randomness, so Algorithm 2 for node ``j`` is ``targets=[j]``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Literal, Optional, Sequence
 
 import numpy as np
 
-from repro.core.backend import GossipConfig, run_backend
+from repro.core.backend import GossipConfig
 from repro.core.results import GossipOutcome
-from repro.core.single_gclr import DenominatorConvention, pick_designated_node
 from repro.core.weights import WeightParams, excess_weights
+from repro.facade import aggregate
 from repro.network.graph import Graph
 from repro.trust.matrix import TrustMatrix
-from repro.utils.rng import RngLike
+
+DenominatorConvention = Literal["observers", "all"]
 
 
 @dataclass
@@ -117,6 +134,20 @@ def true_vector_gclr(
         return np.where(denominator > 0, (y_hat + sums[None, :]) / denominator, 0.0)
 
 
+def pick_designated_node(graph: Graph) -> int:
+    """Lowest-id non-isolated node — the single carrier of gossip weight 1.
+
+    The pseudocode hardcodes "node 1"; any node reachable by gossip
+    works, but it must be able to participate or the weight mass would
+    be stranded and every ratio would stay undefined.
+    """
+    degrees = graph.degrees
+    candidates = np.flatnonzero(degrees > 0)
+    if candidates.size == 0:
+        raise ValueError("graph has no edges; sum-estimating gossip cannot run")
+    return int(candidates[0])
+
+
 def initial_state_vector_gclr(
     trust: TrustMatrix, targets: Sequence[int], designated: int
 ) -> tuple:
@@ -174,82 +205,73 @@ def aggregate_vector_gclr(
     trust: TrustMatrix,
     *,
     targets: Optional[Sequence[int]] = None,
-    params: WeightParams = WeightParams(),
-    xi: float = 1e-4,
+    config: Optional[GossipConfig] = None,
     denominator_convention: DenominatorConvention = "observers",
     backend: str = "auto",
     designated_node: Optional[int] = None,
-    push_counts: Optional[np.ndarray] = None,
-    rng: RngLike = None,
-    max_steps: int = 10_000,
-    track_history: bool = False,
-    patience: int = 3,
 ) -> VectorGclrResult:
     """Run variant 4: per-node calibrated reputations for all tracked targets.
 
-    Parameters combine those of variants 2 and 3 (``backend`` names any
-    registered gossip backend, or ``"auto"``); see
-    :func:`repro.core.single_gclr.aggregate_single_gclr` and
-    :func:`repro.core.vector_global.aggregate_vector_global`.
+    Parameters
+    ----------
+    graph, trust:
+        Topology and local trust matrix (sizes must agree).
+    targets:
+        Target columns to aggregate (default: all ``N`` nodes).
+        ``targets=[j]`` is Algorithm 2 for node ``j``.
+    config:
+        Knobs of the gossip round (:class:`repro.core.backend.GossipConfig`;
+        defaults apply when omitted); ``config.params`` holds the
+        weighting constants ``a``, ``b`` of eq. 2.
+    denominator_convention:
+        ``"observers"`` divides by the gossiped observer count ``N_d``
+        (Algorithm 2 pseudocode); ``"all"`` divides by ``N`` (eq. 6).
+    backend:
+        Gossip backend name (or ``"auto"``); see
+        :func:`repro.core.backend.available_backends`.
+    designated_node:
+        The single node starting with gossip weight 1 (default: lowest-id
+        non-isolated node, :func:`pick_designated_node`).
 
     Examples
     --------
+    >>> from repro.core.backend import GossipConfig
     >>> from repro.network.preferential_attachment import preferential_attachment_graph
     >>> from repro.trust.matrix import random_trust_matrix
     >>> g = preferential_attachment_graph(40, m=2, rng=5)
     >>> t = random_trust_matrix(g, rng=6)
-    >>> r = aggregate_vector_gclr(g, t, targets=[0, 3, 9], xi=1e-6, rng=7)
+    >>> r = aggregate_vector_gclr(
+    ...     g, t, targets=[0, 3, 9], config=GossipConfig(xi=1e-6, rng=7)
+    ... )
     >>> r.max_absolute_error < 0.02
     True
     """
-    if graph.num_nodes != trust.num_nodes:
-        raise ValueError(
-            f"graph has {graph.num_nodes} nodes but trust matrix has {trust.num_nodes}"
-        )
-    n = graph.num_nodes
-    if targets is None:
-        targets = range(n)
-    target_array = np.asarray(list(targets), dtype=np.int64)
-    if target_array.size == 0:
-        raise ValueError("targets must be non-empty")
-    if np.any((target_array < 0) | (target_array >= n)):
-        raise ValueError(f"targets outside 0..{n - 1}")
-    if np.unique(target_array).size != target_array.size:
-        raise ValueError("targets must be distinct")
     if denominator_convention not in ("observers", "all"):
         raise ValueError(
             f"denominator_convention must be 'observers' or 'all', got {denominator_convention!r}"
         )
-
-    designated = pick_designated_node(graph) if designated_node is None else int(designated_node)
-    if not 0 <= designated < n or graph.degree(designated) == 0:
-        raise ValueError(f"designated_node {designated} must be a non-isolated node id")
-
-    values, weights, counts = initial_state_vector_gclr(trust, target_array, designated)
-    outcome = run_backend(
+    config = config if config is not None else GossipConfig()
+    target_array = np.asarray(
+        range(graph.num_nodes) if targets is None else list(targets), dtype=np.int64
+    )
+    outcome = aggregate(
         graph,
-        values,
-        weights,
-        extras={"count": counts},
-        config=GossipConfig(
-            xi=xi,
-            push_counts=push_counts,
-            rng=rng,
-            max_steps=max_steps,
-            track_history=track_history,
-            patience=patience,
-        ),
+        trust,
+        config,
         backend=backend,
+        variant="vector-gclr",
+        targets=target_array,
+        designated_node=designated_node,
     )
     reputations = gclr_reputations(
-        graph, trust, target_array, outcome, params, denominator_convention
+        graph, trust, target_array, outcome, config.params, denominator_convention
     )
 
     return VectorGclrResult(
         targets=target_array,
         reputations=reputations,
         true_reputations=true_vector_gclr(
-            graph, trust, target_array, params, denominator_convention
+            graph, trust, target_array, config.params, denominator_convention
         ),
         outcome=outcome,
     )

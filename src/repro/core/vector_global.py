@@ -1,11 +1,21 @@
-"""Algorithm variant 3 — simultaneous global aggregation for all nodes.
+"""Algorithm 1 and its vector form — global reputation aggregation.
+
+Every node that holds a direct opinion ``t_ij`` about a target ``j``
+starts that target's slot with gossip pair ``(t_ij, 1)``; everyone else
+starts with ``(0, 0)``. Push-sum then drives every node's ratio to
+``sum_i t_ij / #observers``, the mean opinion over the nodes that have
+actually interacted with ``j`` — the convention Algorithm 1's pseudocode
+encodes. The surrounding text (eq. 1) instead divides by ``N`` (strangers
+count as 0), which corresponds to starting every node with gossip weight
+1. ``convention`` selects between the two.
 
 Instead of gossiping about one target, every node pushes its whole
 feedback *vector* ``y_i`` (one slot per target) and weight vector
-``g_i``, tagged with target ids so receivers add slot-wise. Convergence
-uses the summed criterion of eq. 7. Dynamics per slot are identical to
-Algorithm 1 run under shared push randomness, so one engine invocation
-with an ``(N, d)`` state matrix is an exact simulation.
+``g_i``, tagged with target ids so receivers add slot-wise (variant 3).
+Convergence uses the summed criterion of eq. 7. Dynamics per slot are
+identical to Algorithm 1 run under shared push randomness, so one engine
+invocation with an ``(N, d)`` state matrix is an exact simulation, and
+Algorithm 1 for node ``j`` is ``targets=[j]``.
 
 Memory is ``O(N * d)``: tracking all ``N`` targets is feasible to a few
 thousand nodes; beyond that, pass a ``targets`` subset (the experiments
@@ -15,16 +25,17 @@ sample targets — slot dynamics are independent, so a sample is unbiased).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Literal, Optional, Sequence
 
 import numpy as np
 
-from repro.core.backend import GossipConfig, run_backend
+from repro.core.backend import GossipConfig
 from repro.core.results import GossipOutcome
-from repro.core.single_global import Convention
+from repro.facade import aggregate
 from repro.network.graph import Graph
 from repro.trust.matrix import TrustMatrix
-from repro.utils.rng import RngLike
+
+Convention = Literal["observers", "all"]
 
 
 @dataclass
@@ -82,14 +93,9 @@ def aggregate_vector_global(
     trust: TrustMatrix,
     *,
     targets: Optional[Sequence[int]] = None,
-    xi: float = 1e-4,
+    config: Optional[GossipConfig] = None,
     convention: Convention = "observers",
     backend: str = "auto",
-    push_counts: Optional[np.ndarray] = None,
-    rng: RngLike = None,
-    max_steps: int = 10_000,
-    track_history: bool = False,
-    patience: int = 3,
 ) -> VectorGlobalResult:
     """Run variant 3: every node estimates every target's global reputation.
 
@@ -99,55 +105,42 @@ def aggregate_vector_global(
         Topology and local trust matrix (sizes must agree).
     targets:
         Target columns to aggregate (default: all ``N`` nodes — mind the
-        ``O(N^2)`` memory).
-    xi:
-        Eq.-7 tolerance (per-node threshold is ``d * xi``).
+        ``O(N^2)`` memory). ``targets=[j]`` is Algorithm 1 for node ``j``.
+    config:
+        Knobs of the gossip round (:class:`repro.core.backend.GossipConfig`;
+        defaults apply when omitted). ``xi`` is the eq.-7 tolerance
+        (per-node threshold ``d * xi``).
     convention:
-        See :mod:`repro.core.single_global`.
+        ``"observers"`` (Algorithm 1 pseudocode: average over opining
+        nodes) or ``"all"`` (eq. 1: average over all ``N`` nodes).
     backend:
         Gossip backend name (or ``"auto"``); see
         :func:`repro.core.backend.available_backends`.
-    Other parameters as in
-    :func:`repro.core.single_global.aggregate_single_global`.
 
     Examples
     --------
+    >>> from repro.core.backend import GossipConfig
     >>> from repro.network.topology_example import example_network
     >>> from repro.trust.matrix import random_trust_matrix
     >>> graph = example_network()
     >>> trust = random_trust_matrix(graph, rng=1)
-    >>> result = aggregate_vector_global(graph, trust, targets=[0, 3], rng=2)
+    >>> result = aggregate_vector_global(
+    ...     graph, trust, targets=[0, 3], config=GossipConfig(rng=2)
+    ... )
     >>> result.estimates.shape
     (10, 2)
     """
-    if graph.num_nodes != trust.num_nodes:
-        raise ValueError(
-            f"graph has {graph.num_nodes} nodes but trust matrix has {trust.num_nodes}"
-        )
-    if targets is None:
-        targets = range(graph.num_nodes)
-    target_array = np.asarray(list(targets), dtype=np.int64)
-    if target_array.size == 0:
-        raise ValueError("targets must be non-empty")
-    if np.any((target_array < 0) | (target_array >= graph.num_nodes)):
-        raise ValueError(f"targets outside 0..{graph.num_nodes - 1}")
-    if np.unique(target_array).size != target_array.size:
-        raise ValueError("targets must be distinct")
-
-    values, weights = initial_state_vector_global(trust, target_array, convention)
-    outcome = run_backend(
+    target_array = np.asarray(
+        range(graph.num_nodes) if targets is None else list(targets), dtype=np.int64
+    )
+    outcome = aggregate(
         graph,
-        values,
-        weights,
-        config=GossipConfig(
-            xi=xi,
-            push_counts=push_counts,
-            rng=rng,
-            max_steps=max_steps,
-            track_history=track_history,
-            patience=patience,
-        ),
+        trust,
+        config,
         backend=backend,
+        variant="vector-global",
+        targets=target_array,
+        convention=convention,
     )
 
     if convention == "observers":

@@ -18,9 +18,10 @@ True
   averages it (weights 1 everywhere), the uniform-gossip setting of the
   paper's Section 5.1 analysis;
 - a :class:`repro.trust.matrix.TrustMatrix` — the ``variant`` parameter
-  selects the paper's aggregation variant ("single-global",
-  "vector-global", "single-gclr", "vector-gclr"), and the facade builds
-  the exact initial state the dedicated entry points use;
+  selects the paper's aggregation variant ("vector-global" or
+  "vector-gclr", one column per tracked target; Algorithm 1 or 2 for
+  node ``j`` is ``targets=[j]``), and the facade builds the exact
+  initial state the dedicated entry points use;
 - a list/tuple of either of the above — one *reputation channel* per
   entry, gossiped in a single multi-channel pass: the facade stacks the
   per-channel initial states channel-major and runs them under
@@ -35,8 +36,9 @@ async for latency-bearing networks, message for tiny worlds and sparse
 otherwise (:func:`repro.core.backend.choose_backend_name`). The return value is
 always the engines' common :class:`repro.core.results.GossipOutcome`;
 for the rich per-variant result objects (true values, eq.-6
-reputations) keep using :func:`repro.core.vector_gclr.aggregate_vector_gclr`
-and friends — they run through this same backend layer.
+reputations) use :func:`repro.core.vector_global.aggregate_vector_global`
+and :func:`repro.core.vector_gclr.aggregate_vector_gclr`, which build
+their state through this facade.
 
 ``aggregate`` runs one round on a *frozen* topology. For a network
 with real session churn — peers joining by preferential attachment and
@@ -59,11 +61,11 @@ from repro.network.graph import Graph
 from repro.trust.matrix import TrustMatrix
 
 #: Aggregation variants accepted when ``trust`` is a TrustMatrix.
-VARIANTS = ("mean", "single-global", "vector-global", "single-gclr", "vector-gclr")
+VARIANTS = ("mean", "vector-global", "vector-gclr")
 
 
 def _validated_targets(num_nodes: int, targets: Optional[Sequence[int]]) -> list:
-    """Target columns for the vector variants (same rules as the entry points)."""
+    """Target columns for the TrustMatrix variants: distinct node ids."""
     if targets is None:
         return list(range(num_nodes))
     resolved = [int(t) for t in targets]
@@ -81,7 +83,6 @@ def _initial_state(
     trust: Union[TrustMatrix, np.ndarray],
     variant: Optional[str],
     *,
-    target: Optional[int],
     targets: Optional[Sequence[int]],
     convention: str,
     designated_node: Optional[int],
@@ -110,22 +111,14 @@ def _initial_state(
     if variant == "mean":
         raise ValueError("variant 'mean' averages a plain array, not a TrustMatrix")
 
-    if variant == "single-global":
-        from repro.core.single_global import initial_state_single_global
-
-        if target is None:
-            raise ValueError("variant 'single-global' requires target=<node id>")
-        values, weights = initial_state_single_global(trust, int(target), convention)
-        return values, weights, None
-
+    resolved = _validated_targets(graph.num_nodes, targets)
     if variant == "vector-global":
         from repro.core.vector_global import initial_state_vector_global
 
-        resolved = _validated_targets(graph.num_nodes, targets)
         values, weights = initial_state_vector_global(trust, resolved, convention)
         return values, weights, None
 
-    from repro.core.single_gclr import pick_designated_node
+    from repro.core.vector_gclr import initial_state_vector_gclr, pick_designated_node
 
     designated = (
         pick_designated_node(graph) if designated_node is None else int(designated_node)
@@ -135,17 +128,6 @@ def _initial_state(
             f"designated_node {designated} must be a non-isolated node id "
             "(stranded gossip weight would leave every ratio undefined)"
         )
-    if variant == "single-gclr":
-        from repro.core.single_gclr import initial_state_single_gclr
-
-        if target is None:
-            raise ValueError("variant 'single-gclr' requires target=<node id>")
-        values, weights, counts = initial_state_single_gclr(trust, int(target), designated)
-        return values, weights, {"count": counts}
-
-    from repro.core.vector_gclr import initial_state_vector_gclr
-
-    resolved = _validated_targets(graph.num_nodes, targets)
     values, weights, counts = initial_state_vector_gclr(trust, resolved, designated)
     return values, weights, {"count": counts}
 
@@ -155,7 +137,6 @@ def _stacked_channel_state(
     channels: Sequence[Union[TrustMatrix, np.ndarray]],
     variant: Optional[str],
     *,
-    target: Optional[int],
     targets: Optional[Sequence[int]],
     convention: str,
     designated_node: Optional[int],
@@ -179,7 +160,6 @@ def _stacked_channel_state(
             graph,
             channel_trust,
             variant,
-            target=target,
             targets=targets,
             convention=convention,
             designated_node=designated_node,
@@ -222,7 +202,6 @@ def aggregate(
     *,
     backend: str = "auto",
     variant: Optional[str] = None,
-    target: Optional[int] = None,
     targets: Optional[Sequence[int]] = None,
     convention: str = "observers",
     designated_node: Optional[int] = None,
@@ -253,22 +232,21 @@ def aggregate(
         networks, message for tiny worlds, sparse otherwise).
     variant:
         Aggregation variant for TrustMatrix input; default
-        ``"vector-global"``. One of ``"single-global"``,
-        ``"vector-global"``, ``"single-gclr"``, ``"vector-gclr"``
-        (``"mean"`` is implied for array input).
-    target:
-        Target node for the single-target variants.
+        ``"vector-global"``. One of ``"vector-global"`` (Algorithm 1
+        per column) and ``"vector-gclr"`` (Algorithm 2 per column);
+        ``"mean"`` is implied for array input.
     targets:
-        Tracked target columns for the vector variants (default: all).
+        Tracked target columns for the TrustMatrix variants (default:
+        all); ``targets=[j]`` runs Algorithm 1 or 2 for node ``j``.
     convention:
         ``"observers"`` or ``"all"`` (see
-        :mod:`repro.core.single_global`).
+        :mod:`repro.core.vector_global`).
     designated_node:
-        Gclr variants: the single node carrying gossip weight 1
+        ``"vector-gclr"``: the single node carrying gossip weight 1
         (default: lowest-id non-isolated node).
     extras:
         Additional components to gossip alongside (array input only —
-        the gclr variants reserve the extras channel for their observer
+        ``"vector-gclr"`` reserves the extras channel for their observer
         count).
 
     Returns
@@ -292,7 +270,6 @@ def aggregate(
             graph,
             trust,
             variant,
-            target=target,
             targets=targets,
             convention=convention,
             designated_node=designated_node,
@@ -312,7 +289,6 @@ def aggregate(
             graph,
             trust,
             variant,
-            target=target,
             targets=targets,
             convention=convention,
             designated_node=designated_node,
@@ -320,7 +296,7 @@ def aggregate(
     if variant_extras is not None:
         if extras:
             raise ValueError(
-                "gclr variants reserve the extras channel for their observer count"
+                "variant 'vector-gclr' reserves the extras channel for its observer count"
             )
         extras = variant_extras
     return run_backend(

@@ -29,6 +29,7 @@ from typing import Dict, List, Optional, Sequence, Set
 import numpy as np
 
 from repro.attacks.whitewashing import WhitewashingModel
+from repro.core.backend import GossipConfig
 from repro.core.vector_gclr import aggregate_vector_gclr, true_vector_gclr
 from repro.core.weights import WeightParams
 from repro.network.graph import Graph
@@ -434,9 +435,11 @@ class FileSharingSimulation:
                 self._graph,
                 trust,
                 targets=range(self._graph.num_nodes),
-                params=self._config.gclr_params,
-                xi=self._config.aggregation_xi,
-                rng=int(self._rng_gossip.integers(2**62)),
+                config=GossipConfig(
+                    xi=self._config.aggregation_xi,
+                    params=self._config.gclr_params,
+                    rng=int(self._rng_gossip.integers(2**62)),
+                ),
                 backend=self._config.aggregation_backend,
             ).reputations
         self._aggregation_rounds += 1

@@ -2,13 +2,17 @@
 
 The load-bearing acceptance check lives here: every registered backend
 (and the ``"auto"`` choice) must agree to 1e-8 on the shared fixture
-topology, and the old per-variant entry points must keep working as
-thin shims over the same registry.
+topology, and the variant entry points must run exactly what the
+facade runs, configured only through ``GossipConfig``.
 """
+
+import dataclasses
+import inspect
 
 import numpy as np
 import pytest
 
+from repro.baselines.push_sum import push_sum_average
 from repro.core.backend import (
     AUTO_MESSAGE_MAX_NODES,
     BackendCapabilityError,
@@ -21,8 +25,6 @@ from repro.core.backend import (
     run_backend,
 )
 from repro.core.differential import fixed_push_counts, resolve_push_counts
-from repro.core.single_gclr import aggregate_single_gclr
-from repro.core.single_global import aggregate_single_global
 from repro.core.vector_gclr import aggregate_vector_gclr
 from repro.core.vector_global import aggregate_vector_global
 from repro.facade import aggregate
@@ -109,6 +111,8 @@ class TestGossipConfig:
             GossipConfig(network=InstantLink(1.5))
         with pytest.raises(ValueError, match="patience"):
             GossipConfig(patience=0)
+        with pytest.raises(ValueError, match="delta"):
+            GossipConfig(delta=-1.0)
 
     def test_resolved_push_counts(self, fig2_network):
         assert GossipConfig().resolved_push_counts(fig2_network) is None
@@ -313,7 +317,11 @@ class TestFacade:
         # The entry point defaults to backend="auto"; pin one engine so
         # both sides run the identical trajectory.
         old = aggregate_vector_global(
-            pa_graph_small, small_trust, targets=targets, xi=1e-6, rng=17, backend="sparse"
+            pa_graph_small,
+            small_trust,
+            targets=targets,
+            config=GossipConfig(xi=1e-6, rng=17),
+            backend="sparse",
         )
         new = aggregate(
             pa_graph_small,
@@ -335,7 +343,11 @@ class TestFacade:
     def test_vector_gclr_variant_matches_entry_point(self, pa_graph_small, small_trust):
         targets = [1, 4, 7]
         old = aggregate_vector_gclr(
-            pa_graph_small, small_trust, targets=targets, xi=1e-6, rng=23, backend="sparse"
+            pa_graph_small,
+            small_trust,
+            targets=targets,
+            config=GossipConfig(xi=1e-6, rng=23),
+            backend="sparse",
         )
         new = aggregate(
             pa_graph_small,
@@ -349,35 +361,39 @@ class TestFacade:
         np.testing.assert_array_equal(old.outcome.extras["count"], new.extras["count"])
 
     def test_single_variants_match_entry_points(self, pa_graph_small, small_trust):
-        old = aggregate_single_global(
-            pa_graph_small, small_trust, 5, xi=1e-6, rng=29, backend="sparse"
+        # Algorithms 1 and 2 for node 5: one tracked column.
+        config = GossipConfig(xi=1e-6, rng=29)
+        old = aggregate_vector_global(
+            pa_graph_small, small_trust, targets=[5], config=config, backend="sparse"
         )
         new = aggregate(
             pa_graph_small,
             small_trust,
-            GossipConfig(xi=1e-6, rng=29),
+            config,
             backend="sparse",
-            variant="single-global",
-            target=5,
+            variant="vector-global",
+            targets=[5],
         )
+        assert new.values.shape == (pa_graph_small.num_nodes, 1)
         np.testing.assert_array_equal(old.outcome.values, new.values)
-        old_gclr = aggregate_single_gclr(
-            pa_graph_small, small_trust, 5, xi=1e-6, rng=31, backend="sparse"
+        config = GossipConfig(xi=1e-6, rng=31)
+        old_gclr = aggregate_vector_gclr(
+            pa_graph_small, small_trust, targets=[5], config=config, backend="sparse"
         )
         new_gclr = aggregate(
             pa_graph_small,
             small_trust,
-            GossipConfig(xi=1e-6, rng=31),
+            config,
             backend="sparse",
-            variant="single-gclr",
-            target=5,
+            variant="vector-gclr",
+            targets=[5],
         )
         np.testing.assert_array_equal(old_gclr.outcome.values, new_gclr.values)
 
     def test_variant_validation(self, pa_graph_small, small_trust, fixture_values):
         with pytest.raises(ValueError, match="variant"):
             aggregate(pa_graph_small, small_trust, variant="bogus")
-        with pytest.raises(ValueError, match="target"):
+        with pytest.raises(ValueError, match="variant must be one of"):
             aggregate(pa_graph_small, small_trust, variant="single-global")
         with pytest.raises(ValueError, match="TrustMatrix"):
             aggregate(example_network(), fixture_values, variant="vector-global")
@@ -412,17 +428,25 @@ class TestFacade:
 
 
 class TestVariantEntryPointsOnOtherBackends:
-    """The old names now accept any registered backend."""
+    """The variant entry points accept any registered backend."""
 
     def test_vector_gclr_on_sparse(self, pa_graph_small, small_trust):
         result = aggregate_vector_gclr(
-            pa_graph_small, small_trust, targets=[0, 3, 9], xi=1e-6, rng=7, backend="sparse"
+            pa_graph_small,
+            small_trust,
+            targets=[0, 3, 9],
+            config=GossipConfig(xi=1e-6, rng=7),
+            backend="sparse",
         )
         assert result.max_absolute_error < 0.01
 
     def test_single_global_on_sparse_backend(self, pa_graph_small, small_trust):
-        result = aggregate_single_global(
-            pa_graph_small, small_trust, 2, xi=1e-6, rng=7, backend="sparse"
+        result = aggregate_vector_global(
+            pa_graph_small,
+            small_trust,
+            targets=[2],
+            config=GossipConfig(xi=1e-6, rng=7),
+            backend="sparse",
         )
         assert result.max_relative_error < 0.01
 
@@ -468,20 +492,40 @@ class TestConfigAwareLayers:
         assert null.rms_gclr == 0.0
         np.testing.assert_array_equal(null.clean_outcome.values, null.dirty_outcome.values)
 
-    def test_round_manager_reads_config_defaults(self, pa_graph_small, small_trust):
-        from repro.core.rounds import GossipRoundManager
-        from repro.core.weights import WeightParams
+    @pytest.mark.parametrize(
+        "entry_point", [aggregate_vector_global, aggregate_vector_gclr, push_sum_average]
+    )
+    def test_one_way_to_configure(self, entry_point):
+        # Every GossipConfig knob is set through config=, never through a
+        # keyword copied beside it.
+        parameters = inspect.signature(entry_point).parameters
+        assert "config" in parameters
+        copied = {f.name for f in dataclasses.fields(GossipConfig)} & set(parameters)
+        assert not copied, f"{entry_point.__name__} copies GossipConfig fields {copied}"
 
-        params = WeightParams(a=3.0, b=0.6)
-        manager = GossipRoundManager(
-            pa_graph_small,
-            config=GossipConfig(xi=1e-4, rng=5, params=params, delta=0.2),
+    def test_gclr_entry_point_forwards_the_whole_config(self):
+        from repro.core.errors import ConvergenceError
+        from repro.core.vector_gclr import gclr_reputations
+        from repro.network.conditions import InstantLink
+        from repro.network.preferential_attachment import preferential_attachment_graph
+        from repro.trust.matrix import random_trust_matrix
+
+        g = preferential_attachment_graph(60, m=2, rng=5)
+        t = random_trust_matrix(g, rng=6)
+        targets = [0, 3, 9]
+        lossy = GossipConfig(xi=1e-6, rng=7, network=InstantLink(0.3))
+        result = aggregate_vector_gclr(g, t, targets=targets, config=lossy)
+        outcome = aggregate(g, t, lossy, variant="vector-gclr", targets=targets)
+        expected = gclr_reputations(g, t, np.asarray(targets), outcome, lossy.params)
+        np.testing.assert_array_equal(result.reputations, expected)
+        # The loss reaches the engine: lost pushes are re-sent.
+        lossless = aggregate_vector_gclr(
+            g, t, targets=targets, config=GossipConfig(xi=1e-6, rng=7)
         )
-        assert manager._delta == 0.2
-        assert manager._params is params
-        assert manager._xi == 1e-4
-        record = manager.run_round(small_trust, targets=[0, 1])
-        assert record.total_opinions > 0
+        assert result.outcome.push_messages != lossless.outcome.push_messages
+        # So does the step budget.
+        with pytest.raises(ConvergenceError):
+            aggregate_vector_gclr(g, t, targets=targets, config=GossipConfig(max_steps=3))
 
 
 class TestCsrRoundTripWithIsolatedNodes:

@@ -8,13 +8,14 @@ from repro.baselines.flooding import flood_spread
 from repro.baselines.gossip_trust import gossip_trust_global, unweighted_global_estimate
 from repro.baselines.push_pull import push_pull_average
 from repro.baselines.push_sum import normal_push_engine, push_sum_average
+from repro.core.backend import GossipConfig
 from repro.trust.matrix import TrustMatrix
 
 
 class TestPushSum:
     def test_converges_to_mean(self, pa_graph_small):
         values = np.arange(60.0)
-        out = push_sum_average(pa_graph_small, values, xi=1e-7, rng=1)
+        out = push_sum_average(pa_graph_small, values, config=GossipConfig(xi=1e-7, rng=1))
         assert np.allclose(out.estimates, values.mean(), atol=1e-2)
 
     def test_engine_pushes_once_per_step(self, pa_graph_small):
@@ -24,14 +25,16 @@ class TestPushSum:
     def test_no_degree_announcement_overhead(self, pa_graph_small):
         # Pinned to the vectorised engine: the message engine also counts
         # its per-node stop announcements, which is not what this measures.
-        out = push_sum_average(pa_graph_small, np.ones(60), xi=1e-3, rng=3, backend="sparse")
+        out = push_sum_average(
+            pa_graph_small, np.ones(60), config=GossipConfig(xi=1e-3, rng=3), backend="sparse"
+        )
         # Normal push needs no degree exchange; protocol messages are
         # only the convergence announcements.
         assert out.protocol_messages <= int(pa_graph_small.degrees.sum())
 
     def test_mass_conserved(self, pa_graph_small):
         values = np.random.default_rng(0).random(60)
-        out = push_sum_average(pa_graph_small, values, xi=1e-5, rng=4)
+        out = push_sum_average(pa_graph_small, values, config=GossipConfig(xi=1e-5, rng=4))
         assert float(out.values.sum()) == pytest.approx(float(values.sum()), rel=1e-9)
 
     def test_shape_validation(self, pa_graph_small):
@@ -64,7 +67,7 @@ class TestPushSum:
         )
         # Constant values converge right after warmup, so the huge ring
         # stays cheap; the assertion is about routing, not the estimate.
-        out = push_sum_average(ring, np.full(n, 0.5), xi=1.0, rng=1)
+        out = push_sum_average(ring, np.full(n, 0.5), config=GossipConfig(xi=1.0, rng=1))
         assert chosen == ["sparse"]
         assert np.allclose(out.estimates, 0.5)
 
@@ -80,7 +83,9 @@ class TestPushSum:
             or real_get_backend(name),
         )
         # 60 nodes: "auto" would pick the message engine.
-        push_sum_average(pa_graph_small, np.ones(60), xi=1e-2, rng=2, backend="sparse")
+        push_sum_average(
+            pa_graph_small, np.ones(60), config=GossipConfig(xi=1e-2, rng=2), backend="sparse"
+        )
         assert chosen == ["sparse"]
 
 
@@ -102,7 +107,7 @@ class TestPushPull:
     def test_usually_faster_than_push_on_hubby_graph(self, pa_graph_medium):
         values = np.random.default_rng(2).random(300)
         pp = push_pull_average(pa_graph_medium, values, xi=1e-5, rng=4)
-        ps = push_sum_average(pa_graph_medium, values, xi=1e-5, rng=4)
+        ps = push_sum_average(pa_graph_medium, values, config=GossipConfig(xi=1e-5, rng=4))
         assert pp.steps < ps.steps
 
     def test_shape_validation(self, pa_graph_small):

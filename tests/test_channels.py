@@ -63,7 +63,6 @@ class TestSweptBackendDefaults:
     """
 
     def test_signature_defaults_are_auto(self):
-        from repro.core.rounds import GossipRoundManager
         from repro.core.vector_gclr import aggregate_vector_gclr
         from repro.core.vector_global import aggregate_vector_global
         from repro.experiments import fig3, fig4, table2, xi_accuracy
@@ -71,7 +70,6 @@ class TestSweptBackendDefaults:
         for fn in (
             aggregate_vector_global,
             aggregate_vector_gclr,
-            GossipRoundManager.__init__,
             fig3.run,
             fig4.run,
             table2.run,
@@ -96,7 +94,7 @@ class TestSweptBackendDefaults:
 
         g = example_network()
         result = aggregate_vector_global(
-            g, random_trust_matrix(g, rng=3), targets=[0, 1], xi=1e-3, rng=5
+            g, random_trust_matrix(g, rng=3), targets=[0, 1], config=GossipConfig(xi=1e-3, rng=5)
         )
         assert result.outcome.steps > 0
         assert spy == [choose_backend_name(g)]
@@ -106,17 +104,9 @@ class TestSweptBackendDefaults:
 
         g = example_network()
         result = aggregate_vector_gclr(
-            g, random_trust_matrix(g, rng=3), targets=[0, 1], xi=1e-3, rng=5
+            g, random_trust_matrix(g, rng=3), targets=[0, 1], config=GossipConfig(xi=1e-3, rng=5)
         )
         assert result.outcome.steps > 0
-        assert spy == [choose_backend_name(g)]
-
-    def test_round_manager_follows_auto_policy(self, spy):
-        from repro.core.rounds import GossipRoundManager
-
-        g = preferential_attachment_graph(40, m=2, rng=0)
-        manager = GossipRoundManager(g, config=GossipConfig(xi=1e-5, rng=1))
-        manager.run_round(random_trust_matrix(g, rng=2), targets=[1, 2])
         assert spy == [choose_backend_name(g)]
 
     def test_scenario_pins_swept_to_auto(self):

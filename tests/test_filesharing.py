@@ -1,7 +1,12 @@
 """Integration-grade tests for the file-sharing simulation."""
 
+import numpy as np
 import pytest
 
+import repro.core.backend as backend_mod
+import repro.simulation.filesharing as filesharing
+from repro.core.vector_gclr import true_vector_gclr
+from repro.core.weights import WeightParams
 from repro.network.preferential_attachment import preferential_attachment_graph
 from repro.simulation.filesharing import (
     FileSharingSimulation,
@@ -86,6 +91,47 @@ class TestReputationEffect:
         assert trust.num_observations > 0
         for _, _, value in trust.items():
             assert 0.0 <= value <= 1.0
+
+
+class TestGossipAggregation:
+    """``aggregation_backend`` runs a real differential gossip round."""
+
+    @pytest.mark.parametrize("backend", ["sparse", "message"])
+    def test_rounds_gossip_to_the_exact_reputations(self, backend, monkeypatch):
+        params = WeightParams(a=3.0, b=0.5)
+        graph, profiles, config = _world(
+            aggregation_backend=backend, aggregation_xi=1e-6, gclr_params=params
+        )
+        chosen, rounds = [], []
+        real_get_backend = backend_mod.get_backend
+        monkeypatch.setattr(
+            backend_mod,
+            "get_backend",
+            lambda name: chosen.append(backend_mod.resolve_backend_name(name))
+            or real_get_backend(name),
+        )
+        real_aggregate = filesharing.aggregate_vector_gclr
+
+        def recording_aggregate(graph, trust, **kwargs):
+            result = real_aggregate(graph, trust, **kwargs)
+            rounds.append((trust, kwargs["config"], result))
+            return result
+
+        monkeypatch.setattr(filesharing, "aggregate_vector_gclr", recording_aggregate)
+        sim = FileSharingSimulation(graph, profiles, config, rng=5)
+        report = sim.run()
+
+        assert report.aggregation_rounds == len(rounds) == 4  # t = 10, 20, 30, 40
+        assert chosen == [backend] * 4
+        for trust, round_config, result in rounds:
+            assert round_config.xi == 1e-6
+            assert round_config.params is params
+            assert result.outcome.steps > 0
+            exact = true_vector_gclr(graph, trust, range(40), params)
+            # 100 * xi: a round run at the default xi=1e-4 misses it.
+            np.testing.assert_allclose(result.reputations, exact, atol=1e-4)
+        # Peers are served the last round's gossip estimates.
+        assert sim.reputation_matrix is rounds[-1][2].reputations
 
 
 class TestWhitewashing:

@@ -10,8 +10,8 @@ import pytest
 
 from repro.attacks.collusion import apply_collusion, group_colluders, select_colluders
 from repro.baselines.gossip_trust import unweighted_global_estimate
+from repro.core.backend import GossipConfig
 from repro.core.engine import MessageLevelGossip
-from repro.core.single_gclr import aggregate_single_gclr
 from repro.core.sparse_engine import SparseGossipEngine
 from repro.core.vector_gclr import aggregate_vector_gclr, true_vector_gclr
 from repro.core.weights import WeightParams
@@ -57,9 +57,14 @@ class TestGossipReachesFixpoints:
     """Gossip estimates converge to the closed-form eq.-6 values."""
 
     def test_single_gclr_both_engines(self, pa_graph_small, small_trust):
+        # Algorithm 2 for node 9: one tracked column.
         for engine_name in ("sparse", "message"):
-            result = aggregate_single_gclr(
-                pa_graph_small, small_trust, target=9, xi=1e-8, rng=7, backend=engine_name
+            result = aggregate_vector_gclr(
+                pa_graph_small,
+                small_trust,
+                targets=[9],
+                config=GossipConfig(xi=1e-8, rng=7),
+                backend=engine_name,
             )
             assert result.max_absolute_error < 0.01, engine_name
 
@@ -67,7 +72,10 @@ class TestGossipReachesFixpoints:
         params = WeightParams()
         targets = [1, 5, 9]
         result = aggregate_vector_gclr(
-            pa_graph_small, small_trust, targets=targets, params=params, xi=1e-8, rng=8
+            pa_graph_small,
+            small_trust,
+            targets=targets,
+            config=GossipConfig(xi=1e-8, rng=8, params=params),
         )
         exact = true_vector_gclr(pa_graph_small, small_trust, targets, params)
         assert np.allclose(result.reputations, exact, atol=0.01)
@@ -89,13 +97,12 @@ class TestCollusionPipeline:
         dirty_exact = true_vector_gclr(graph, poisoned, targets, params, "all")
         rms_exact = average_rms_error(dirty_exact, clean_exact)
 
+        config = GossipConfig(xi=1e-6, rng=23, params=params)
         clean_gossip = aggregate_vector_gclr(
-            graph, trust, targets=targets, params=params,
-            denominator_convention="all", xi=1e-6, rng=23,
+            graph, trust, targets=targets, config=config, denominator_convention="all"
         ).reputations
         dirty_gossip = aggregate_vector_gclr(
-            graph, poisoned, targets=targets, params=params,
-            denominator_convention="all", xi=1e-6, rng=23,
+            graph, poisoned, targets=targets, config=config, denominator_convention="all"
         ).reputations
         rms_gossip = average_rms_error(dirty_gossip, clean_gossip)
 
@@ -141,5 +148,7 @@ class TestSparseVsDenseTrust:
         sparse = random_trust_matrix(pa_graph_small, rng=40)
         dense = complete_trust_matrix(60, rng=41)
         for trust in (sparse, dense):
-            result = aggregate_single_gclr(pa_graph_small, trust, target=5, xi=1e-7, rng=42)
+            result = aggregate_vector_gclr(
+                pa_graph_small, trust, targets=[5], config=GossipConfig(xi=1e-7, rng=42)
+            )
             assert result.max_absolute_error < 0.02

@@ -8,6 +8,8 @@ one shared :class:`PushPlan`. The reference runs inside the engine by
 replacing the kernel class the sparse engine instantiates.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,21 @@ class TestKernelApi:
             create_kernel("unfused", plan, inv, 2, np.float64)
         with pytest.raises(ValueError, match="float64"):
             create_kernel(None, plan, inv, 2, np.float32)
+
+    def test_plan_build_peaks_near_what_it_keeps(self):
+        # Every engine build (each churn block builds one) pays the plan's
+        # transient allocations; no edge-sized scratch array may outlive
+        # the line that needs it.
+        graph = preferential_attachment_graph_fast(50_000, 8, rng=11)
+        counts = resolve_push_counts(graph, None)
+        tracemalloc.start()
+        try:
+            plan = PushPlan(graph.indptr, graph.indices, graph.degrees, counts)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert plan.max_pushes > 0
+        assert peak < 1.5 * retained, f"build peaked at {peak / retained:.2f}x what the plan keeps"
 
 
 class TestSamplingParity:

@@ -17,10 +17,9 @@ from hypothesis import strategies as st
 from repro.core.differential import fixed_push_counts
 from repro.core.engine import MessageLevelGossip
 from repro.core.errors import ConvergenceError
-from repro.core.single_gclr import pick_designated_node
 from repro.core.sparse_engine import SparseGossipEngine
 from repro.core.state import UNDEFINED_RATIO
-from repro.core.vector_gclr import initial_state_vector_gclr
+from repro.core.vector_gclr import initial_state_vector_gclr, pick_designated_node
 from repro.network.conditions import PacketLossModel
 from repro.network.graph import Graph
 from repro.network.preferential_attachment import (

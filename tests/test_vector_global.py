@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.backend import GossipConfig
 from repro.core.vector_global import aggregate_vector_global, initial_state_vector_global
 from repro.trust.matrix import TrustMatrix
 
@@ -25,7 +26,7 @@ class TestAggregation:
     def test_accuracy_per_column(self, pa_graph_small, small_trust):
         targets = [0, 5, 9, 20]
         result = aggregate_vector_global(
-            pa_graph_small, small_trust, targets=targets, xi=1e-6, rng=1
+            pa_graph_small, small_trust, targets=targets, config=GossipConfig(xi=1e-6, rng=1)
         )
         assert result.estimates.shape == (60, 4)
         assert result.max_relative_error < 0.05
@@ -38,7 +39,7 @@ class TestAggregation:
         # Column dynamics are independent: vector run's per-column limit
         # equals the single-target truth.
         result = aggregate_vector_global(
-            pa_graph_small, small_trust, targets=[5], xi=1e-7, rng=2
+            pa_graph_small, small_trust, targets=[5], config=GossipConfig(xi=1e-7, rng=2)
         )
         assert np.allclose(
             result.estimates[:, 0],
@@ -47,7 +48,9 @@ class TestAggregation:
         )
 
     def test_default_targets_all_nodes(self, pa_graph_small, small_trust):
-        result = aggregate_vector_global(pa_graph_small, small_trust, xi=1e-4, rng=3)
+        result = aggregate_vector_global(
+            pa_graph_small, small_trust, config=GossipConfig(xi=1e-4, rng=3)
+        )
         assert result.estimates.shape == (60, 60)
 
     def test_rejects_duplicate_targets(self, pa_graph_small, small_trust):
@@ -68,7 +71,11 @@ class TestAggregation:
 
     def test_all_convention(self, pa_graph_small, small_trust):
         result = aggregate_vector_global(
-            pa_graph_small, small_trust, targets=[5], xi=1e-9, rng=4, convention="all"
+            pa_graph_small,
+            small_trust,
+            targets=[5],
+            config=GossipConfig(xi=1e-9, rng=4),
+            convention="all",
         )
         assert result.true_values[0] == pytest.approx(
             small_trust.column_mean_over_all(5)
@@ -79,6 +86,9 @@ class TestAggregation:
         # More columns loosen the per-node threshold (d * xi); the run
         # should still converge to the right answers.
         result = aggregate_vector_global(
-            pa_graph_small, small_trust, targets=list(range(20)), xi=1e-6, rng=5
+            pa_graph_small,
+            small_trust,
+            targets=list(range(20)),
+            config=GossipConfig(xi=1e-6, rng=5),
         )
         assert result.max_relative_error < 0.1
