@@ -25,8 +25,9 @@ import numpy as np
 
 from repro.algorithms.base import AlgorithmOutcome, PreparedAlgorithm, resolve_targets
 from repro.algorithms.registry import register_algorithm
-from repro.core.backend import GossipConfig, run_backend
+from repro.core.backend import BackendCapabilityError, GossipConfig, run_backend
 from repro.core.results import GossipOutcome
+from repro.core.vector_global import initial_state_vector_global
 from repro.facade import aggregate
 from repro.network.graph import Graph
 from repro.trust.matrix import TrustMatrix
@@ -55,12 +56,6 @@ def _observer_truth(trust: TrustMatrix, targets: Sequence[int]) -> np.ndarray:
 
 def _all_nodes_truth(trust: TrustMatrix, targets: Sequence[int]) -> np.ndarray:
     return np.array([trust.column_mean_over_all(t) for t in targets])
-
-
-def _dense_columns(trust: TrustMatrix, targets: Sequence[int]) -> np.ndarray:
-    """Per-node opinion columns ``(N, T)`` (0.0 where never observed)."""
-    dense = trust.to_dense()
-    return dense[:, list(targets)]
 
 
 def _gossip_outcome_to_algorithm(
@@ -159,9 +154,8 @@ class PushSumAlgorithm:
     ) -> PreparedAlgorithm:
         target_list = resolve_targets(trust, targets)
         base = replace(_base_config(config), k=1, push_counts=None)
-        columns = _dense_columns(trust, target_list)
+        columns, weights = initial_state_vector_global(trust, target_list, "all")
         truth = _all_nodes_truth(trust, target_list)
-        weights = np.ones_like(columns)
 
         def runner(rng: RngLike) -> AlgorithmOutcome:
             outcome = run_backend(
@@ -188,6 +182,11 @@ class PushPullAlgorithm:
     2 messages per contact (request + response) regardless of ``T``,
     plus convergence-protocol announcements —
     ``GossipOutcome.total_messages`` of the baseline run.
+
+    The baseline reads ``xi``, ``rng``, ``max_steps`` and ``patience``
+    from the config. It models no lossy network, so ``prepare`` raises
+    :class:`~repro.core.backend.BackendCapabilityError` for a config
+    with ``network`` set rather than run lossless under a loss setting.
     """
 
     name = "push-pull"
@@ -206,7 +205,12 @@ class PushPullAlgorithm:
 
         target_list = resolve_targets(trust, targets)
         base = _base_config(config)
-        columns = _dense_columns(trust, target_list)
+        if base.network is not None:
+            raise BackendCapabilityError(
+                "push-pull has no network model: its contacts are lossless exchanges; "
+                "use 'push-sum' or 'diff-gossip' for packet loss"
+            )
+        columns, _ = initial_state_vector_global(trust, target_list)
         truth = _all_nodes_truth(trust, target_list)
 
         def runner(rng: RngLike) -> AlgorithmOutcome:

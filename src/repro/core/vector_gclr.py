@@ -34,7 +34,8 @@ import numpy as np
 
 from repro.core.backend import GossipConfig
 from repro.core.results import GossipOutcome
-from repro.core.weights import WeightParams, excess_weights
+from repro.core.vector_global import initial_state_vector_global
+from repro.core.weights import WeightParams
 from repro.facade import aggregate
 from repro.network.graph import Graph
 from repro.trust.matrix import TrustMatrix
@@ -76,42 +77,107 @@ class VectorGclrResult:
         return float(self.reputations[estimator, int(columns[0])])
 
 
+def _excess_entries(graph: Graph, trust: TrustMatrix, params: WeightParams) -> tuple:
+    """The matrix ``E`` of eq. 6's excess weights, as ``(rows, neighbours, excess)``.
+
+    ``E[I, k] = w_Ik - 1`` for every neighbour ``k`` of ``I`` that ``I``
+    holds an opinion about, where that excess is not 0, listed in the
+    graph's CSR order: each node's neighbours in turn, the order eq. 6's
+    neighbour sums walk them. Each excess is the scalar
+    ``a ** (b * t) - 1`` of :meth:`WeightParams.weight`.
+    """
+    # Whole-matrix arrays are dropped as soon as they are spent: they set
+    # the call's peak memory.
+    size = trust.num_nodes
+    keys, targets, values = trust.to_arrays()
+    keys *= size
+    keys += targets
+    del targets
+    edge_keys = np.repeat(np.arange(graph.num_nodes, dtype=np.int64) * size, graph.degrees)
+    edge_keys += graph.indices  # ascending: CSR rows and their columns are sorted
+    slots = np.searchsorted(edge_keys, keys)
+    # A key past the last edge key lands on the -1 sentinel (ids are >= 0).
+    on_edge = np.append(edge_keys, -1)[slots] == keys
+    del keys
+    slots = slots[on_edge]
+    opinions = np.empty(edge_keys.size, dtype=np.float64)
+    opinions[slots] = values[on_edge]
+    del values, on_edge
+    held = np.zeros(edge_keys.size, dtype=bool)
+    held[slots] = True
+    # Python's scalar ** per entry: np.power can differ in the last bit.
+    a, b = params.a, params.b
+    excess = np.fromiter(
+        (a ** (b * t) - 1.0 for t in map(float, opinions[held])), dtype=np.float64, count=slots.size
+    )
+    counted = excess != 0.0
+    held[held] = counted
+    return edge_keys[held] // size, graph.indices[held], excess[counted]
+
+
 def _neighbor_corrections_matrix(
     graph: Graph,
     trust: TrustMatrix,
     targets: np.ndarray,
     params: WeightParams,
 ) -> tuple:
-    """Vectorised eq.-6 correction terms for all estimating nodes at once.
+    """Eq.-6 correction terms for all estimating nodes at once.
 
-    Returns ``(y_hat, w_excess_sum)`` with shapes ``(N, d)`` and ``(N,)``.
+    Returns ``(y_hat, w_excess_sum)`` with shapes ``(N, d)`` and ``(N,)``:
+    the sparse products ``y_hat = E @ T[:, targets]`` and
+    ``w_excess_sum = E @ 1`` over the excess weights ``E``
+    (:func:`_excess_entries`).
     """
     n = graph.num_nodes
-    d = targets.size
-    column_index = {int(t): c for c, t in enumerate(targets)}
-    # feedback[k] maps column -> t_k,target for targets k has opined about.
-    y_hat = np.zeros((n, d), dtype=np.float64)
-    w_excess_sum = np.zeros(n, dtype=np.float64)
-    # Pre-extract each node's sparse opinions restricted to tracked columns.
-    opinion_rows = []
-    for k in range(n):
-        row = trust.row(k)
-        opinion_rows.append(
-            [(column_index[t], v) for t, v in row.items() if t in column_index]
-        )
-    for estimator in range(n):
-        excess = excess_weights(params, trust.row(estimator))
-        if not excess:
-            continue
-        for neighbor in graph.neighbors(estimator):
-            neighbor = int(neighbor)
-            e = excess.get(neighbor)
-            if e is None:
-                continue
-            w_excess_sum[estimator] += e
-            for col, value in opinion_rows[neighbor]:
-                y_hat[estimator, col] += e * value
+    if n > trust.num_nodes:
+        raise ValueError(f"graph has {n} nodes but the trust matrix only {trust.num_nodes}")
+    rows, neighbours, excess = _excess_entries(graph, trust, params)
+    opinions, _ = initial_state_vector_global(trust, targets)
+    # bincount adds each cell's terms in array order: E's order, the order a
+    # walk over each node's neighbours adds them in. A pairwise sum (np.sum)
+    # would not. A neighbour with no opinion about a target adds
+    # excess * 0.0 = 0.0, which leaves every partial sum's bits alone.
+    w_excess_sum = np.bincount(rows, weights=excess, minlength=n)
+    y_hat = np.empty((n, targets.size), dtype=np.float64)
+    for c in range(targets.size):
+        y_hat[:, c] = np.bincount(rows, weights=excess * opinions[neighbours, c], minlength=n)
     return y_hat, w_excess_sum
+
+
+def _exact_reputations(
+    trust: TrustMatrix,
+    targets: np.ndarray,
+    terms: tuple,
+    denominator_convention: DenominatorConvention,
+) -> np.ndarray:
+    """Eq. 6 from its correction terms and the exact global sums."""
+    y_hat, w_excess_sum = terms
+    sums = np.array([trust.column_sum(int(t)) for t in targets])
+    if denominator_convention == "observers":
+        counts = np.array([float(len(trust.column(int(t)))) for t in targets])
+    else:
+        counts = np.full(targets.size, float(trust.num_nodes))
+    denominator = w_excess_sum[:, None] + counts[None, :]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(denominator > 0, (y_hat + sums[None, :]) / denominator, 0.0)
+
+
+def _gossiped_reputations(
+    outcome: GossipOutcome,
+    terms: tuple,
+    denominator_convention: DenominatorConvention,
+) -> np.ndarray:
+    """Eq. 6 from its correction terms and the gossiped sums and counts."""
+    y_hat, w_excess_sum = terms
+    sum_estimates = outcome.estimates  # (N, d): each approximates sum_i t_ij
+    if denominator_convention == "observers":
+        count_term = outcome.extra_estimates("count")  # (N, d): approximates N_dj
+    else:
+        n = y_hat.shape[0]
+        count_term = np.full(y_hat.shape, float(n))
+    denominator = w_excess_sum[:, None] + count_term
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(denominator > 0, (y_hat + sum_estimates) / denominator, 0.0)
 
 
 def true_vector_gclr(
@@ -123,15 +189,8 @@ def true_vector_gclr(
 ) -> np.ndarray:
     """Exact eq.-6 reputation matrix (ground truth, no gossip)."""
     target_array = np.asarray(list(targets), dtype=np.int64)
-    y_hat, w_excess_sum = _neighbor_corrections_matrix(graph, trust, target_array, params)
-    sums = np.array([trust.column_sum(int(t)) for t in target_array])
-    if denominator_convention == "observers":
-        counts = np.array([float(len(trust.column(int(t)))) for t in target_array])
-    else:
-        counts = np.full(target_array.size, float(trust.num_nodes))
-    denominator = w_excess_sum[:, None] + counts[None, :]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(denominator > 0, (y_hat + sums[None, :]) / denominator, 0.0)
+    terms = _neighbor_corrections_matrix(graph, trust, target_array, params)
+    return _exact_reputations(trust, target_array, terms, denominator_convention)
 
 
 def pick_designated_node(graph: Graph) -> int:
@@ -186,18 +245,8 @@ def gclr_reputations(
     (or the :func:`repro.aggregate` facade) produce the outcome while
     the eq.-6 algebra stays in one place.
     """
-    n = graph.num_nodes
-    sum_estimates = outcome.estimates  # (N, d): each approximates sum_i t_ij
-    count_estimates = outcome.extra_estimates("count")  # (N, d): approximates N_dj
-    y_hat, w_excess_sum = _neighbor_corrections_matrix(graph, trust, targets, params)
-
-    if denominator_convention == "observers":
-        count_term = count_estimates
-    else:
-        count_term = np.full((n, targets.size), float(n))
-    denominator = w_excess_sum[:, None] + count_term
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(denominator > 0, (y_hat + sum_estimates) / denominator, 0.0)
+    terms = _neighbor_corrections_matrix(graph, trust, np.asarray(targets), params)
+    return _gossiped_reputations(outcome, terms, denominator_convention)
 
 
 def aggregate_vector_gclr(
@@ -263,15 +312,11 @@ def aggregate_vector_gclr(
         targets=target_array,
         designated_node=designated_node,
     )
-    reputations = gclr_reputations(
-        graph, trust, target_array, outcome, config.params, denominator_convention
-    )
-
+    # One set of eq.-6 terms serves the gossiped and the exact reputations.
+    terms = _neighbor_corrections_matrix(graph, trust, target_array, config.params)
     return VectorGclrResult(
         targets=target_array,
-        reputations=reputations,
-        true_reputations=true_vector_gclr(
-            graph, trust, target_array, config.params, denominator_convention
-        ),
+        reputations=_gossiped_reputations(outcome, terms, denominator_convention),
+        true_reputations=_exact_reputations(trust, target_array, terms, denominator_convention),
         outcome=outcome,
     )

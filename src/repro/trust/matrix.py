@@ -19,11 +19,21 @@ scaled by ``2**1074``; ``set`` and ``discard`` then update it by
 correctly rounded int/int division. A column sum is therefore
 ``math.fsum`` of the column — the same bits whatever order the entries
 arrived in — and costs O(1) after the column's first read.
+
+The dicts stay the one store; bulk work goes through an array face.
+:meth:`TrustMatrix.from_arrays` builds a whole matrix from parallel
+``(observers, targets, values)`` arrays with one vectorised validation
+and one dict per row and one set per column — the same matrix, down to
+every iteration order, as one :meth:`~TrustMatrix.set` per triple — and
+every bulk builder below goes through it. :meth:`~TrustMatrix.to_arrays`
+reads every entry back the same way, for the copies, the dense views and
+eq. 6's neighbour terms (:mod:`repro.core.vector_gclr`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Tuple
+from itertools import chain
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,6 +49,49 @@ def _scaled(value: float) -> int:
     """``value * 2**1074`` as an exact int (any finite double)."""
     num, den = value.as_integer_ratio()
     return num << (1075 - den.bit_length())
+
+
+def _id_array(ids: Sequence[int], name: str) -> np.ndarray:
+    """``ids`` as a 1-D int64 array; floats and other kinds are rejected."""
+    array = np.asarray(ids)
+    if array.size and array.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be integer node ids, got dtype {array.dtype}")
+    return array.astype(np.int64, copy=False)
+
+
+def _grouped(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group positions of ``keys`` by value.
+
+    Returns ``(order, starts, ends)``: ``order[starts[g]:ends[g]]`` are
+    the positions, ascending, of the ``g``-th distinct key, and the
+    groups are listed in order of first appearance — the order one dict
+    or set insert per key builds.
+    """
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    starts = np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
+    ends = np.r_[starts[1:], keys.size]
+    by_appearance = np.argsort(order[starts])  # stable sort: order[start] is the first position
+    return order, starts[by_appearance], ends[by_appearance]
+
+
+def _last_write_wins(
+    observers: np.ndarray, targets: np.ndarray, values: np.ndarray, n: int, narrow: np.dtype
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Drop repeated pairs: each keeps its first triple's place and its last value."""
+    # Two stable passes sort the triples by (observer, target).
+    order = np.argsort(targets.astype(narrow), kind="stable")
+    order = order[np.argsort(observers.astype(narrow)[order], kind="stable")]
+    pairs = observers[order] * n + targets[order]
+    fresh = np.r_[True, pairs[1:] != pairs[:-1]]
+    if fresh.all():
+        return observers, targets, values
+    first, last = order[fresh], order[np.r_[fresh[1:], True]]
+    keep = np.zeros(observers.size, dtype=bool)
+    keep[first] = True
+    latest = values.copy()
+    latest[first] = values[last]
+    return observers[keep], targets[keep], latest[keep]
 
 
 class TrustMatrix:
@@ -76,6 +129,79 @@ class TrustMatrix:
         self._by_target: Dict[int, set] = {}
         # target -> column sum * 2**1074, for columns read at least once.
         self._sums: Dict[int, int] = {}
+
+    @classmethod
+    def from_arrays(
+        cls,
+        num_nodes: int,
+        observers: Sequence[int],
+        targets: Sequence[int],
+        values: Sequence[float],
+    ) -> "TrustMatrix":
+        """Build from parallel ``(observers, targets, values)`` arrays.
+
+        The result equals calling :meth:`set` once per triple in array
+        order: the same entries, the same :meth:`items` and row order,
+        the same iteration order of every :meth:`observers_of` set, and
+        the last value wins for a repeated pair. A bad triple raises the
+        ``ValueError`` that :meth:`set` raises for the first bad one (an
+        id outside ``0..N-1``, a self pair, or a value that is not a
+        finite number in ``[0, 1]``), after one vectorised check of all.
+
+        Every node id is one shared Python int in the rows and columns,
+        so the build retains less than one ``set`` per triple does.
+
+        Examples
+        --------
+        >>> t = TrustMatrix.from_arrays(4, [2, 0, 2], [1, 3, 1], [0.5, 0.25, 0.75])
+        >>> list(t.items())  # (2, 1) keeps its first place and its last value
+        [(2, 1, 0.75), (0, 3, 0.25)]
+        >>> TrustMatrix.from_arrays(4, [0, 3], [1, 3], [0.5, 0.5])
+        Traceback (most recent call last):
+        ...
+        ValueError: self-trust t[3,3] is not allowed
+        """
+        matrix = cls(num_nodes)
+        n = matrix._num_nodes
+        obs = _id_array(observers, "observers")
+        tgt = _id_array(targets, "targets")
+        vals = np.asarray(values, dtype=np.float64)
+        if obs.ndim != 1 or not obs.shape == tgt.shape == vals.shape:
+            raise ValueError(
+                "observers, targets and values must be 1-D and of equal length, got shapes "
+                f"{obs.shape}, {tgt.shape}, {vals.shape}"
+            )
+        if obs.size == 0:
+            return matrix
+        # NaN fails both comparisons, +-inf one of them.
+        bad = (obs < 0) | (obs >= n) | (tgt < 0) | (tgt >= n) | (obs == tgt)
+        bad |= ~((vals >= 0.0) & (vals <= 1.0))
+        if bad.any():
+            i = int(np.argmax(bad))
+            observer, target = int(obs[i]), int(tgt[i])
+            matrix._check_pair(observer, target)
+            check_trust_value(float(vals[i]), f"t[{observer},{target}]")
+
+        # Stable sorts run on ids in the narrowest unsigned dtype, which
+        # numpy radix-sorts when it has 8 or 16 bits (N <= 65536).
+        narrow = np.min_scalar_type(n - 1)
+        obs, tgt, vals = _last_write_wins(obs, tgt, vals, n, narrow)
+        # One Python int per node id, shared by every row key and column member.
+        ids = np.empty(n, dtype=object)
+        ids[:] = range(n)
+        order, starts, ends = _grouped(obs.astype(narrow))
+        heads = ids[obs[order[starts]]].tolist()
+        row_targets = ids[tgt[order]].tolist()
+        row_values = vals[order].tolist()
+        spans = zip(heads, starts.tolist(), ends.tolist())
+        matrix._rows = {o: dict(zip(row_targets[a:b], row_values[a:b])) for o, a, b in spans}
+        del row_targets, row_values  # the columns below set the peak
+        order, starts, ends = _grouped(tgt.astype(narrow))
+        heads = ids[tgt[order[starts]]].tolist()
+        column_observers = ids[obs[order]].tolist()
+        spans = zip(heads, starts.tolist(), ends.tolist())
+        matrix._by_target = {t: set(column_observers[a:b]) for t, a, b in spans}
+        return matrix
 
     # -- mutation -------------------------------------------------------------
 
@@ -218,18 +344,41 @@ class TrustMatrix:
 
     # -- conversions ----------------------------------------------------------
 
+    def to_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every entry as ``(observers, targets, values)`` arrays, in :meth:`items` order.
+
+        The inverse of :meth:`from_arrays`: ``from_arrays(N, *t.to_arrays())``
+        rebuilds ``t`` with every iteration order intact. Fresh arrays on
+        each call (the matrix keeps no cache), so the caller owns them.
+
+        Examples
+        --------
+        >>> t = TrustMatrix.from_arrays(3, [2, 0, 2], [1, 2, 0], [0.5, 0.0, 0.25])
+        >>> [array.tolist() for array in t.to_arrays()]
+        [[2, 2, 0], [1, 0, 2], [0.5, 0.25, 0.0]]
+        """
+        rows = self._rows
+        lengths = np.fromiter(map(len, rows.values()), dtype=np.int64, count=len(rows))
+        count = int(lengths.sum())
+        observers = np.repeat(np.fromiter(rows, dtype=np.int64, count=len(rows)), lengths)
+        targets = np.fromiter(chain.from_iterable(rows.values()), dtype=np.int64, count=count)
+        values = np.fromiter(
+            chain.from_iterable(map(dict.values, rows.values())), dtype=np.float64, count=count
+        )
+        return observers, targets, values
+
     def to_dense(self) -> np.ndarray:
         """Dense ``(N, N)`` array with zeros for absent entries."""
+        observers, targets, values = self.to_arrays()
         dense = np.zeros((self._num_nodes, self._num_nodes), dtype=np.float64)
-        for observer, target, value in self.items():
-            dense[observer, target] = value
+        dense[observers, targets] = values
         return dense
 
     def observation_mask(self) -> np.ndarray:
         """Boolean ``(N, N)`` array: True where an explicit entry exists."""
+        observers, targets, _ = self.to_arrays()
         mask = np.zeros((self._num_nodes, self._num_nodes), dtype=bool)
-        for observer, target, _ in self.items():
-            mask[observer, target] = True
+        mask[observers, targets] = True
         return mask
 
     def copy(self) -> "TrustMatrix":
@@ -242,16 +391,14 @@ class TrustMatrix:
         Sybil-style attacks enlarge the world: the new identities get
         ids ``N .. num_nodes-1`` and start with no entries in either
         direction (strangers — the paper's implicit trust 0). Shrinking
-        is rejected: entries about removed ids would dangle.
+        is rejected: entries about removed ids would dangle. The copy
+        holds the entries in :meth:`items` order and no column sums.
         """
         if num_nodes < self._num_nodes:
             raise ValueError(
                 f"cannot shrink a trust matrix from {self._num_nodes} to {num_nodes} nodes"
             )
-        clone = TrustMatrix(num_nodes)
-        for observer, target, value in self.items():
-            clone.set(observer, target, value)
-        return clone
+        return TrustMatrix.from_arrays(num_nodes, *self.to_arrays())
 
     @classmethod
     def from_dense(cls, dense: np.ndarray, mask: Optional[np.ndarray] = None) -> "TrustMatrix":
@@ -269,15 +416,13 @@ class TrustMatrix:
         dense = np.asarray(dense, dtype=np.float64)
         if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
             raise ValueError(f"dense trust matrix must be square, got shape {dense.shape}")
-        n = dense.shape[0]
-        if mask is None:
-            mask = dense != 0.0
-        matrix = cls(n)
-        for observer in range(n):
-            for target in np.nonzero(mask[observer])[0]:
-                if observer != target:
-                    matrix.set(observer, int(target), float(dense[observer, target]))
-        return matrix
+        mask = dense != 0.0 if mask is None else np.asarray(mask)
+        if mask.shape != dense.shape:
+            raise ValueError(f"mask shape {mask.shape} differs from dense shape {dense.shape}")
+        observers, targets = np.nonzero(mask)
+        off_diagonal = observers != targets
+        observers, targets = observers[off_diagonal], targets[off_diagonal]
+        return cls.from_arrays(dense.shape[0], observers, targets, dense[observers, targets])
 
     # -- internals ------------------------------------------------------------
 
@@ -295,6 +440,13 @@ class TrustMatrix:
         return f"TrustMatrix(num_nodes={self._num_nodes}, num_observations={self.num_observations})"
 
 
+def _edge_pairs(graph: Graph) -> np.ndarray:
+    """``(E, 2)`` array of the graph's edges in :meth:`Graph.edges` order."""
+    rows = np.repeat(np.arange(graph.num_nodes, dtype=np.int64), graph.degrees)
+    upper = rows < graph.indices
+    return np.column_stack((rows[upper], graph.indices[upper]))
+
+
 def complete_trust_matrix(num_nodes: int, *, rng: RngLike = None) -> TrustMatrix:
     """Fully observed trust matrix: every ordered pair has an opinion.
 
@@ -308,13 +460,10 @@ def complete_trust_matrix(num_nodes: int, *, rng: RngLike = None) -> TrustMatrix
     if num_nodes < 2:
         raise ValueError(f"num_nodes must be >= 2, got {num_nodes}")
     generator = as_generator(rng)
-    matrix = TrustMatrix(num_nodes)
-    for observer in range(num_nodes):
-        values = generator.random(num_nodes)
-        for target in range(num_nodes):
-            if observer != target:
-                matrix.set(observer, target, float(values[target]))
-    return matrix
+    # One (N, N) draw fills row by row: the stream of N row draws.
+    values = generator.random((num_nodes, num_nodes))
+    observers, targets = np.nonzero(~np.eye(num_nodes, dtype=bool))
+    return TrustMatrix.from_arrays(num_nodes, observers, targets, values[observers, targets])
 
 
 def random_trust_matrix(
@@ -331,6 +480,10 @@ def random_trust_matrix(
     ``edge_probability``; ``extra_pairs`` additional random non-adjacent
     ordered pairs model past interactions with now-distant peers. Values
     are uniform in ``[0, 1]``, the paper's admissible range.
+
+    The random stream, in order: below ``edge_probability=1`` one
+    keep-or-drop draw per edge in :meth:`Graph.edges` order, then two
+    value draws per kept edge, then the extra pairs one at a time.
 
     Parameters
     ----------
@@ -356,17 +509,23 @@ def random_trust_matrix(
     if extra_pairs < 0:
         raise ValueError(f"extra_pairs must be >= 0, got {extra_pairs}")
     generator = as_generator(rng)
-    matrix = TrustMatrix(graph.num_nodes)
-    for u, v in graph.edges():
-        if edge_probability >= 1.0 or generator.random() < edge_probability:
-            matrix.set(u, v, float(generator.random()))
-            matrix.set(v, u, float(generator.random()))
-    placed = 0
-    while placed < extra_pairs:
-        observer = int(generator.integers(graph.num_nodes))
-        target = int(generator.integers(graph.num_nodes))
-        if observer == target:
-            continue
-        matrix.set(observer, target, float(generator.random()))
-        placed += 1
-    return matrix
+    n = graph.num_nodes
+    pairs = _edge_pairs(graph)
+    if edge_probability < 1.0:
+        pairs = pairs[generator.random(len(pairs)) < edge_probability]
+    # One draw per opinion: t[u_i, v_i] takes draw 2i, t[v_i, u_i] draw 2i + 1.
+    values = generator.random(2 * len(pairs))
+    observers, targets = pairs.ravel(), pairs[:, ::-1].ravel()
+    extra_observers, extra_targets, extra_values = [], [], []
+    while len(extra_values) < extra_pairs:
+        observer = int(generator.integers(n))
+        target = int(generator.integers(n))
+        if observer != target:
+            extra_observers.append(observer)
+            extra_targets.append(target)
+            extra_values.append(generator.random())
+    if extra_values:
+        observers = np.concatenate((observers, extra_observers))
+        targets = np.concatenate((targets, extra_targets))
+        values = np.concatenate((values, extra_values))
+    return TrustMatrix.from_arrays(n, observers, targets, values)

@@ -1,11 +1,15 @@
-"""Per-target eq.-6 oracle, written independently of the vector code.
+"""Eq.-6 oracles, written independently of the vector code.
 
 :func:`neighbor_correction_terms` walks every estimating node's
 neighbours for one target ``j`` — the literal reading of eq. 6's
 neighbour sums — and :func:`reference_gclr` turns them into the exact
 ``Rep_I,j`` column. :func:`repro.core.vector_gclr.true_vector_gclr`
-computes every tracked column at once through its own loop; the tests
+computes every tracked column at once as one sparse product; the tests
 compare the two column by column.
+
+:func:`neighbor_corrections_loop` is the all-targets loop that the
+sparse product replaced. It adds the same terms in the same order, so
+the tests demand byte-equal terms from the two.
 """
 
 from __future__ import annotations
@@ -60,3 +64,29 @@ def reference_gclr(
     denominator = w_excess_sum + count
     with np.errstate(invalid="ignore", divide="ignore"):
         return np.where(denominator > 0, (y_hat + global_sum) / denominator, 0.0)
+
+
+def neighbor_corrections_loop(
+    graph: Graph, trust: TrustMatrix, targets: np.ndarray, params: WeightParams
+) -> tuple:
+    """``(y_hat, w_excess_sum)`` for every tracked column, one neighbour at a time."""
+    n = graph.num_nodes
+    column_index = {int(t): c for c, t in enumerate(targets)}
+    y_hat = np.zeros((n, len(targets)), dtype=np.float64)
+    w_excess_sum = np.zeros(n, dtype=np.float64)
+    opinion_rows = [
+        [(column_index[t], v) for t, v in trust.row(k).items() if t in column_index]
+        for k in range(n)
+    ]
+    for estimator in range(n):
+        excess = excess_weights(params, trust.row(estimator))
+        if not excess:
+            continue
+        for neighbor in graph.neighbors(estimator):
+            e = excess.get(int(neighbor))
+            if e is None:
+                continue
+            w_excess_sum[estimator] += e
+            for col, value in opinion_rows[int(neighbor)]:
+                y_hat[estimator, col] += e * value
+    return y_hat, w_excess_sum

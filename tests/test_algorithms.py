@@ -16,6 +16,9 @@ Pins the contracts ISSUE 10 introduced:
   deterministic from their seed.
 """
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -28,10 +31,14 @@ from repro.algorithms import (
     register_algorithm,
     resolve_algorithm_name,
 )
-from repro.core.backend import GossipConfig
+from repro.core.backend import BackendCapabilityError, GossipConfig
 from repro.facade import aggregate
-from repro.network.preferential_attachment import preferential_attachment_graph
-from repro.trust.matrix import TrustMatrix, complete_trust_matrix
+from repro.network.conditions import InstantLink
+from repro.network.preferential_attachment import (
+    preferential_attachment_graph,
+    preferential_attachment_graph_fast,
+)
+from repro.trust.matrix import TrustMatrix, complete_trust_matrix, random_trust_matrix
 
 CANONICAL = (
     "absolute-trust",
@@ -250,6 +257,37 @@ class TestAdapters:
         prepared = get_algorithm("push-pull").prepare(graph, trust, targets=[0])
         assert isinstance(prepared, PreparedAlgorithm)
         assert prepared.algorithm == "push-pull"
+
+    def test_push_pull_rejects_a_lossy_network(self):
+        # push-pull has no loss model: a loss setting must not run silently lossless.
+        graph = preferential_attachment_graph(40, m=2, rng=5)
+        trust = random_trust_matrix(graph, rng=6)
+        lossy = GossipConfig(xi=1e-5, network=InstantLink(0.5))
+        with pytest.raises(BackendCapabilityError, match="push-pull"):
+            get_algorithm("push-pull").prepare(graph, trust, lossy, targets=[1, 2])
+        # push-sum runs through the backend layer and applies the loss.
+        push_sum = get_algorithm("push-sum")
+        lossless = push_sum.prepare(graph, trust, GossipConfig(xi=1e-5), targets=[1, 2]).run(3)
+        lossy_run = push_sum.prepare(graph, trust, lossy, targets=[1, 2]).run(3)
+        assert lossy_run.rounds > lossless.rounds
+
+    @pytest.mark.parametrize("name", ["push-sum", "push-pull"])
+    def test_opinion_columns_without_a_dense_matrix(self, name):
+        # Three opinion columns must not cost an (N, N) dense copy (68.7 MB at this N).
+        graph = preferential_attachment_graph_fast(3000, m=4, rng=1)
+        trust = random_trust_matrix(graph, rng=2)
+        targets = [5, 7, 11]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            prepared = get_algorithm(name).prepare(graph, trust, GossipConfig(), targets=targets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        outcome = prepared.run(rng=4)
+        expected = [trust.column_mean_over_all(t) for t in targets]
+        np.testing.assert_array_equal(outcome.truth, expected)
 
 
 # -- rng signature regression (satellite 1) ----------------------------------

@@ -1,14 +1,18 @@
 """Unit tests for the sparse trust matrix."""
 
+import gc
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.network.preferential_attachment import preferential_attachment_graph_fast
 from repro.trust.matrix import TrustMatrix, complete_trust_matrix, random_trust_matrix
+from tests.reference_trust import reference_complete_trust_matrix, reference_random_trust_matrix
 
 
 class TestBasics:
@@ -280,3 +284,200 @@ def test_exact_column_sums_match_fsum_under_any_mutation_sequence(ops, seed):
         replay.set(observer, target, value)
     for target in range(N_SMALL):
         assert replay.column_sum(target).hex() == t.column_sum(target).hex()
+
+
+# -- the array face: from_arrays equals one set per triple ---------------------
+
+
+def sequential(num_nodes, triples):
+    """The matrix one ``set`` per triple builds, in order."""
+    t = TrustMatrix(num_nodes)
+    for observer, target, value in triples:
+        t.set(observer, target, value)
+    return t
+
+
+def from_triples(num_nodes, triples):
+    observers, targets, values = zip(*triples) if triples else ((), (), ())
+    return TrustMatrix.from_arrays(num_nodes, list(observers), list(targets), list(values))
+
+
+def assert_same_matrix(a, b):
+    """Equal entries, and equal down to every order a caller can observe."""
+    assert a.num_nodes == b.num_nodes
+    assert a.num_observations == b.num_observations
+    assert [(o, t, v.hex()) for o, t, v in a.items()] == [(o, t, v.hex()) for o, t, v in b.items()]
+    for target in range(a.num_nodes):
+        assert list(a.observers_of(target)) == list(b.observers_of(target))
+        assert list(a.column(target).items()) == list(b.column(target).items())
+    assert list(a._by_target) == list(b._by_target)
+    assert a._sums == b._sums == {}  # column accumulators stay lazy
+    for target in range(a.num_nodes):
+        assert a.column_sum(target).hex() == b.column_sum(target).hex()
+
+
+N_ARRAYS = 7
+node_ids = st.integers(0, N_ARRAYS - 1)
+valid_triples = st.lists(st.tuples(node_ids, node_ids, trust_values), max_size=80).map(
+    lambda triples: [t for t in triples if t[0] != t[1]]
+)
+bad_triples = st.one_of(
+    st.tuples(st.sampled_from([-1, N_ARRAYS, 10**6]), node_ids, trust_values),
+    st.tuples(node_ids, st.sampled_from([-1, N_ARRAYS]), trust_values),
+    st.tuples(node_ids, trust_values).map(lambda p: (p[0], p[0], p[1])),
+    st.tuples(
+        node_ids,
+        node_ids,
+        st.sampled_from([math.nan, math.inf, -math.inf, -0.1, -5e-324, 1.5, 1 + 2**-52]),
+    ),
+)
+
+
+class TestFromArrays:
+    @pytest.mark.property
+    @settings(max_examples=300, deadline=None)
+    @example(triples=[(0, 1, 0.5), (2, 1, 0.25), (0, 1, 0.75), (0, 2, 0.0)])
+    @given(triples=valid_triples)
+    def test_equals_one_set_per_triple(self, triples):
+        assert_same_matrix(from_triples(N_ARRAYS, triples), sequential(N_ARRAYS, triples))
+
+    @pytest.mark.property
+    @settings(max_examples=200, deadline=None)
+    @given(triples=valid_triples, bad=bad_triples, where=st.integers(0, 80))
+    def test_raises_what_set_raises_for_the_first_bad_triple(self, triples, bad, where):
+        triples.insert(min(where, len(triples)), bad)
+        with pytest.raises(ValueError) as expected:
+            sequential(N_ARRAYS, triples)
+        with pytest.raises(ValueError) as got:
+            from_triples(N_ARRAYS, triples)
+        assert str(got.value) == str(expected.value)
+
+    def test_numpy_inputs_and_empty(self):
+        t = TrustMatrix.from_arrays(
+            4, np.array([3, 1], dtype=np.int32), np.array([0, 2]), np.array([1.0, 0.5])
+        )
+        assert list(t.items()) == [(3, 0, 1.0), (1, 2, 0.5)]
+        assert all(type(o) is int and type(v) is float for o, _, v in t.items())
+        assert TrustMatrix.from_arrays(3, [], [], []).num_observations == 0
+
+    def test_rejects_malformed_arrays(self):
+        with pytest.raises(ValueError, match="equal length"):
+            TrustMatrix.from_arrays(4, [0, 1], [1], [0.5, 0.5])
+        with pytest.raises(ValueError, match="integer node ids"):
+            TrustMatrix.from_arrays(4, [0.0], [1], [0.5])
+
+    def test_node_ids_are_shared_ints(self):
+        t = TrustMatrix.from_arrays(1000, [500, 600, 500], [600, 500, 700], [0.1, 0.2, 0.3])
+        items = list(t.items())
+        assert items == [(500, 600, 0.1), (500, 700, 0.3), (600, 500, 0.2)]
+        assert items[0][0] is items[2][1]  # one int object per node id, not one per entry
+        assert items[0][1] is items[2][0]
+
+
+class TestToArrays:
+    def test_items_order_and_round_trip(self):
+        t = TrustMatrix(5)
+        for observer, target, value in [(2, 3, 0.5), (0, 2, 0.0), (2, 0, 0.25), (4, 1, 1.0)]:
+            t.set(observer, target, value)
+        t.discard(4, 1)
+        observers, targets, values = t.to_arrays()
+        assert list(zip(observers.tolist(), targets.tolist(), values.tolist())) == list(t.items())
+        assert observers.dtype == targets.dtype == np.int64 and values.dtype == np.float64
+        assert_same_matrix(TrustMatrix.from_arrays(5, observers, targets, values), t.copy())
+
+    def test_fresh_arrays_each_call(self):
+        t = TrustMatrix.from_arrays(3, [0], [1], [0.5])
+        before = t.to_arrays()
+        before[0][:] = 2
+        t.set(1, 2, 0.75)
+        assert [a.tolist() for a in t.to_arrays()] == [[0, 1], [1, 2], [0.5, 0.75]]
+
+    def test_empty(self):
+        assert all(array.size == 0 for array in TrustMatrix(5).to_arrays())
+
+
+class TestBulkBuildersMatchTheLoops:
+    """Every bulk builder equals the per-entry loop it replaced."""
+
+    @pytest.mark.parametrize("n", [10, 2000])
+    @pytest.mark.parametrize("seed", [5, np.random.SeedSequence(41)], ids=["int", "seedseq"])
+    @pytest.mark.parametrize("extra_pairs", [0, 300], ids=["edges", "extra"])
+    def test_random_trust_matrix(self, n, seed, extra_pairs):
+        graph = preferential_attachment_graph_fast(n, m=4, rng=n)
+        assert_same_matrix(
+            random_trust_matrix(graph, extra_pairs=extra_pairs, rng=seed),
+            reference_random_trust_matrix(graph, extra_pairs=extra_pairs, rng=seed),
+        )
+
+    def test_edge_probability_keeps_a_share_of_edges_with_mutual_opinions(self):
+        graph = preferential_attachment_graph_fast(2000, m=4, rng=2000)
+        edges = list(graph.edges())
+        t = random_trust_matrix(graph, edge_probability=0.3, rng=5)
+        kept = [(u, v) for u, v in edges if t.has(u, v)]
+        assert all(t.has(v, u) for u, v in kept)
+        assert t.num_observations == 2 * len(kept)
+        # Binomial(E, 0.3): 5 standard deviations is about 0.026 at E ~ 8000.
+        assert abs(len(kept) / len(edges) - 0.3) < 5 * math.sqrt(0.3 * 0.7 / len(edges))
+        # The extra pairs draw after every edge: the same edges are kept.
+        extra = random_trust_matrix(graph, edge_probability=0.3, extra_pairs=50, rng=5)
+        assert {(o, j) for o, j, _ in t.items()} <= {(o, j) for o, j, _ in extra.items()}
+        assert t.num_observations < extra.num_observations <= t.num_observations + 50
+
+    @pytest.mark.parametrize(
+        "seed, extra_pairs", [(11, 0), (np.random.SeedSequence(12), 5000)], ids=["int", "seedseq"]
+    )
+    def test_random_trust_matrix_at_20k(self, seed, extra_pairs):
+        graph = preferential_attachment_graph_fast(20_000, m=4, rng=3)
+        assert_same_matrix(
+            random_trust_matrix(graph, extra_pairs=extra_pairs, rng=seed),
+            reference_random_trust_matrix(graph, extra_pairs=extra_pairs, rng=seed),
+        )
+
+    @pytest.mark.parametrize("n", [2, 10, 150])
+    @pytest.mark.parametrize("seed", [4, np.random.SeedSequence(8)], ids=["int", "seedseq"])
+    def test_complete_trust_matrix(self, n, seed):
+        assert_same_matrix(
+            complete_trust_matrix(n, rng=seed), reference_complete_trust_matrix(n, rng=seed)
+        )
+
+    def test_copy_resized_and_from_dense_keep_the_entry_order(self, small_trust):
+        t = TrustMatrix(6)
+        for observer, target, value in [(4, 1, 0.5), (0, 5, 0.0), (4, 0, 0.25), (2, 1, 1.0)]:
+            t.set(observer, target, value)
+        t.discard(0, 5)
+        t.column_sum(1)
+        assert_same_matrix(t.copy(), sequential(6, t.items()))
+        assert_same_matrix(t.resized(9), sequential(9, t.items()))
+        dense = small_trust.to_dense()
+        mask = small_trust.observation_mask()
+        row_major = [
+            (o, int(j), float(dense[o, j]))
+            for o in range(dense.shape[0])
+            for j in np.nonzero(mask[o])[0]
+        ]
+        assert_same_matrix(TrustMatrix.from_dense(dense, mask), sequential(60, row_major))
+        with pytest.raises(ValueError, match="mask shape"):
+            TrustMatrix.from_dense(dense, mask[:5])
+
+
+def _traced_build(build):
+    """``(retained, peak)`` bytes of one build under tracemalloc."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        matrix = build()
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert matrix.num_observations > 0
+    return retained - start, peak - start
+
+
+def test_bulk_build_memory_at_20k():
+    """Shared node ids: the build keeps less than the loop and peaks at most 1.4x that."""
+    graph = preferential_attachment_graph_fast(20_000, m=4, rng=3)
+    loop_retained, _ = _traced_build(lambda: reference_random_trust_matrix(graph, rng=7))
+    retained, peak = _traced_build(lambda: random_trust_matrix(graph, rng=7))
+    assert retained <= loop_retained
+    assert peak <= 1.4 * loop_retained
