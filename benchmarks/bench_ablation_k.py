@@ -9,29 +9,28 @@ k=2 on the same world, same seeds.
 import numpy as np
 import pytest
 
-from repro.core.differential import fixed_push_counts, push_counts
+from repro.core.differential import fixed_push_counts
 from repro.core.sparse_engine import SparseGossipEngine
 
 XI = 1e-4
 
 
-def _run(graph, values, counts, announce):
-    engine = SparseGossipEngine(
-        graph, push_counts=counts, degree_announcements=announce, rng=21
-    )
+def _run(graph, values, counts):
+    # counts=None is the differential rule (with its degree announcements).
+    engine = SparseGossipEngine(graph, push_counts=counts, rng=21)
     return engine.run(values, np.ones(graph.num_nodes), xi=XI)
 
 
 @pytest.mark.parametrize("rule", ["differential", "fixed_k1", "fixed_k2"])
 def test_ablation_push_rule(benchmark, bench_graph, bench_values, rule):
     if rule == "differential":
-        counts, announce = push_counts(bench_graph), True
+        counts = None
     elif rule == "fixed_k1":
-        counts, announce = fixed_push_counts(bench_graph, 1), False
+        counts = fixed_push_counts(bench_graph, 1)
     else:
-        counts, announce = fixed_push_counts(bench_graph, 2), False
+        counts = fixed_push_counts(bench_graph, 2)
 
-    outcome = benchmark(_run, bench_graph, bench_values, counts, announce)
+    outcome = benchmark(_run, bench_graph, bench_values, counts)
     benchmark.extra_info["rule"] = rule
     benchmark.extra_info["steps"] = outcome.steps
     benchmark.extra_info["push_messages"] = outcome.push_messages
@@ -39,8 +38,8 @@ def test_ablation_push_rule(benchmark, bench_graph, bench_values, rule):
 
 def test_ablation_differential_beats_fixed_k1(benchmark, bench_graph, bench_values):
     def run():
-        diff = _run(bench_graph, bench_values, push_counts(bench_graph), True)
-        k1 = _run(bench_graph, bench_values, fixed_push_counts(bench_graph, 1), False)
+        diff = _run(bench_graph, bench_values, None)
+        k1 = _run(bench_graph, bench_values, fixed_push_counts(bench_graph, 1))
         return diff, k1
 
     diff, k1 = benchmark(run)

@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.convergence import ConvergenceProtocol, deviation_vector
+from repro.core.convergence import ConvergenceProtocol
 from repro.core.errors import ConvergenceError
 from repro.core.results import GossipOutcome
-from repro.core.state import ratios
 from repro.network.graph import Graph
 from repro.utils.rng import RngLike, as_generator
 from repro.utils.validation import check_positive
@@ -77,12 +76,11 @@ def push_pull_average(
 
     value = columns.astype(np.float64).copy()
     weight = np.ones(n, dtype=np.float64)
+    # Every component shares one weight; the broadcast view follows the
+    # in-place contact updates below.
+    weights = np.broadcast_to(weight[:, None], value.shape)
     protocol = ConvergenceProtocol(graph, xi, num_components=d, patience=patience)
-
-    def current_ratios() -> np.ndarray:
-        return ratios(value, np.broadcast_to(weight[:, None], value.shape))
-
-    previous = current_ratios()
+    protocol.start(value, weights)
     degrees = graph.degrees
     indptr, indices = graph.indptr, graph.indices
 
@@ -104,13 +102,9 @@ def push_pull_average(
             weight[node] = weight[neighbor] = mid_weight
             heard_external[node] = heard_external[neighbor] = True
             push_messages += 2  # request + response (per contact, any d)
-        current = current_ratios()
-        newly = protocol.observe(
-            deviation_vector(current, previous), heard_external, weight != 0.0
-        )
+        newly = protocol.observe_state(value, weights, heard_external)
         if newly.size:
             protocol_messages += int(degrees[newly].sum())
-        previous = current
         steps += 1
 
     return GossipOutcome(

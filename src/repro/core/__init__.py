@@ -41,7 +41,7 @@ from repro.core.engine import MessageLevelGossip
 from repro.core.errors import ConvergenceError, GossipError, MassConservationError
 from repro.core.results import GossipOutcome
 from repro.core.sparse_engine import SparseGossipEngine
-from repro.core.state import UNDEFINED_RATIO, GossipPair, ratios
+from repro.core.state import UNDEFINED_RATIO, ratios
 from repro.core.vector_gclr import VectorGclrResult, aggregate_vector_gclr, true_vector_gclr
 from repro.core.vector_global import VectorGlobalResult, aggregate_vector_global
 from repro.core.weights import WeightParams, collusion_damping_factor
@@ -64,7 +64,6 @@ __all__ = [
     "SparseGossipEngine",
     "MessageLevelGossip",
     "GossipOutcome",
-    "GossipPair",
     "ConvergenceProtocol",
     "ConvergenceError",
     "GossipError",

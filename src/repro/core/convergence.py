@@ -12,17 +12,23 @@ rule is purely local and has two layers:
    (its neighbours may still need its pushes) and only *stops* once it
    and every one of its neighbours have announced convergence.
 
-:class:`ConvergenceProtocol` implements both layers over arrays so the
-vectorised engine can drive thousands of nodes per step; the
-message-level engine uses the same class one node at a time.
+:class:`ConvergenceProtocol` is the one implementation of both layers.
+Every synchronous engine — the vectorised sparse engine, the
+message-level engine and the push-pull baseline — hands it each step's
+value columns, weight columns and heard mask
+(:meth:`ConvergenceProtocol.observe_state`). It derives the estimates,
+their movement and which estimates are defined, then latches and stops
+nodes (:meth:`ConvergenceProtocol.observe`) over ``(N, V)`` arrays, one
+column per reputation channel.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import Iterable, List, Optional
 
 import numpy as np
 
+from repro.core.state import UNDEFINED_RATIO
 from repro.network.graph import Graph
 from repro.utils.validation import check_positive
 
@@ -33,7 +39,10 @@ class ConvergenceProtocol:
     Parameters
     ----------
     graph:
-        Topology (neighbour sets drive the stop rule).
+        Topology (neighbour sets drive the stop rule). Its degree vector
+        is copied at construction: the stop rule compares converged
+        neighbour counters against it, and both must describe the same
+        topology even if the caller later mutates or swaps the graph.
     xi:
         Error tolerance ``xi`` of the paper. For vector gossip over
         ``d`` components the per-node threshold is ``d * xi`` (eq. 7
@@ -63,13 +72,15 @@ class ConvergenceProtocol:
         node whose estimate has not moved *because no value mass has
         reached it yet* is indistinguishable from a converged one by the
         local test, and Theorem 5.1 says mass needs ~polylog(N) steps to
-        spread. Engines default this to ``ceil(log2 N) + 1``, the PA
-        diameter scale. ``warmup_steps = 0`` is the paper-literal rule.
+        spread. ``None`` picks ``ceil(log2 N) + 1``, the PA diameter
+        scale the engines default to. ``warmup_steps = 0`` is the
+        paper-literal rule.
 
     Notes
     -----
     Isolated nodes (degree 0) can neither push nor receive; they are
-    treated as stopped from the outset so they never block termination.
+    treated as converged and stopped from the outset so they never
+    block termination.
     """
 
     def __init__(
@@ -80,7 +91,7 @@ class ConvergenceProtocol:
         num_components: int = 1,
         num_channels: int = 1,
         patience: int = 1,
-        warmup_steps: int = 0,
+        warmup_steps: Optional[int] = 0,
     ):
         check_positive(xi, "xi")
         if num_components < 1:
@@ -94,70 +105,35 @@ class ConvergenceProtocol:
             )
         if patience < 1:
             raise ValueError(f"patience must be >= 1, got {patience}")
+        n = graph.num_nodes
+        if warmup_steps is None:
+            warmup_steps = int(np.ceil(np.log2(max(2, n)))) + 1
         if warmup_steps < 0:
             raise ValueError(f"warmup_steps must be >= 0, got {warmup_steps}")
+        V = int(num_channels)
         self._xi = float(xi)
-        self._num_channels = int(num_channels)
+        self._num_components = int(num_components)
+        self._num_channels = V
         self._threshold = float(xi) * (num_components // num_channels)
         self._patience = int(patience)
         self._warmup_steps = int(warmup_steps)
-        self._bind(graph)
-
-    def _bind(self, graph: Graph) -> None:
-        """Install ``graph`` and zero every per-node counter.
-
-        The degree vector is copied at bind time: the stop rule
-        compares ``_converged_neighbor_count`` against it, and both
-        must describe the *same* topology. Reading degrees freshly off
-        ``graph`` on every refresh invited a stale-counter bug — a
-        caller swapping the graph object (e.g. a dynamic-epoch runtime
-        reusing one protocol across overlay snapshots) would have
-        counters accumulated on the old topology compared against the
-        new degree vector, stopping nodes that never converged on the
-        new graph. Swapping topologies is now an explicit
-        :meth:`rebind`, which resets the counters.
-        """
         self._graph = graph
         self._degrees = graph.degrees.copy()
         self._observed_steps = 0
-        n = graph.num_nodes
-        self._converged = np.zeros(n, dtype=bool)
-        self._converged_neighbor_count = np.zeros(n, dtype=np.int64)
         isolated = self._degrees == 0
-        self._converged[isolated] = True
         self._isolated = isolated
+        self._converged = isolated.copy()
         self._stopped = isolated.copy()
+        self._converged_neighbor_count = np.zeros(n, dtype=np.int64)
+        self._channel_converged = np.repeat(isolated[:, None], V, axis=1)
+        self._satisfied_streak = np.zeros((n, V), dtype=np.int64)
         # Reusable per-step scratch (observe runs every gossip round;
-        # at large N the boolean temporaries dominate its cost). With
-        # V > 1 channels the streak/satisfied/failed state is kept per
-        # (node, channel); the single-channel layout is untouched.
-        if self._num_channels == 1:
-            self._satisfied_streak = np.zeros(n, dtype=np.int64)
-            self._satisfied = np.empty(n, dtype=bool)
-            self._failed = np.empty(n, dtype=bool)
-            self._scratch = np.empty(n, dtype=bool)
-        else:
-            V = self._num_channels
-            self._satisfied_streak = np.zeros((n, V), dtype=np.int64)
-            self._channel_converged = np.zeros((n, V), dtype=bool)
-            self._channel_converged[isolated, :] = True
-            self._satisfied = np.empty((n, V), dtype=bool)
-            self._failed = np.empty((n, V), dtype=bool)
-            self._scratch = np.empty((n, V), dtype=bool)
-            self._node_scratch = np.empty(n, dtype=bool)
-
-    def rebind(self, graph: Graph) -> None:
-        """Re-target the protocol at a new topology, resetting all state.
-
-        Convergence flags, patience streaks and converged-neighbour
-        counters are per-topology quantities: carrying them across a
-        graph swap would let counters earned on the old neighbourhoods
-        satisfy the new degree vector (a node could be marked stopped
-        against neighbours it never heard announce). Use this between
-        dynamic-network epochs when reusing one protocol object;
-        warm-start state lives in the gossip pairs, not here.
-        """
-        self._bind(graph)
+        # at large N the boolean temporaries dominate its cost).
+        self._satisfied = np.empty((n, V), dtype=bool)
+        self._failed = np.empty((n, V), dtype=bool)
+        self._scratch = np.empty((n, V), dtype=bool)
+        self._node_scratch = np.empty(n, dtype=bool)
+        self._ratios: Optional[np.ndarray] = None
 
     # -- read-only state -------------------------------------------------------
 
@@ -178,15 +154,8 @@ class ConvergenceProtocol:
 
     @property
     def channel_converged(self) -> np.ndarray:
-        """``(N, V)`` per-channel convergence latches (read-only).
-
-        With a single channel this is the node-level ``converged`` mask
-        viewed as an ``(N, 1)`` column.
-        """
-        if self._num_channels == 1:
-            view = self._converged.reshape(-1, 1).view()
-        else:
-            view = self._channel_converged.view()
+        """``(N, V)`` per-channel convergence latches (read-only)."""
+        view = self._channel_converged.view()
         view.flags.writeable = False
         return view
 
@@ -214,7 +183,111 @@ class ConvergenceProtocol:
         """Number of nodes that have not announced convergence yet."""
         return int((~self._converged).sum())
 
+    @property
+    def ratios(self) -> np.ndarray:
+        """``(N, d)`` estimates as of the last :meth:`observe_state` (read-only).
+
+        The buffer is reused by the next step; copy it to keep it.
+        """
+        view = self._ratios.view()
+        view.flags.writeable = False
+        return view
+
     # -- per-step update ---------------------------------------------------------
+
+    def start(self, values: np.ndarray, weights: np.ndarray) -> None:
+        """Record a round's initial estimates; :meth:`observe_state` measures from them.
+
+        ``values`` and ``weights`` are the ``(N, d)`` value and weight
+        columns before the first step. A weight column that sums to zero
+        here is dead for the whole round: its estimate stays the
+        sentinel and never blocks the defined mask.
+        """
+        n, d = self._converged.shape[0], self._num_components
+        if values.shape != (n, d) or weights.shape != (n, d):
+            raise ValueError(
+                f"expected ({n}, {d}) values and weights, got {values.shape} and {weights.shape}"
+            )
+        live = weights.sum(axis=0) != 0.0
+        self._dead_columns = None if live.all() else ~live
+        self._ratios = np.empty((n, d), dtype=np.float64)
+        self._spare = np.empty((n, d), dtype=np.float64)
+        self._defined_now = np.empty((n, d), dtype=bool)
+        self._drained = np.empty((n, d), dtype=bool)
+        self._deviations = np.empty((n, self._num_channels), dtype=np.float64)
+        all_defined = self._compute_ratios(values, weights, self._ratios)
+        self._ever_defined = self._defined_now.copy()
+        # Once every weight is non-zero, ever_defined is all-True and
+        # the drained/defined algebra is constant: the flag lets the
+        # common case (weights initialised positive everywhere) skip
+        # it. Decisions are identical either way.
+        self._ever_defined_all = all_defined
+
+    def _compute_ratios(self, values: np.ndarray, weights: np.ndarray, out: np.ndarray) -> bool:
+        """``values / weights`` into ``out``, the sentinel where the weight is zero.
+
+        Returns whether every weight is non-zero.
+        """
+        defined_now = self._defined_now
+        np.not_equal(weights, 0.0, out=defined_now)
+        if defined_now.all():
+            # No zero weights: a plain divide writes every slot the
+            # masked divide would, so the sentinel fill is dead work.
+            np.divide(values, weights, out=out)
+            return True
+        out.fill(UNDEFINED_RATIO)
+        np.divide(values, weights, out=out, where=defined_now)
+        return False
+
+    def observe_state(
+        self, values: np.ndarray, weights: np.ndarray, heard_external: np.ndarray
+    ) -> np.ndarray:
+        """Run one step's local test on the gossip state itself.
+
+        Computes every node's estimate from its ``(N, d)`` value and
+        weight columns, the per-channel movement since the last step
+        and which channels are defined, then folds them into
+        :meth:`observe`. Splitting preserves a ratio exactly in real
+        arithmetic, so a cell whose weight underflowed to zero keeps its
+        last defined ratio; only never-defined cells show the sentinel.
+        Call :meth:`start` once before the first step.
+
+        Returns
+        -------
+        numpy.ndarray
+            Ids of nodes that *newly* announced convergence this step.
+        """
+        previous, current = self._ratios, self._spare
+        n, d = current.shape
+        V = self._num_channels
+        if self._compute_ratios(values, weights, current):
+            # Every cell defined this step: nothing can have drained
+            # (drained = ever_defined & ~defined_now is empty), and the
+            # defined mask is all-True (None to observe).
+            if not self._ever_defined_all:
+                self._ever_defined[:] = True
+                self._ever_defined_all = True
+            ratio_defined = None
+        else:
+            ever_defined = self._ever_defined
+            ever_defined |= self._defined_now
+            drained = np.logical_not(self._defined_now, out=self._drained)
+            drained &= ever_defined
+            if drained.any():
+                current[drained] = previous[drained]
+            # A channel is defined once every live column it owns has
+            # held weight (dead columns are vacuously defined).
+            if self._dead_columns is not None:
+                ever_defined = ever_defined | self._dead_columns
+            ratio_defined = ever_defined.reshape(n, V, d // V).all(axis=2)
+        # The previous ratios are dead once the movement is taken (their
+        # buffer is the next step's output), so the per-cell movement
+        # overwrites them; eq. 7's sum then runs within each channel.
+        np.subtract(current, previous, out=previous)
+        np.abs(previous, out=previous)
+        np.sum(previous.reshape(n, V, d // V), axis=2, out=self._deviations)
+        self._ratios, self._spare = current, previous
+        return self.observe(self._deviations, heard_external, ratio_defined)
 
     def observe(
         self,
@@ -224,54 +297,68 @@ class ConvergenceProtocol:
     ) -> np.ndarray:
         """Fold one step's estimate movements into the protocol.
 
+        Each channel keeps its own satisfied streak and, once it has held
+        ``patience`` consecutive satisfied checks, latches converged —
+        permanently. The *node* announces (and starts counting toward
+        the neighbourhood stop rule) only when all ``V`` of its channels
+        have latched, so a straggler channel keeps the whole node
+        gossiping. With one channel this is the paper's rule.
+
         Parameters
         ----------
         deviations:
-            Per-node total estimate movement this step
-            (``sum_j |ratio_j(n) - ratio_j(n-1)|``; plain absolute
-            difference when ``d = 1``). With ``num_channels > 1`` this
-            is the ``(N, V)`` per-channel movement matrix
-            (:func:`channel_deviations`).
+            ``(N, V)`` per-channel estimate movement this step
+            (``sum_j |ratio_j(n) - ratio_j(n-1)|`` within each channel;
+            :func:`channel_deviations`). With one channel an ``(N,)``
+            vector is accepted too.
         heard_external:
             Boolean mask — node received at least one gossip pair from a
             node other than itself this step (the ``|S| > 1`` guard).
         ratio_defined:
-            Boolean mask — node's estimate is defined, i.e. its gossip
-            weight is non-zero on every live component. While a node's
-            weight is zero its ratio is the sentinel ``u = 10``
-            (undefined), and the paper's convergence test cannot be
-            passed: a node that knows nothing has not converged, however
-            still its sentinel sits. ``None`` means "all defined".
+            Boolean ``(N, V)`` or ``(N,)`` mask — the node's estimate on
+            that channel is defined, i.e. its gossip weight has been
+            non-zero on every live component. While a node's weight is
+            zero its ratio is the sentinel ``u = 10`` (undefined), and
+            the paper's convergence test cannot be passed: a node that
+            knows nothing has not converged, however still its sentinel
+            sits. ``None`` means "all defined".
 
         Returns
         -------
         numpy.ndarray
             Ids of nodes that *newly* announced convergence this step.
         """
-        if self._num_channels > 1:
-            return self._observe_channels(deviations, heard_external, ratio_defined)
+        n, V = self._satisfied.shape
         deviations = np.asarray(deviations, dtype=np.float64)
         heard_external = np.asarray(heard_external, dtype=bool)
-        n = self._graph.num_nodes
-        if deviations.shape != (n,) or heard_external.shape != (n,):
+        if V == 1 and deviations.shape == (n,):
+            deviations = deviations[:, None]
+        if deviations.shape != (n, V) or heard_external.shape != (n,):
             raise ValueError(
-                f"expected shape ({n},) arrays, got {deviations.shape} and {heard_external.shape}"
+                f"expected ({n}, {V}) deviations and ({n},) heard mask, "
+                f"got {deviations.shape} and {heard_external.shape}"
             )
         self._observed_steps += 1
         # All boolean algebra below runs in preallocated buffers — the
         # per-step temporaries were a measurable fraction of large-N
         # step time. The decisions are identical to the expression
-        # satisfied = ~converged & heard & (deviations <= threshold).
+        # satisfied = ~latched & heard & defined & (deviations <= threshold).
+        heard = heard_external[:, None]
         satisfied = self._satisfied
-        not_converged = self._scratch
+        not_latched = self._scratch
         np.less_equal(deviations, self._threshold, out=satisfied)
-        satisfied &= heard_external
-        np.logical_not(self._converged, out=not_converged)
-        satisfied &= not_converged
+        satisfied &= heard
+        np.logical_not(self._channel_converged, out=not_latched)
+        satisfied &= not_latched
         if ratio_defined is not None:
             ratio_defined = np.asarray(ratio_defined, dtype=bool)
-            if ratio_defined.shape != (n,):
-                raise ValueError(f"ratio_defined must have shape ({n},), got {ratio_defined.shape}")
+            if ratio_defined.shape == (n,):
+                ratio_defined = ratio_defined[:, None]
+            if ratio_defined.shape != (n, V):
+                raise ValueError(
+                    f"ratio_defined must have shape ({n},) or ({n}, {V}), "
+                    f"got {ratio_defined.shape}"
+                )
             satisfied &= ratio_defined
         if self._observed_steps <= self._warmup_steps:
             satisfied[:] = False
@@ -280,71 +367,11 @@ class ConvergenceProtocol:
         # the pseudocode skips the check entirely when |S| <= 1.
         failed = self._failed
         np.logical_not(satisfied, out=failed)
-        failed &= heard_external
-        failed &= not_converged
+        failed &= heard
+        failed &= not_latched
         # Masked in-place updates: the boolean-index forms
         # (streak[mask] += 1 / streak[mask] = 0) materialise index lists
         # and cost ~2x at large N for identical results.
-        np.add(self._satisfied_streak, 1, out=self._satisfied_streak, where=satisfied)
-        np.copyto(self._satisfied_streak, 0, where=failed)
-        announced = self._scratch  # not_converged is dead past this point
-        np.greater_equal(self._satisfied_streak, self._patience, out=announced)
-        announced &= satisfied
-        newly = np.flatnonzero(announced)
-        if newly.size:
-            self._announce(newly)
-        self._refresh_stopped()
-        return newly
-
-    def _observe_channels(
-        self,
-        deviations: np.ndarray,
-        heard_external: np.ndarray,
-        ratio_defined: "np.ndarray | None",
-    ) -> np.ndarray:
-        """Multi-channel :meth:`observe`: per-channel eq.-7 latches.
-
-        Each channel keeps its own satisfied streak and, once it has
-        held ``patience`` consecutive satisfied checks, latches
-        converged — permanently, mirroring the single-channel announce.
-        The *node* announces (and starts counting toward the
-        neighbourhood stop rule) only when all ``V`` of its channels
-        have latched, so a straggler channel keeps the whole node
-        gossiping.
-        """
-        deviations = np.asarray(deviations, dtype=np.float64)
-        heard_external = np.asarray(heard_external, dtype=bool)
-        n = self._graph.num_nodes
-        V = self._num_channels
-        if deviations.shape != (n, V) or heard_external.shape != (n,):
-            raise ValueError(
-                f"expected ({n}, {V}) deviations and ({n},) heard mask, "
-                f"got {deviations.shape} and {heard_external.shape}"
-            )
-        self._observed_steps += 1
-        satisfied = self._satisfied
-        not_latched = self._scratch
-        np.less_equal(deviations, self._threshold, out=satisfied)
-        satisfied &= heard_external[:, None]
-        np.logical_not(self._channel_converged, out=not_latched)
-        satisfied &= not_latched
-        if ratio_defined is not None:
-            ratio_defined = np.asarray(ratio_defined, dtype=bool)
-            if ratio_defined.shape == (n,):
-                satisfied &= ratio_defined[:, None]
-            elif ratio_defined.shape == (n, V):
-                satisfied &= ratio_defined
-            else:
-                raise ValueError(
-                    f"ratio_defined must have shape ({n},) or ({n}, {V}), "
-                    f"got {ratio_defined.shape}"
-                )
-        if self._observed_steps <= self._warmup_steps:
-            satisfied[:] = False
-        failed = self._failed
-        np.logical_not(satisfied, out=failed)
-        failed &= heard_external[:, None]
-        failed &= not_latched
         np.add(self._satisfied_streak, 1, out=self._satisfied_streak, where=satisfied)
         np.copyto(self._satisfied_streak, 0, where=failed)
         latched = self._scratch  # not_latched is dead past this point
@@ -375,32 +402,12 @@ class ConvergenceProtocol:
             np.add.at(self._converged_neighbor_count, all_neighbors, 1)
 
     def _refresh_stopped(self) -> None:
-        # Compare counters against the bind-time degree copy, never a
-        # freshly read graph attribute — see _bind.
+        # Compare counters against the construction-time degree copy,
+        # never a freshly read graph attribute (see the class docstring).
         stopped = self._stopped
         np.greater_equal(self._converged_neighbor_count, self._degrees, out=stopped)
         stopped &= self._converged
         stopped |= self._isolated
-
-
-def deviation_scalar(new_ratios: np.ndarray, old_ratios: np.ndarray) -> np.ndarray:
-    """Per-node estimate movement for scalar gossip (``d = 1``)."""
-    return np.abs(np.asarray(new_ratios) - np.asarray(old_ratios)).reshape(-1)
-
-
-def deviation_vector(new_ratios: np.ndarray, old_ratios: np.ndarray) -> np.ndarray:
-    """Per-node estimate movement for vector gossip (eq. 7 left-hand side).
-
-    Parameters
-    ----------
-    new_ratios, old_ratios:
-        ``(N, d)`` ratio arrays from consecutive steps.
-    """
-    new_ratios = np.asarray(new_ratios)
-    old_ratios = np.asarray(old_ratios)
-    if new_ratios.ndim != 2:
-        raise ValueError(f"expected (N, d) ratios, got shape {new_ratios.shape}")
-    return np.abs(new_ratios - old_ratios).sum(axis=1)
 
 
 def channel_deviations(

@@ -18,25 +18,9 @@ deterministic across platforms (banker's rounding would map 2.5 -> 2).
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from repro.network.graph import Graph
-
-
-class PushCountClampWarning(UserWarning):
-    """An explicit push count exceeded its node's degree and was clamped.
-
-    Emitted by :func:`resolve_push_counts` in non-strict (message
-    engine) mode. The count is clamped to the node's degree — "push to
-    every neighbour" — because a larger ``k`` cannot buy more traffic
-    (pushes go to *distinct* neighbours) but *would* corrupt the mass
-    split: the engine divides state into ``k + 1`` shares and delivers
-    only ``degree + 1`` of them, so an unclamped oversized count
-    silently destroys ``(k - degree) / (k + 1)`` of the gossip mass.
-    Strict mode raises instead.
-    """
 
 
 def push_ratio(graph: Graph) -> np.ndarray:
@@ -89,33 +73,23 @@ def push_counts(graph: Graph) -> np.ndarray:
 push_counts_differential = push_counts
 
 
-def resolve_push_counts(
-    graph: Graph,
-    push_counts: np.ndarray | None = None,
-    *,
-    strict: bool = True,
-) -> np.ndarray:
+def resolve_push_counts(graph: Graph, push_counts: np.ndarray | None = None) -> np.ndarray:
     """Default + validate per-node push counts for an engine constructor.
 
-    This is the single definition of the per-hub push-count contract the
-    gossip engines share (previously each engine re-implemented it):
+    This is the single definition of the per-hub push-count contract
+    every synchronous engine shares:
 
     - ``push_counts=None`` resolves to the differential rule
       (:func:`push_counts`);
     - an explicit array must be one integer per node;
-    - under ``strict`` (the vectorised engines), no count may exceed the
-      node's degree (pushes go to *distinct* neighbours) and every
-      non-isolated node must push at least once per step;
-    - under ``strict=False`` (the message-level engine) a count above
-      the node's degree is *clamped to the degree* with a
-      :class:`PushCountClampWarning`. Clamping here — rather than at
-      send time — matters for correctness, not just hygiene: the
-      message engine splits state into ``k + 1`` shares, so a ``k``
-      above the number of deliverable targets would leak
-      ``(k - degree) / (k + 1)`` of the gossip mass every step (see the
-      warning class docstring).
+    - no count may exceed the node's degree (pushes go to *distinct*
+      neighbours, and an engine splits state into ``k + 1`` shares, so
+      an excess would leak gossip mass) and every non-isolated node
+      must push at least once per step.
 
-    Returns a fresh ``int64`` array of shape ``(num_nodes,)``.
+    :func:`fixed_push_counts` clamps a uniform ``k`` to each degree
+    before it gets here. Returns a fresh ``int64`` array of shape
+    ``(num_nodes,)``.
     """
     if push_counts is None:
         return push_counts_differential(graph)
@@ -124,24 +98,12 @@ def resolve_push_counts(
         raise ValueError(
             f"push_counts must have shape ({graph.num_nodes},), got {counts.shape}"
         )
-    oversized = int(np.count_nonzero(counts > graph.degrees))
-    if strict:
-        if oversized:
-            raise ValueError(
-                "push_counts may not exceed node degree (pushes go to distinct neighbours)"
-            )
-        if np.any((counts < 1) & (graph.degrees > 0)):
-            raise ValueError("every non-isolated node must push at least once per step")
-        return counts.copy()
-    if oversized:
-        warnings.warn(
-            f"{oversized} push count(s) exceed their node's degree and were clamped "
-            "to 'push to every neighbour' — pushes go to distinct neighbours, and an "
-            "unclamped excess would corrupt the (k + 1)-way mass split",
-            PushCountClampWarning,
-            stacklevel=2,
+    if np.any(counts > graph.degrees):
+        raise ValueError(
+            "push_counts may not exceed node degree (pushes go to distinct neighbours)"
         )
-        counts = np.minimum(counts, graph.degrees)
+    if np.any((counts < 1) & (graph.degrees > 0)):
+        raise ValueError("every non-isolated node must push at least once per step")
     return counts.copy()
 
 

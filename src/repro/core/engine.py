@@ -2,11 +2,13 @@
 
 Where :mod:`repro.core.sparse_engine` vectorises the update rule for
 scale, this engine models the *protocol*: every node is an object with a
-mailbox, pushes are discrete messages, and the convergence announcement
-is a message-like event between neighbours. It exists for three reasons:
+mailbox, pushes are discrete messages, and every node draws its own
+targets. The local convergence test and the neighbour-announcement stop
+rule are :class:`repro.core.convergence.ConvergenceProtocol`'s, the one
+copy every synchronous engine drives. It exists for three reasons:
 
-1. it is a line-by-line rendering of the paper's Algorithm 1/2
-   pseudocode, so reviewers can audit fidelity;
+1. its send and receive phases are a line-by-line rendering of the
+   paper's Algorithm 1/2 pseudocode, so reviewers can audit fidelity;
 2. it cross-checks the vectorised engine (integration tests run both on
    the same topology and compare converged estimates);
 3. it produces the per-iteration, per-node traces behind the paper's
@@ -22,14 +24,14 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.convergence import ConvergenceProtocol
 from repro.core.differential import resolve_push_counts
 from repro.core.errors import ConvergenceError
 from repro.core.results import GossipOutcome
-from repro.core.state import UNDEFINED_RATIO
+from repro.core.state import MassCheck, state_components
 from repro.network.conditions import PacketLossModel
 from repro.network.graph import Graph
 from repro.utils.rng import RngLike, as_generator
-from repro.utils.validation import check_positive
 
 
 @dataclass
@@ -43,11 +45,15 @@ class PushMessage:
 
 
 class GossipNode:
-    """Per-node protocol state machine for differential gossip.
+    """One node's mailbox over its row of the round's gossip state.
 
-    Mirrors Algorithm 1's per-node variables: the gossip components, the
-    previous-step ratio ``u``, the convergence flag, and the set of
-    neighbours known to have converged.
+    ``value``, ``weight`` and ``extras`` are the node's ``(d,)`` slices
+    of the engine's ``(N, C)`` state matrix (views, not copies): a node
+    splits its shares out of them and absorbs its mailbox into them in
+    place, so the engine hands the whole network's state to
+    :class:`repro.core.convergence.ConvergenceProtocol` without
+    gathering node rows. The convergence test and the stop rule live
+    there, not here.
     """
 
     def __init__(
@@ -62,32 +68,10 @@ class GossipNode:
         self.node_id = node_id
         self.neighbors = neighbors
         self.k = int(k)
-        self.value = value.astype(np.float64).copy()
-        self.weight = weight.astype(np.float64).copy()
-        self.extras = {name: arr.astype(np.float64).copy() for name, arr in extras.items()}
+        self.value = value
+        self.weight = weight
+        self.extras = extras
         self.inbox: List[PushMessage] = []
-        self.ever_defined = self.weight != 0.0
-        self.previous_ratio = np.full_like(self.value, UNDEFINED_RATIO)
-        np.divide(self.value, self.weight, out=self.previous_ratio, where=self.weight != 0.0)
-        self.converged = False
-        self.satisfied_streak = 0
-        self.converged_neighbors: set = set()
-        self.stopped = neighbors.size == 0  # isolated nodes never gossip
-
-    def _ratio(self) -> np.ndarray:
-        """Current estimate, carrying the last defined ratio through
-        drained cells.
-
-        Splitting preserves the ratio exactly in real arithmetic, so a
-        cell whose pair underflowed to float zero keeps its previous
-        estimate; only never-defined cells show the sentinel.
-        """
-        defined_now = self.weight != 0.0
-        self.ever_defined |= defined_now
-        out = self.previous_ratio.copy()
-        np.divide(self.value, self.weight, out=out, where=defined_now)
-        out[~self.ever_defined] = UNDEFINED_RATIO
-        return out
 
     def absorb_inbox(self) -> bool:
         """Sum all received pairs into local state (Algorithm 1's update).
@@ -125,58 +109,24 @@ class GossipNode:
         )
         # After splitting, local state is emptied; the self-share comes back
         # through the mailbox exactly as the pseudocode's "send ... to itself".
-        self.value = np.zeros_like(self.value)
-        self.weight = np.zeros_like(self.weight)
-        self.extras = {name: np.zeros_like(arr) for name, arr in self.extras.items()}
+        self.value[...] = 0.0
+        self.weight[...] = 0.0
+        for arr in self.extras.values():
+            arr[...] = 0.0
         return self_share, out_share
-
-    def check_convergence(
-        self,
-        threshold: float,
-        heard_external: bool,
-        live_components: np.ndarray,
-        patience: int,
-    ) -> bool:
-        """Run the ``|y/g - u| <= xi`` test; returns True if newly converged.
-
-        A node whose weight has never been non-zero on a live component
-        has an undefined (sentinel) estimate and cannot converge yet.
-        The test must hold for ``patience`` consecutive heard-external
-        steps (see :class:`repro.core.convergence.ConvergenceProtocol`).
-        """
-        ratio = self._ratio()
-        deviation = float(np.abs(ratio - self.previous_ratio).sum())
-        self.previous_ratio = ratio
-        if self.converged or not heard_external:
-            return False
-        if np.any(~self.ever_defined[live_components]) or deviation > threshold:
-            self.satisfied_streak = 0
-            return False
-        self.satisfied_streak += 1
-        if self.satisfied_streak >= patience:
-            self.converged = True
-            return True
-        return False
-
-    def note_neighbor_converged(self, neighbor: int) -> None:
-        """Record a neighbour's convergence announcement."""
-        self.converged_neighbors.add(neighbor)
-
-    def refresh_stopped(self) -> None:
-        """Stop once self and every neighbour have converged."""
-        if self.converged and len(self.converged_neighbors) >= self.neighbors.size:
-            self.stopped = True
 
 
 class MessageLevelGossip:
-    """Protocol-faithful gossip executor over :class:`GossipNode` objects.
+    """Protocol-faithful gossip executor over :class:`GossipNode` mailboxes.
 
     Parameters
     ----------
     graph:
         Topology.
     push_counts:
-        Per-node ``k_i``; defaults to the differential rule.
+        Per-node ``k_i``; defaults to the differential rule. Validated
+        exactly as the sparse engine validates them
+        (:func:`repro.core.differential.resolve_push_counts`).
     loss_model:
         Optional packet-loss model; a lost push is re-enqueued to the
         sender (the backend layer builds it from ``GossipConfig.network``).
@@ -202,10 +152,10 @@ class MessageLevelGossip:
         rng: RngLike = None,
     ):
         self._graph = graph
-        # Non-strict: oversized counts are clamped to node degree (with
-        # a PushCountClampWarning) — the clamp must happen before the
-        # (k + 1)-way split or the excess shares would leak gossip mass.
-        self._push_counts = resolve_push_counts(graph, push_counts, strict=False)
+        # Only the differential rule needs each node to learn its
+        # neighbours' degrees: one announcement per edge end.
+        self._degree_announcements = push_counts is None
+        self._push_counts = resolve_push_counts(graph, push_counts)
         self._loss_model = loss_model
         self._rng = as_generator(rng)
 
@@ -225,58 +175,47 @@ class MessageLevelGossip:
 
         See :meth:`repro.core.sparse_engine.SparseGossipEngine.run`.
         """
-        check_positive(xi, "xi")
         graph = self._graph
         n = graph.num_nodes
-        values = np.array(values, dtype=np.float64, copy=True)
-        weights = np.array(weights, dtype=np.float64, copy=True)
-        if values.ndim == 1:
-            values = values.reshape(-1, 1)
-        if weights.ndim == 1:
-            weights = weights.reshape(-1, 1)
-        if values.shape != weights.shape or values.shape[0] != n:
-            raise ValueError(
-                f"values/weights must share shape (N, d) with N={n}; got {values.shape} and {weights.shape}"
-            )
-        d = values.shape[1]
-        extra_arrays = {}
-        for name, arr in (extras or {}).items():
-            arr = np.array(arr, dtype=np.float64, copy=True)
-            if arr.ndim == 1:
-                arr = arr.reshape(-1, 1)
-            if arr.shape != values.shape:
-                raise ValueError(f"extras[{name}] shape {arr.shape} != values shape {values.shape}")
-            extra_arrays[name] = arr
-        threshold = xi * d
-
+        names, columns = state_components(values, weights, extras, n, 1)
+        d = columns[0].shape[1]
+        state = np.concatenate(columns, axis=1)
+        slices = {name: slice(i * d, (i + 1) * d) for i, name in enumerate(names)}
+        value_sl, weight_sl = slices["value"], slices["weight"]
         nodes = [
             GossipNode(
                 i,
                 graph.neighbors(i),
                 self._push_counts[i],
-                values[i],
-                weights[i],
-                {name: arr[i] for name, arr in extra_arrays.items()},
+                state[i, value_sl],
+                state[i, weight_sl],
+                {name: state[i, slices[name]] for name in names[2:]},
             )
             for i in range(n)
         ]
 
+        mass = MassCheck(state, slices)
+        protocol = ConvergenceProtocol(
+            graph, xi, num_components=d, patience=patience, warmup_steps=warmup_steps
+        )
+        protocol.start(state[:, value_sl], state[:, weight_sl])
         history: Optional[List[np.ndarray]] = [] if track_history else None
-        live_components = weights.sum(axis=0) != 0.0
-        if warmup_steps is None:
-            warmup_steps = int(np.ceil(np.log2(max(2, n)))) + 1
+        degrees = graph.degrees
+        heard_external = np.empty(n, dtype=bool)
         push_messages = 0
-        protocol_messages = int(graph.degrees.sum())  # degree announcements
+        protocol_messages = int(degrees.sum()) if self._degree_announcements else 0
         active_node_steps = 0
         steps = 0
 
-        while not all(node.stopped for node in nodes):
+        while not protocol.all_stopped:
             if steps >= max_steps:
-                raise ConvergenceError(steps, sum(1 for node in nodes if not node.converged))
+                raise ConvergenceError(steps, protocol.num_unconverged)
 
-            # Send phase: every active node splits and pushes.
+            # Send phase: every active node splits and pushes (isolated
+            # nodes are stopped from the outset).
+            stopped = protocol.stopped
             for node in nodes:
-                if node.stopped or node.neighbors.size == 0:
+                if stopped[node.node_id]:
                     continue
                 active_node_steps += 1
                 self_share, out_share = node.make_shares()
@@ -301,41 +240,27 @@ class MessageLevelGossip:
                     )
                     nodes[receiver].inbox.append(message)
 
-            # Receive phase: absorb, check convergence, announce.
-            announcements: List[int] = []
-            in_warmup = steps < warmup_steps
+            # Receive phase: absorb every mailbox, then run the local
+            # test and the announcements on the whole state at once.
             for node in nodes:
-                if node.inbox:
-                    heard_external = node.absorb_inbox()
-                    if node.check_convergence(
-                        threshold, heard_external and not in_warmup, live_components, patience
-                    ):
-                        announcements.append(node.node_id)
-            for announcer in announcements:
-                protocol_messages += int(nodes[announcer].neighbors.size)
-                for neighbor in nodes[announcer].neighbors:
-                    nodes[int(neighbor)].note_neighbor_converged(announcer)
-            for node in nodes:
-                node.refresh_stopped()
-
-            steps += 1
+                heard_external[node.node_id] = node.absorb_inbox()
+            newly_converged = protocol.observe_state(
+                state[:, value_sl], state[:, weight_sl], heard_external
+            )
+            protocol_messages += int(degrees[newly_converged].sum())
             if history is not None:
-                snapshot = np.vstack([node._ratio() for node in nodes])
-                history.append(snapshot)
+                history.append(protocol.ratios.copy())
+            steps += 1
+            mass.verify(state, steps)
 
-        final_values = np.vstack([node.value for node in nodes])
-        final_weights = np.vstack([node.weight for node in nodes])
-        final_extras = {
-            name: np.vstack([node.extras[name] for node in nodes]) for name in extra_arrays
-        }
         return GossipOutcome(
-            values=final_values,
-            weights=final_weights,
-            extras=final_extras,
+            values=state[:, value_sl],
+            weights=state[:, weight_sl],
+            extras={name: state[:, slices[name]] for name in names[2:]},
             steps=steps,
             push_messages=push_messages,
             protocol_messages=protocol_messages,
             active_node_steps=active_node_steps,
-            converged=np.array([node.converged for node in nodes]),
+            converged=protocol.converged.copy(),
             ratio_history=history,
         )

@@ -31,7 +31,8 @@ through a :class:`~repro.core.kernels.plan.PushPlan`; see the kernels
 package for the byte-compatibility contract with the historical
 unfused step.
 
-Every step runs the same per-step mass-conservation assertions and
+Every step runs the shared mass-conservation check
+(:class:`repro.core.state.MassCheck`), and the convergence protocol
 carries the last defined ratio through underflow-drained cells.
 Everything random flows through one generator: identical seeds replay
 identical runs bit-for-bit, and the engine converges to the same
@@ -51,11 +52,11 @@ import numpy as np
 
 from repro.core.convergence import ConvergenceProtocol
 from repro.core.differential import resolve_push_counts
-from repro.core.errors import ConvergenceError, MassConservationError
+from repro.core.errors import ConvergenceError
 from repro.core.kernels import PushPlan
 from repro.core.kernels.numpy_kernels import FusedNumpyKernel
 from repro.core.results import GossipOutcome
-from repro.core.state import MASS_RTOL, UNDEFINED_RATIO, state_components
+from repro.core.state import MassCheck, state_components
 from repro.network.conditions import PacketLossModel
 from repro.network.graph import Graph
 from repro.utils.rng import RngLike, as_generator
@@ -109,13 +110,12 @@ class SparseGossipEngine:
         push_counts: Optional[np.ndarray] = None,
         loss_model: Optional[PacketLossModel] = None,
         rng: RngLike = None,
-        degree_announcements: Optional[bool] = None,
     ):
         graph = _coerce_graph(graph)
         self._graph = graph
-        if degree_announcements is None:
-            degree_announcements = push_counts is None
-        self._degree_announcements = bool(degree_announcements)
+        # Only the differential rule needs each node to learn its
+        # neighbours' degrees: one announcement per edge end.
+        self._degree_announcements = push_counts is None
         push_counts = resolve_push_counts(graph, push_counts)
         self._push_counts = push_counts
         self._loss_model = loss_model
@@ -250,13 +250,8 @@ class SparseGossipEngine:
         del columns  # converted component copies are dead once stacked
         slices = {name: slice(i * d, (i + 1) * d) for i, name in enumerate(names)}
 
-        initial_mass = {
-            name: float(state[:, sl].sum(dtype=np.float64)) for name, sl in slices.items()
-        }
-        live_components = state[:, slices["weight"]].sum(axis=0) != 0.0
-        all_live = bool(live_components.all())
-        if warmup_steps is None:
-            warmup_steps = int(np.ceil(np.log2(max(2, n)))) + 1
+        mass = MassCheck(state, slices)
+        value_sl, weight_sl = slices["value"], slices["weight"]
         protocol = ConvergenceProtocol(
             graph,
             xi,
@@ -265,56 +260,16 @@ class SparseGossipEngine:
             patience=patience,
             warmup_steps=warmup_steps,
         )
+        protocol.start(state[:, value_sl], state[:, weight_sl])
         history: Optional[List[np.ndarray]] = [] if track_history else None
 
         degrees = graph.degrees
         eligible = degrees > 0
         eligible_count = self._plan.eligible_count
-        mass_bound = {
-            name: MASS_RTOL * max(abs(initial_mass[name]), 1.0) * max(1.0, np.sqrt(n * d))
-            for name in names
-        }
-
-        # Reusable bookkeeping buffers: the ratio matrices ping-pong
-        # between steps, everything else is overwritten in full each
-        # round.
-        ratio_a = np.full((n, d), UNDEFINED_RATIO, dtype=np.float64)
-        ratio_b = np.empty((n, d), dtype=np.float64)
-        deviations = np.empty(n, dtype=np.float64)
-        channel_dev = (
-            np.empty((n, num_channels), dtype=np.float64) if num_channels > 1 else None
-        )
-        defined_now = np.empty((n, d), dtype=bool)
-        not_defined = np.empty((n, d), dtype=bool)
-        drained = np.empty((n, d), dtype=bool)
+        # Reusable per-step masks, overwritten in full each round.
         heard_external = np.empty(n, dtype=bool)
         active_buf = np.empty(n, dtype=bool)
         not_stopped = np.empty(n, dtype=bool)
-
-        def compute_ratios(out: np.ndarray) -> bool:
-            # Same operations as state.ratios(): fill the sentinel, then
-            # a masked divide.
-            value_view = state[:, slices["value"]]
-            weight_view = state[:, slices["weight"]]
-            np.not_equal(weight_view, 0.0, out=defined_now)
-            if defined_now.all():
-                # No zero weights: a plain divide writes every slot the
-                # masked divide would, so the sentinel fill is dead work.
-                np.divide(value_view, weight_view, out=out)
-                return True
-            out.fill(UNDEFINED_RATIO)
-            np.divide(value_view, weight_view, out=out, where=defined_now)
-            return False
-
-        all_defined = compute_ratios(ratio_a)
-        previous_ratios = ratio_a
-        new_ratios = ratio_b
-        ever_defined = defined_now.copy()
-        # Once every weight is non-zero, ever_defined is all-True and
-        # the drained/ratio_defined algebra below is constant: the flag
-        # lets the common case (weights initialised positive everywhere)
-        # skip it entirely. Decisions are identical either way.
-        ever_defined_all = bool(all_defined)
 
         push_messages = 0
         protocol_messages = int(degrees.sum()) if self._degree_announcements else 0
@@ -345,81 +300,15 @@ class SparseGossipEngine:
             )
             push_messages += num_pushes
 
-            all_defined = compute_ratios(new_ratios)
-            if all_defined:
-                # Every cell defined this step: nothing can have
-                # drained (drained = ever_defined & ~defined_now is
-                # empty), and the defined mask observe needs is
-                # all-True (None in its calling convention).
-                if not ever_defined_all:
-                    ever_defined[:] = True
-                    ever_defined_all = True
-                ratio_defined = None
-            else:
-                ever_defined |= defined_now
-                np.logical_not(defined_now, out=not_defined)
-                np.logical_and(ever_defined, not_defined, out=drained)
-                if drained.any():
-                    # A cell whose weight underflowed to zero keeps its
-                    # last defined ratio instead of snapping to the
-                    # sentinel.
-                    new_ratios[drained] = previous_ratios[drained]
-                if num_channels > 1:
-                    # Per-channel defined mask: every live column the
-                    # channel owns has held weight (dead columns are
-                    # vacuously defined).
-                    if all_live:
-                        defined_full = ever_defined
-                    else:
-                        defined_full = ever_defined | ~live_components[None, :]
-                    ratio_defined = defined_full.reshape(
-                        n, num_channels, d // num_channels
-                    ).all(axis=2)
-                elif all_live:
-                    # (n, 1) column view == .all(axis=1) minus the reduce.
-                    ratio_defined = ever_defined[:, 0] if d == 1 else ever_defined.all(axis=1)
-                else:
-                    ratio_defined = ever_defined[:, live_components].all(axis=1)
-
-            # The previous ratios are dead once the deviation is taken
-            # (their buffer is the next step's ratio output), so the
-            # per-cell deviation overwrites them.
-            deviation_matrix = previous_ratios
-            if num_channels > 1:
-                np.subtract(new_ratios, previous_ratios, out=deviation_matrix)
-                np.abs(deviation_matrix, out=deviation_matrix)
-                np.sum(
-                    deviation_matrix.reshape(n, num_channels, d // num_channels),
-                    axis=2,
-                    out=channel_dev,
-                )
-                step_deviations = channel_dev
-            elif d == 1:
-                np.subtract(new_ratios[:, 0], previous_ratios[:, 0], out=deviations)
-                np.abs(deviations, out=deviations)
-                step_deviations = deviations
-            else:
-                np.subtract(new_ratios, previous_ratios, out=deviation_matrix)
-                np.abs(deviation_matrix, out=deviation_matrix)
-                np.sum(deviation_matrix, axis=1, out=deviations)
-                step_deviations = deviations
-            newly_converged = protocol.observe(step_deviations, heard_external, ratio_defined)
+            newly_converged = protocol.observe_state(
+                state[:, value_sl], state[:, weight_sl], heard_external
+            )
             if newly_converged.size:
                 protocol_messages += int(degrees[newly_converged].sum())
-            previous_ratios, new_ratios = new_ratios, previous_ratios
             if history is not None:
-                history.append(previous_ratios.copy())
+                history.append(protocol.ratios.copy())
             steps += 1
-
-            # Per-slice strided sums: ~13x faster than one
-            # state.sum(axis=0) pass (numpy's axis-0 reduce over a
-            # C-order matrix is a slow strided inner loop).
-            for name, sl in slices.items():
-                total = float(state[:, sl].sum(dtype=np.float64))
-                if abs(total - initial_mass[name]) > mass_bound[name]:
-                    raise MassConservationError(
-                        f"component {name!r} mass drifted from {initial_mass[name]!r} to {total!r} at step {steps}"
-                    )
+            mass.verify(state, steps)
 
         # The outcome views the final state instead of copying it. The
         # kernel never keeps a reference to the state it returns, so

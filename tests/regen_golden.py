@@ -34,6 +34,7 @@ GOLDEN_SPECS: Dict[str, dict] = {
     "fig4": dict(
         num_nodes=150, loss_probabilities=(0.0, 0.2), xis=(1e-2, 1e-3), seed=13, backend="sparse"
     ),
+    "table1": dict(xi=0.005, seed=2016, max_iterations=30),
     "table2": dict(sizes=(60, 120), xis=(1e-2, 1e-3), seed=7, backend="sparse"),
     "attack_slander": dict(
         num_nodes=80,

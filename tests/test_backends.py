@@ -161,16 +161,9 @@ class TestResolvePushCounts:
         with pytest.raises(ValueError, match="at least once"):
             resolve_push_counts(triangle, np.array([0, 1, 1]))
 
-    def test_non_strict_clamps_oversized_counts_with_warning(self, triangle):
-        from repro.core.differential import PushCountClampWarning
-
-        with pytest.warns(PushCountClampWarning):
-            counts = resolve_push_counts(triangle, np.array([5, 1, 1]), strict=False)
-        np.testing.assert_array_equal(counts, [2, 1, 1])
-
     def test_shape_always_checked(self, triangle):
         with pytest.raises(ValueError, match="shape"):
-            resolve_push_counts(triangle, np.ones(2, dtype=np.int64), strict=False)
+            resolve_push_counts(triangle, np.ones(2, dtype=np.int64))
 
     def test_returns_fresh_array(self, triangle):
         original = np.array([1, 1, 1])

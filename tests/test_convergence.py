@@ -3,11 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.convergence import (
-    ConvergenceProtocol,
-    deviation_scalar,
-    deviation_vector,
-)
+from repro.core.convergence import ConvergenceProtocol, channel_deviations
+from repro.core.state import UNDEFINED_RATIO
 from repro.network.graph import Graph
 
 
@@ -112,41 +109,15 @@ class TestPatience:
 
 
 class TestRebind:
-    """Reusing one protocol across topology swaps must reset counters.
+    """The protocol binds its topology once, at construction.
 
     Regression for the stale-counter early stop: ``_refresh_stopped``
     used to read ``graph.degrees`` fresh on every refresh, so a caller
-    swapping the bound graph (a dynamic-epoch runtime reusing one
-    protocol across overlay snapshots) had converged-neighbour counters
+    swapping or mutating the graph had converged-neighbour counters
     earned on the *old* topology compared against the *new* degree
-    vector — a node whose 4 old neighbours had announced would be
-    marked stopped on a new graph where its degree is 2, without any
-    node of the new graph ever converging.
+    vector. Engines build one protocol per round; a new topology gets a
+    new protocol.
     """
-
-    def test_rebind_resets_convergence_state(self, star5):
-        protocol = ConvergenceProtocol(star5, xi=0.01, patience=1)
-        protocol.observe(np.zeros(5), all_true(5))
-        assert protocol.all_stopped  # everyone converged on the star
-        # Epoch boundary: the overlay shrank to a triangle.
-        triangle = Graph(3, [(0, 1), (1, 2), (0, 2)])
-        protocol.rebind(triangle)
-        # Stale counters (hub had 4 converged neighbours) must not leak:
-        # nothing on the new graph has converged or stopped.
-        assert not protocol.converged.any()
-        assert not protocol.stopped.any()
-        assert protocol.num_unconverged == 3
-        assert not protocol.all_stopped
-
-    def test_rebind_restarts_warmup(self, triangle):
-        protocol = ConvergenceProtocol(triangle, xi=0.01, patience=1, warmup_steps=1)
-        protocol.observe(np.zeros(3), all_true(3))  # swallowed by warmup
-        protocol.observe(np.zeros(3), all_true(3))
-        assert protocol.all_stopped
-        protocol.rebind(triangle)
-        # The first post-rebind step is warmup again.
-        assert protocol.observe(np.zeros(3), all_true(3)).size == 0
-        assert protocol.observe(np.zeros(3), all_true(3)).size == 3
 
     def test_degrees_copied_at_bind_time(self, path4):
         protocol = ConvergenceProtocol(path4, xi=0.01)
@@ -154,24 +125,110 @@ class TestRebind:
         np.testing.assert_array_equal(protocol._degrees, path4.degrees)
 
     def test_rebind_tracks_new_isolated_nodes(self, triangle):
+        # A sparser topology gets its own protocol, which sees its
+        # isolated node; the protocol bound to the triangle is unchanged.
         protocol = ConvergenceProtocol(triangle, xi=0.01)
-        sparse_graph = Graph(3, [(0, 1)])
-        protocol.rebind(sparse_graph)
-        assert protocol.stopped[2] and protocol.converged[2]
-        assert not protocol.stopped[0] and not protocol.stopped[1]
+        rebound = ConvergenceProtocol(Graph(3, [(0, 1)]), xi=0.01)
+        assert rebound.stopped[2] and rebound.converged[2]
+        assert not rebound.stopped[0] and not rebound.stopped[1]
+        assert not protocol.stopped.any()
+        assert protocol.num_unconverged == 3
 
 
 class TestDeviationHelpers:
+    """``channel_deviations`` is eq. 7's movement, summed within each channel."""
+
     def test_scalar(self):
-        out = deviation_scalar(np.array([1.0, 2.0]), np.array([1.5, 2.0]))
-        assert np.allclose(out, [0.5, 0.0])
+        out = channel_deviations(np.array([[1.0], [2.0]]), np.array([[1.5], [2.0]]), 1)
+        np.testing.assert_allclose(out, [[0.5], [0.0]])
 
     def test_vector_sums_components(self):
         new = np.array([[1.0, 2.0], [0.0, 0.0]])
         old = np.array([[0.5, 1.0], [0.0, 0.0]])
-        out = deviation_vector(new, old)
-        assert np.allclose(out, [1.5, 0.0])
+        out = channel_deviations(new, old, 1)
+        np.testing.assert_allclose(out, [[1.5], [0.0]])
 
     def test_vector_rejects_1d(self):
         with pytest.raises(ValueError):
-            deviation_vector(np.zeros(3), np.zeros(3))
+            channel_deviations(np.zeros(3), np.zeros(3), 1)
+
+
+def motionless_state(n, d=1):
+    return np.full((n, d), 0.5), np.ones((n, d))
+
+
+class TestObserveState:
+    """The local test run from the gossip state itself (every engine's path)."""
+
+    def test_convergence_requires_patience(self, triangle):
+        protocol = ConvergenceProtocol(triangle, xi=0.1, patience=2)
+        values, weights = motionless_state(3)
+        protocol.start(values, weights)
+        assert protocol.observe_state(values, weights, all_true(3)).size == 0
+        assert sorted(protocol.observe_state(values, weights, all_true(3))) == [0, 1, 2]
+        assert protocol.converged.all()
+
+    def test_zero_weight_cannot_converge(self, triangle):
+        # Node 0 has never held weight: its estimate is the motionless
+        # sentinel, yet it cannot pass the test.
+        protocol = ConvergenceProtocol(triangle, xi=0.1, patience=1)
+        values, weights = motionless_state(3)
+        values[0], weights[0] = 0.0, 0.0
+        protocol.start(values, weights)
+        assert sorted(protocol.observe_state(values, weights, all_true(3))) == [1, 2]
+        assert protocol.ratios[0, 0] == UNDEFINED_RATIO
+        assert not protocol.converged[0]
+
+    def test_stop_needs_every_neighbour(self, path4):
+        protocol = ConvergenceProtocol(path4, xi=0.01, patience=1)
+        values, weights = motionless_state(4)
+        protocol.start(values, weights)
+        # Only node 1 hears anything: it converges, but its neighbours
+        # 0 and 2 have not announced, so it keeps gossiping.
+        heard = np.array([False, True, False, False])
+        assert list(protocol.observe_state(values, weights, heard)) == [1]
+        assert not protocol.stopped[1]
+        protocol.observe_state(values, weights, np.array([True, False, True, False]))
+        assert protocol.stopped[0] and protocol.stopped[1]
+        assert not protocol.stopped[2]  # node 3 has not announced
+
+    def test_movement_is_summed_per_channel(self, triangle):
+        protocol = ConvergenceProtocol(
+            triangle, xi=0.1, num_components=4, num_channels=2, patience=1
+        )
+        values, weights = motionless_state(3, 4)
+        protocol.start(values, weights)
+        moved = values.copy()
+        moved[:, 0] += 0.15  # channel 0 moves 0.3 in total (threshold 0.2)
+        moved[:, 1] += 0.15
+        moved[:, 2] += 0.05  # channel 1 moves 0.1
+        assert protocol.observe_state(moved, weights, all_true(3)).size == 0
+        assert not protocol.channel_converged[:, 0].any()
+        assert protocol.channel_converged[:, 1].all()
+        np.testing.assert_array_equal(protocol.ratios, moved)
+
+    def test_dead_column_never_blocks(self, triangle):
+        # A weight column that starts all-zero stays the sentinel and is
+        # vacuously defined; the live column decides.
+        protocol = ConvergenceProtocol(triangle, xi=0.1, num_components=2, patience=1)
+        values, weights = motionless_state(3, 2)
+        weights[:, 1] = 0.0
+        protocol.start(values, weights)
+        assert protocol.observe_state(values, weights, all_true(3)).size == 3
+        assert (protocol.ratios[:, 1] == UNDEFINED_RATIO).all()
+
+    def test_default_warmup_is_log2_n(self, pa_graph_small):
+        # warmup_steps=None: ceil(log2 60) + 1 = 7 swallowed checks.
+        n = pa_graph_small.num_nodes
+        protocol = ConvergenceProtocol(pa_graph_small, xi=0.1, warmup_steps=None)
+        values, weights = motionless_state(n)
+        protocol.start(values, weights)
+        swallowed = 0
+        while protocol.observe_state(values, weights, all_true(n)).size == 0:
+            swallowed += 1
+        assert swallowed == 7
+
+    def test_start_checks_shape(self, triangle):
+        protocol = ConvergenceProtocol(triangle, xi=0.1, num_components=2)
+        with pytest.raises(ValueError, match="expected"):
+            protocol.start(*motionless_state(3, 1))

@@ -1,12 +1,9 @@
 """Unit tests for the differential push rule (Section 4.1.1)."""
 
-import contextlib
-
 import numpy as np
 import pytest
 
 from repro.core.differential import (
-    PushCountClampWarning,
     fixed_push_counts,
     messages_per_step,
     push_counts,
@@ -97,42 +94,24 @@ class TestMessagesPerStep:
 
 
 class TestResolveOversizedCounts:
-    """Regression: counts above degree — strict raises, non-strict warns + clamps."""
+    """Regression: counts above degree are rejected, by every engine alike."""
 
     def test_strict_mode_raises(self, star5):
         oversized = np.array([9, 1, 1, 1, 1])
         with pytest.raises(ValueError, match="degree"):
-            resolve_push_counts(star5, oversized, strict=True)
+            resolve_push_counts(star5, oversized)
 
-    def test_non_strict_mode_warns_and_clamps_to_degree(self, star5):
-        oversized = np.array([9, 2, 1, 1, 1])  # hub deg 4, leaf 1 deg 1
-        with pytest.warns(PushCountClampWarning, match="2 push count"):
-            counts = resolve_push_counts(star5, oversized, strict=False)
-        np.testing.assert_array_equal(counts, [4, 1, 1, 1, 1])
+    @pytest.mark.parametrize("n", [64, 65])
+    def test_backends_reject_oversized_counts_alike(self, n):
+        # n = 64 runs on the message engine under auto, n = 65 on
+        # sparse; an explicit count above a leaf's degree is the same
+        # error on both sides of the boundary.
+        import repro
+        from repro.core.backend import GossipConfig, choose_backend_name
+        from repro.network.preferential_attachment import preferential_attachment_graph
 
-    def test_non_strict_within_degree_is_silent(self, star5, recwarn):
-        resolve_push_counts(star5, np.array([4, 1, 1, 1, 1]), strict=False)
-        assert not [w for w in recwarn if issubclass(w.category, PushCountClampWarning)]
-
-    def test_message_engine_clamps_oversized_to_push_all(self, star5):
-        # k far above the hub's degree must behave exactly like k = degree:
-        # the hub pushes to every neighbour, nothing more — and in
-        # particular the (k + 1)-way split must not leak mass (the
-        # pre-fix engine destroyed (k - degree)/(k + 1) of it per step).
-        from repro.core.engine import MessageLevelGossip
-
-        values = np.arange(5.0)
-        outcomes = []
-        for k_hub in (4, 40):
-            guard = pytest.warns(PushCountClampWarning) if k_hub > 4 else contextlib.nullcontext()
-            with guard:
-                engine = MessageLevelGossip(
-                    star5, push_counts=np.array([k_hub, 1, 1, 1, 1]), rng=7
-                )
-            outcomes.append(engine.run(values, np.ones(5), xi=1e-8))
-        clamped, oversized = outcomes
-        assert oversized.push_messages == clamped.push_messages
-        assert oversized.steps == clamped.steps
-        np.testing.assert_allclose(oversized.estimates, clamped.estimates, atol=1e-12)
-        np.testing.assert_allclose(oversized.values.sum(), values.sum(), rtol=1e-12)
-        np.testing.assert_allclose(oversized.weights.sum(), 5.0, rtol=1e-12)
+        graph = preferential_attachment_graph(n, m=1, rng=3)
+        config = GossipConfig(push_counts=np.full(n, 2), rng=1)
+        assert choose_backend_name(graph, config) == ("message" if n <= 64 else "sparse")
+        with pytest.raises(ValueError, match="may not exceed node degree"):
+            repro.aggregate(graph, np.linspace(0.0, 1.0, n), config)

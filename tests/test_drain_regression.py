@@ -13,52 +13,56 @@ the Figure-3 experiment at ``REPRO_FULL_SCALE=1``).
 import numpy as np
 import pytest
 
-from repro.core.engine import GossipNode
+from repro.core.convergence import ConvergenceProtocol
 from repro.core.state import UNDEFINED_RATIO
 from repro.core.sparse_engine import SparseGossipEngine
 from repro.network.graph import Graph
 
 
-class TestGossipNodeCarryForward:
-    def _node(self, value, weight):
-        return GossipNode(
-            0, np.array([1]), 1, np.array([value]), np.array([weight]), {}
-        )
+class TestProtocolCarryForward:
+    """Every engine's estimates come from ``ConvergenceProtocol.observe_state``."""
+
+    def _protocol(self, value, weight):
+        graph = Graph(2, [(0, 1)])
+        protocol = ConvergenceProtocol(graph, xi=1e-6, patience=2)
+        state = np.array([[value, weight], [1.0, 1.0]])
+        protocol.start(state[:, :1], state[:, 1:])
+        return protocol, state
+
+    def _observe(self, protocol, state):
+        return protocol.observe_state(state[:, :1], state[:, 1:], np.ones(2, dtype=bool))
 
     def test_defined_ratio_survives_drain_to_zero(self):
-        node = self._node(3.0, 2.0)
-        assert node._ratio()[0] == pytest.approx(1.5)
+        protocol, state = self._protocol(3.0, 2.0)
+        assert protocol.ratios[0, 0] == pytest.approx(1.5)
         # Simulate a total drain (underflow to exact zero).
-        node.value[:] = 0.0
-        node.weight[:] = 0.0
-        assert node._ratio()[0] == pytest.approx(1.5)  # carried forward
+        state[0] = 0.0
+        self._observe(protocol, state)
+        assert protocol.ratios[0, 0] == pytest.approx(1.5)  # carried forward
 
     def test_never_defined_stays_sentinel(self):
-        node = self._node(0.0, 0.0)
-        assert node._ratio()[0] == UNDEFINED_RATIO
-        node._ratio()
-        assert node._ratio()[0] == UNDEFINED_RATIO
+        protocol, state = self._protocol(0.0, 0.0)
+        assert protocol.ratios[0, 0] == UNDEFINED_RATIO
+        self._observe(protocol, state)
+        self._observe(protocol, state)
+        assert protocol.ratios[0, 0] == UNDEFINED_RATIO
 
     def test_ratio_recovers_after_refill(self):
-        node = self._node(3.0, 2.0)
-        node._ratio()
-        node.value[:] = 0.0
-        node.weight[:] = 0.0
-        node._ratio()
-        node.value[:] = 5.0
-        node.weight[:] = 2.0
-        assert node._ratio()[0] == pytest.approx(2.5)
+        protocol, state = self._protocol(3.0, 2.0)
+        state[0] = 0.0
+        self._observe(protocol, state)
+        state[0] = [5.0, 2.0]
+        self._observe(protocol, state)
+        assert protocol.ratios[0, 0] == pytest.approx(2.5)
 
     def test_drained_node_can_converge(self):
-        node = self._node(3.0, 2.0)
-        node._ratio()
-        node.value[:] = 0.0
-        node.weight[:] = 0.0
-        live = np.array([True])
-        # Deviation is 0 (carried ratio); ever-defined, so eligible.
-        assert not node.check_convergence(1e-6, True, live, patience=2)
-        assert node.check_convergence(1e-6, True, live, patience=2)
-        assert node.converged
+        protocol, state = self._protocol(1.0, 1.0)
+        state[0] = 0.0
+        # Movement is 0 (carried ratio) and the cell was defined once,
+        # so the drained node passes the test like any other.
+        assert self._observe(protocol, state).size == 0
+        assert list(self._observe(protocol, state)) == [0, 1]
+        assert protocol.converged.all()
 
 
 class TestVectorEngineCarryForward:

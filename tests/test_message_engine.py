@@ -1,12 +1,16 @@
 """Unit tests for the protocol-faithful message-level engine."""
 
+import json
+
 import numpy as np
 import pytest
 
+from repro.core.backend import GossipConfig, run_backend
 from repro.core.engine import GossipNode, MessageLevelGossip, PushMessage
 from repro.core.errors import ConvergenceError
 from repro.network.conditions import PacketLossModel
 from repro.network.graph import Graph
+from tests.regen_message_digests import DIGEST_PATH, message_cases, outcome_digest, run_case
 
 
 class TestGossipNode:
@@ -28,6 +32,17 @@ class TestGossipNode:
         # Local state emptied; self-share returns via the mailbox.
         assert node.value[0] == 0.0
 
+    def test_node_state_is_a_view_of_its_row(self):
+        # The engine reads every node's state from one matrix, so a
+        # node must split and absorb in place.
+        state = np.array([[2.0, 1.0], [5.0, 5.0]])
+        node = GossipNode(0, np.array([1]), 1, state[0, :1], state[0, 1:], {})
+        self_share, _ = node.make_shares()
+        assert state[0].tolist() == [0.0, 0.0]
+        node.inbox.append(self_share)
+        node.absorb_inbox()
+        assert state[0].tolist() == [1.0, 0.5]
+
     def test_absorb_inbox_sums(self):
         node = self._node(value=0.0, weight=0.0)
         node.inbox.append(PushMessage(0, np.array([1.0]), np.array([0.5])))
@@ -41,27 +56,6 @@ class TestGossipNode:
         node = self._node()
         node.inbox.append(PushMessage(0, np.array([1.0]), np.array([1.0])))
         assert not node.absorb_inbox()
-
-    def test_convergence_requires_patience(self):
-        node = self._node()
-        live = np.array([True])
-        assert not node.check_convergence(0.1, True, live, patience=2)
-        assert node.check_convergence(0.1, True, live, patience=2)
-        assert node.converged
-
-    def test_zero_weight_cannot_converge(self):
-        node = self._node(value=0.0, weight=0.0)
-        assert not node.check_convergence(0.1, True, np.array([True]), patience=1)
-
-    def test_stop_needs_all_neighbors(self):
-        node = self._node()
-        node.converged = True
-        node.refresh_stopped()
-        assert not node.stopped
-        node.note_neighbor_converged(1)
-        node.note_neighbor_converged(2)
-        node.refresh_stopped()
-        assert node.stopped
 
 
 class TestMessageLevelGossip:
@@ -126,3 +120,54 @@ class TestMessageLevelGossip:
     def test_rejects_wrong_push_counts_shape(self, triangle):
         with pytest.raises(ValueError):
             MessageLevelGossip(triangle, push_counts=np.array([1, 1]))
+
+
+_PINNED = {case["id"]: case for case in json.loads(DIGEST_PATH.read_text())["cases"]}
+
+
+class TestPinnedOutcomes:
+    """Byte identity of the message engine across refactors (see the regen module)."""
+
+    @pytest.mark.parametrize("case", message_cases(), ids=lambda case: case["id"])
+    def test_outcome_matches_pinned_digest(self, case):
+        outcome = run_case(case)
+        pinned = _PINNED[case["id"]]
+        assert outcome.steps == pinned["steps"]
+        assert outcome_digest(outcome) == pinned["digest"]
+
+
+class TestAgreesWithSparse:
+    """Both synchronous engines run one stop rule and one accounting rule."""
+
+    @pytest.mark.parametrize("backend", ["message", "sparse"])
+    def test_isolated_nodes_report_converged(self, backend):
+        graph = Graph(5, [(0, 1), (1, 2), (2, 0)])
+        out = run_backend(
+            graph, np.arange(5.0), np.ones(5), config=GossipConfig(rng=4, xi=1e-6), backend=backend
+        )
+        assert out.converged.tolist() == [True] * 5
+        np.testing.assert_allclose(out.estimates[3:, 0], [3.0, 4.0])
+
+    @pytest.mark.parametrize("backend", ["message", "sparse"])
+    def test_convergence_error_leaves_isolated_nodes_out(self, backend):
+        graph = Graph(5, [(0, 1), (1, 2), (2, 0)])
+        config = GossipConfig(rng=4, xi=1e-12, max_steps=2)
+        with pytest.raises(ConvergenceError) as excinfo:
+            run_backend(graph, np.arange(5.0), np.ones(5), config=config, backend=backend)
+        assert excinfo.value.unconverged == 3
+
+    @pytest.mark.parametrize("backend", ["message", "sparse"])
+    def test_degree_announcements_only_under_differential_rule(self, fig2_network, backend):
+        degree_sum = int(fig2_network.degrees.sum())
+        differential = run_backend(
+            fig2_network, np.arange(10.0), np.ones(10),
+            config=GossipConfig(rng=3, xi=1e-6), backend=backend,
+        )
+        k1 = run_backend(
+            fig2_network, np.arange(10.0), np.ones(10),
+            config=GossipConfig(k=1, rng=3, xi=1e-6), backend=backend,
+        )
+        # Every node announces convergence to each neighbour once; the
+        # differential rule adds one degree announcement per edge end.
+        assert differential.protocol_messages == 2 * degree_sum
+        assert k1.protocol_messages == degree_sum

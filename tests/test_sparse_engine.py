@@ -158,9 +158,10 @@ class TestTargetSelection:
 class TestCrossEngineAgreement:
     """Sparse and message engines compute the same aggregate.
 
-    The message engine is the protocol-faithful reference: one object
-    per node, its own sampler, its own copy of the stop protocol. It has
-    no ``run_to_max`` mode, so these checks run the stop protocol and
+    The message engine is the protocol-faithful reference: one mailbox
+    object per node and its own sampler (the stop rule is the one
+    ``ConvergenceProtocol`` both engines drive). It has no
+    ``run_to_max`` mode, so these checks run the stop protocol and
     hold both engines to its accuracy; the 1e-8 fixpoint agreement of
     the two engines on random PA worlds is pinned by
     ``tests/test_properties_backends.py::TestCrossBackendAgreement::test_sync_backends_agree_to_1e8``.
@@ -233,6 +234,31 @@ class TestProtocolBehaviour:
         # Node 3 keeps its own value; the triangle averages its own.
         assert out.estimates[3, 0] == pytest.approx(9.0)
         assert np.allclose(out.estimates[:3, 0], 2.0, atol=1e-3)
+
+    @pytest.mark.parametrize("num_channels", [1, 2])
+    def test_observe_runs_once_per_step_through_module_name(
+        self, fig2_network, monkeypatch, num_channels
+    ):
+        # The benchmark's traced pass times convergence by swapping this
+        # module-global name for a subclass that wraps observe; if the
+        # engine built its protocol any other way, or bypassed observe,
+        # convergence.observe_ms would silently read 0.
+        import repro.core.sparse_engine as sparse_module
+
+        calls = []
+
+        class CountingProtocol(sparse_module.ConvergenceProtocol):
+            def observe(self, *args, **kwargs):
+                calls.append(1)
+                return super().observe(*args, **kwargs)
+
+        monkeypatch.setattr(sparse_module, "ConvergenceProtocol", CountingProtocol)
+        values = np.column_stack([np.arange(10.0), np.arange(10.0)[::-1]])
+        out = SparseGossipEngine(fig2_network, rng=6).run(
+            values, np.ones((10, 2)), xi=1e-6, num_channels=num_channels
+        )
+        assert out.steps > 0
+        assert len(calls) == out.steps
 
 
 class TestMessageAccounting:

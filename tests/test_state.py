@@ -3,46 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.state import (
-    MASS_RTOL,
-    UNDEFINED_RATIO,
-    GossipPair,
-    assert_mass_conserved,
-    ratios,
-)
-
-
-class TestGossipPair:
-    def test_ratio(self):
-        assert GossipPair(3.0, 2.0).ratio() == 1.5
-
-    def test_zero_weight_sentinel(self):
-        assert GossipPair(1.0, 0.0).ratio() == UNDEFINED_RATIO
-
-    def test_split_conserves_mass(self):
-        pair = GossipPair(6.0, 3.0)
-        share = pair.split(3)
-        assert share.value * 3 == pytest.approx(6.0)
-        assert share.weight * 3 == pytest.approx(3.0)
-
-    def test_split_rejects_zero_shares(self):
-        with pytest.raises(ValueError):
-            GossipPair(1.0, 1.0).split(0)
-
-    def test_add(self):
-        total = GossipPair(1.0, 0.5) + GossipPair(2.0, 1.5)
-        assert total.value == 3.0
-        assert total.weight == 2.0
-
-    def test_iadd(self):
-        pair = GossipPair(1.0, 1.0)
-        pair += GossipPair(0.5, 0.25)
-        assert pair.value == 1.5
-        assert pair.weight == 1.25
-
-    def test_split_preserves_ratio(self):
-        pair = GossipPair(4.0, 2.0)
-        assert pair.split(5).ratio() == pair.ratio()
+from repro.core.errors import MassConservationError
+from repro.core.state import MASS_RTOL, UNDEFINED_RATIO, MassCheck, ratios
 
 
 class TestRatios:
@@ -73,18 +35,75 @@ class TestRatios:
 
 
 class TestMassConservation:
+    """The one per-step mass check both synchronous engines run."""
+
+    SLICES = {"value": slice(0, 1), "weight": slice(1, 2)}
+
     def test_passes_when_conserved(self):
-        assert_mass_conserved(6.0, np.array([1.0, 2.0, 3.0]), label="y")
+        state = np.array([[1.0, 1.0], [2.0, 1.0], [3.0, 1.0]])
+        check = MassCheck(state, self.SLICES)
+        moved = np.array([[3.0, 0.5], [3.0, 2.0], [0.0, 0.5]])
+        check.verify(moved, step=1)
 
     def test_fails_on_drift(self):
-        with pytest.raises(RuntimeError, match="not conserved"):
-            assert_mass_conserved(6.0, np.array([1.0, 2.0, 4.0]), label="y")
+        state = np.array([[1.0, 1.0], [2.0, 1.0], [3.0, 1.0]])
+        check = MassCheck(state, self.SLICES)
+        drifted = state.copy()
+        drifted[2, 0] = 4.0
+        with pytest.raises(MassConservationError, match="'value' mass drifted .* at step 7"):
+            check.verify(drifted, step=7)
 
     def test_tolerates_float_noise(self):
-        values = np.full(1000, 1.0 / 3.0)
-        assert_mass_conserved(1000 / 3.0, values, label="y")
+        state = np.column_stack([np.full(1000, 1.0 / 3.0), np.ones(1000)])
+        check = MassCheck(state, self.SLICES)
+        # Same total in real arithmetic, a few ulps off in floats.
+        spread = state.copy()
+        spread[:, 0] = np.linspace(0.0, 2.0 / 3.0, 1000)
+        check.verify(spread, step=1)
 
     def test_zero_total(self):
-        assert_mass_conserved(0.0, np.zeros(5), label="g")
-        with pytest.raises(RuntimeError):
-            assert_mass_conserved(0.0, np.array([MASS_RTOL * 10]), label="g")
+        state = np.zeros((5, 2))
+        check = MassCheck(state, self.SLICES)
+        check.verify(state, step=1)
+        drifted = state.copy()
+        drifted[0, 1] = MASS_RTOL * 10
+        with pytest.raises(MassConservationError, match="'weight'"):
+            check.verify(drifted, step=2)
+
+    def test_bound_grows_with_component_width(self):
+        # d = 4 columns of 25 nodes: the bound scales with sqrt(N * d).
+        state = np.ones((25, 8))
+        check = MassCheck(state, {"value": slice(0, 4), "weight": slice(4, 8)})
+        nudged = state.copy()
+        nudged[0, 0] += 100.0 * MASS_RTOL * 9.0  # inside 100 * 1e-9 * sqrt(100)
+        check.verify(nudged, step=1)
+        nudged[0, 0] += 100.0 * MASS_RTOL * 2.0
+        with pytest.raises(MassConservationError):
+            check.verify(nudged, step=2)
+
+    def test_engines_raise_on_drift(self, fig2_network, monkeypatch):
+        # A kernel that leaks mass must stop both synchronous engines.
+        from repro.core.engine import GossipNode, MessageLevelGossip
+        from repro.core.kernels.numpy_kernels import FusedNumpyKernel
+        from repro.core.sparse_engine import SparseGossipEngine
+
+        step = FusedNumpyKernel.step
+
+        def leaky_step(self, state, *args, **kwargs):
+            state, pushes = step(self, state, *args, **kwargs)
+            state[0, 0] *= 1.5
+            return state, pushes
+
+        absorb = GossipNode.absorb_inbox
+
+        def leaky_absorb(self):
+            heard = absorb(self)
+            if self.node_id == 0:
+                self.value *= 1.5
+            return heard
+
+        monkeypatch.setattr(FusedNumpyKernel, "step", leaky_step)
+        monkeypatch.setattr(GossipNode, "absorb_inbox", leaky_absorb)
+        for engine in (SparseGossipEngine(fig2_network, rng=1), MessageLevelGossip(fig2_network, rng=1)):
+            with pytest.raises(MassConservationError, match="at step 1$"):
+                engine.run(np.arange(1.0, 11.0), np.ones(10), xi=1e-6)
