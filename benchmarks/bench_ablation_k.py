@@ -1,6 +1,6 @@
 """Ablation — the differential push-count rule.
 
-DESIGN.md calls out the k-rule as the paper's core mechanism; this
+The k-rule is the paper's core mechanism (§4); this
 ablation pins down that it is the *degree-adaptive* k (not just "push
 more") that speeds hub-heavy graphs: differential vs fixed k=1 vs fixed
 k=2 on the same world, same seeds.

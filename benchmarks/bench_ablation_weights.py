@@ -1,6 +1,6 @@
 """Ablation — the GCLR weighting under collusion (eq. 17's damping).
 
-DESIGN.md's second ablation: the same attack measured with weighting on
+The same collusion attack measured with weighting on
 (a=4) vs off (a=1, every weight 1). Eq. 17 predicts the weighted error
 is the unweighted error shrunk by N/(N + sum(w-1)); the benchmark
 asserts the ordering and reports the measured ratio.

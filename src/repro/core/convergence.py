@@ -66,7 +66,7 @@ class ConvergenceProtocol:
         exchanging mass from just one source (every local ratio equal,
         globally wrong), freezing the round early. A small patience
         (2–3) makes the local rule reliable at negligible step cost; the
-        deviation from the paper is documented in DESIGN.md.
+        deviation from the paper is documented in docs/fidelity.md.
     warmup_steps:
         Checks during the first ``warmup_steps`` steps never count: a
         node whose estimate has not moved *because no value mass has
@@ -308,9 +308,9 @@ class ConvergenceProtocol:
         ----------
         deviations:
             ``(N, V)`` per-channel estimate movement this step
-            (``sum_j |ratio_j(n) - ratio_j(n-1)|`` within each channel;
-            :func:`channel_deviations`). With one channel an ``(N,)``
-            vector is accepted too.
+            (``sum_j |ratio_j(n) - ratio_j(n-1)|`` within each channel,
+            as :meth:`observe_state` computes it). With one channel an
+            ``(N,)`` vector is accepted too.
         heard_external:
             Boolean mask — node received at least one gossip pair from a
             node other than itself this step (the ``|S| > 1`` guard).
@@ -409,32 +409,3 @@ class ConvergenceProtocol:
         stopped &= self._converged
         stopped |= self._isolated
 
-
-def channel_deviations(
-    new_ratios: np.ndarray, old_ratios: np.ndarray, num_channels: int
-) -> np.ndarray:
-    """Per-node, per-channel estimate movement for multi-channel gossip.
-
-    The ``(N, d)`` ratio matrix is channel-major — channel ``c`` owns
-    columns ``[c * d/V, (c+1) * d/V)`` — so the eq.-7 sum restricted to
-    one channel is a reshape-and-reduce.
-
-    Returns
-    -------
-    numpy.ndarray
-        ``(N, V)`` absolute movement summed within each channel.
-    """
-    new_ratios = np.asarray(new_ratios)
-    old_ratios = np.asarray(old_ratios)
-    if new_ratios.ndim != 2:
-        raise ValueError(f"expected (N, d) ratios, got shape {new_ratios.shape}")
-    n, d = new_ratios.shape
-    if num_channels < 1 or d % num_channels:
-        raise ValueError(
-            f"num_channels ({num_channels}) must divide the component count ({d})"
-        )
-    return (
-        np.abs(new_ratios - old_ratios)
-        .reshape(n, num_channels, d // num_channels)
-        .sum(axis=2)
-    )

@@ -137,27 +137,6 @@ class SparseGossipEngine:
         view.flags.writeable = False
         return view
 
-    @property
-    def _groups(self):
-        """Padded sampling groups (compatibility accessor for tests)."""
-        return self._plan.groups
-
-    @property
-    def _k1_nodes(self) -> np.ndarray:
-        return self._plan.k1_nodes
-
-    # -- target selection -------------------------------------------------------
-
-    def _choose_targets(self, active: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Random push targets for every active node, fully vectorised.
-
-        Returns ``(senders, targets)`` flat arrays: node ``senders[p]``
-        pushes its share to ``targets[p]``. Each sender appears ``k_i``
-        times with *distinct* targets, uniformly over the
-        ``k_i``-subsets of its neighbourhood.
-        """
-        return self._plan.sample_subset(self._rng, active)
-
     def _kernel_for(self, num_cols: int, num_channels: int = 1):
         """Kernel instance for a ``num_cols``-wide state (cached per width)."""
         key = (num_cols, num_channels)

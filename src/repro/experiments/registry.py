@@ -21,8 +21,9 @@ from repro.experiments.runner import ExperimentResult
 
 ExperimentRunner = Callable[..., ExperimentResult]
 
-#: Experiment id -> runner. Ids match DESIGN.md's experiment index,
-#: plus the attack-robustness sweeps (attack_*) beyond the paper.
+#: Experiment id -> runner. Ids name the paper's tables and figures,
+#: plus supplementary checks and the attack-robustness sweeps
+#: (attack_*) beyond the paper.
 EXPERIMENTS: Dict[str, ExperimentRunner] = {
     "table1": table1.run,
     "table2": table2.run,

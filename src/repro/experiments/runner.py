@@ -1,8 +1,8 @@
 """Shared experiment infrastructure.
 
 Every experiment returns an :class:`ExperimentResult` — a titled table
-plus free-form notes — so the CLI, the benchmarks and EXPERIMENTS.md all
-render the same rows the paper reports.
+plus free-form notes — so the CLI, the benchmarks and the golden
+fixtures all render the same rows the paper reports.
 """
 
 from __future__ import annotations

@@ -82,9 +82,8 @@ def _subseed(*parts) -> np.random.Generator:
 
 
 def _scenario_world(name: str, *, seed: int, small: bool):
-    """(graph, trust, n) for one scenario slice, fully seeded."""
+    """(graph, trust) for one scenario slice, fully seeded."""
     from repro.scenarios import get_scenario  # imports the seeded catalogue
-    from repro.trust.matrix import complete_trust_matrix, random_trust_matrix
     from repro.utils.rng import as_generator
 
     scenario = get_scenario(name)
@@ -93,12 +92,7 @@ def _scenario_world(name: str, *, seed: int, small: bool):
         topology = dataclasses.replace(topology, num_nodes=FULL_SCALE_CAP)
     root = _subseed(seed, "world", name)
     graph = topology.build(as_generator(int(root.integers(2**62))), small=small)
-    n = graph.num_nodes
-    if scenario.workload.observations == "complete":
-        trust = complete_trust_matrix(n, rng=as_generator(int(root.integers(2**62))))
-    else:
-        trust = random_trust_matrix(graph, rng=as_generator(int(root.integers(2**62))))
-    return graph, trust, n
+    return graph, scenario.workload.build_trust(graph, as_generator(int(root.integers(2**62))))
 
 
 def build_leaderboard(
@@ -127,6 +121,7 @@ def build_leaderboard(
     from repro.attacks.evaluate import _CleanRunCache, attack_impact
     from repro.attacks.models import make_attack
     from repro.core.backend import GossipConfig
+    from repro.scenarios.spec import draw_targets
 
     algorithm_names = [
         resolve_algorithm_name(a) for a in (algorithms or DEFAULT_ALGORITHMS)
@@ -138,16 +133,14 @@ def build_leaderboard(
     cells = []
     scenario_meta: Dict[str, dict] = {}
     for scenario_name in scenario_names:
-        graph, trust, n = _scenario_world(scenario_name, seed=seed, small=small)
-        target_rng = _subseed(seed, "targets", scenario_name)
-        count = min(num_targets, n)
-        targets = sorted(
-            int(t) for t in target_rng.choice(n, size=count, replace=False)
+        graph, trust = _scenario_world(scenario_name, seed=seed, small=small)
+        targets = draw_targets(
+            _subseed(seed, "targets", scenario_name), graph.num_nodes, num_targets
         )
         scenario_meta[scenario_name] = {
-            "num_nodes": n,
+            "num_nodes": graph.num_nodes,
             "num_edges": graph.num_edges,
-            "num_targets": count,
+            "num_targets": len(targets),
         }
         # One adversary per (scenario, family), shared by every
         # algorithm — the whole field faces the same poisoned matrix.

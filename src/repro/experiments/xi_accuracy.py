@@ -7,7 +7,7 @@ mixing rate (the same structure as Theorem 5.2's
 directly — final max/mean relative estimation error vs ξ, with error
 bars over seeds — and doubles as the evidence base for this
 reproduction's stopping-rule notes (patience + warmup; see
-EXPERIMENTS.md): with them, achieved error tracks ξ rather than
+docs/fidelity.md): with them, achieved error tracks ξ rather than
 plateauing at percent level.
 """
 
@@ -79,7 +79,7 @@ def run(
         notes=[
             "achieved error must shrink monotonically with xi (it tracks, not equals, xi)",
             "steps grow ~log(1/xi) while error falls ~linearly in xi — the Theorem-5.2 trade",
-            "with the paper-literal stopping rule (patience=1, no warmup) max error plateaus at percent level regardless of xi; see EXPERIMENTS.md",
+            "with the paper-literal stopping rule (patience=1, no warmup) max error plateaus at percent level regardless of xi; see docs/fidelity.md",
         ],
         elapsed_seconds=watch.elapsed,
     )

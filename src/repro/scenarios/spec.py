@@ -16,6 +16,7 @@ from ``(name, seed, small)`` alone.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
@@ -26,6 +27,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.algorithms.base import AggregationAlgorithm
     from repro.attacks.models import AttackModel
     from repro.network.conditions import EpochPartition, LatencySpec, LinkModel
+    from repro.trust.matrix import TrustMatrix
 
 from repro.core.backend import GossipConfig, choose_backend_name, resolve_backend_name
 from repro.facade import aggregate
@@ -144,6 +146,15 @@ class WorkloadSpec:
             raise ValueError(
                 f"free_rider_fraction must be in (0, 1), got {self.free_rider_fraction}"
             )
+
+    def build_trust(self, graph: Graph, rng) -> "TrustMatrix":
+        """The trust matrix ``observations`` names, drawn from ``rng``:
+        every pair (``"complete"``) or the overlay's edges only."""
+        from repro.trust.matrix import complete_trust_matrix, random_trust_matrix
+
+        if self.observations == "complete":
+            return complete_trust_matrix(graph.num_nodes, rng=rng)
+        return random_trust_matrix(graph, rng=rng)
 
 
 @dataclass(frozen=True)
@@ -692,9 +703,7 @@ def run_scenario(
     if isinstance(scenario, str):
         scenario = get_scenario(scenario)
     root = as_generator(scenario.seed if seed is None else seed)
-    graph = scenario.topology.build(
-        as_generator(int(root.integers(2**62))), small=small
-    )
+    graph = scenario.topology.build(_child(root), small=small)
     backend_name = backend if backend is not None else scenario.backend
     # Dynamic/service runs replay the network axis through the overlay
     # (epoch partitions), not through a per-push link model.
@@ -711,65 +720,79 @@ def run_scenario(
         network=network,
         rng=int(root.integers(2**62)),
     )
-
-    if scenario.dynamic is not None:
-        # The runtime resolves the name itself: its "auto" policy steers
-        # towards run_to_max-capable engines for the accuracy stop rule.
-        return _run_dynamic(scenario, graph, config, backend_name, root, small=small)
-
-    if scenario.service is not None:
-        # The service resolves the name the same way (it embeds the
-        # dynamic runtime for its per-tick epochs).
-        return _run_service(scenario, graph, config, backend_name, root, small=small)
-
-    if scenario.algorithm is not None:
-        # The algorithm axis executes the trust-global workload through
-        # a registered adapter; backend resolution only applies to
-        # backend-routed algorithms and happens inside.
-        return _run_algorithm(scenario, graph, config, backend_name, root, small=small)
-
-    kind = scenario.workload.kind
-    if backend_name == "auto":
-        # Dual-rank gossips num_channels=2 state, which the message
-        # engine cannot run — let the auto policy see that constraint.
-        # The config always rides along so latency-bearing network
-        # models steer to the event-driven async backend.
-        auto_config = (
-            dataclasses.replace(config, num_channels=2) if kind == "dual-rank" else config
-        )
-        resolved = choose_backend_name(graph, auto_config)
-    else:
-        resolved = resolve_backend_name(backend_name)
-    start = time.perf_counter()
-    if kind == "mean":
-        outcome, metrics, notes = _run_mean(scenario, graph, config, resolved, root)
-    elif kind == "trust-global":
-        outcome, metrics, notes = _run_trust_global(scenario, graph, config, resolved, root)
-    elif kind == "trust-gclr":
-        outcome, metrics, notes = _run_trust_gclr(scenario, graph, config, resolved, root)
-    elif kind == "dual-rank":
-        outcome, metrics, notes = _run_dual_rank(scenario, graph, config, resolved, root)
-    else:
-        outcome, metrics, notes = _run_free_riding(scenario, graph, config, resolved, root)
-    elapsed = time.perf_counter() - start
-
-    return ScenarioResult(
-        name=scenario.name,
-        backend=resolved,
-        small=small,
-        num_nodes=graph.num_nodes,
-        num_edges=graph.num_edges,
-        steps=outcome.steps,
-        push_messages=outcome.push_messages,
-        converged_fraction=float(np.mean(outcome.converged)),
-        metrics=metrics,
-        elapsed_seconds=elapsed,
-        notes=notes,
+    # The dynamic, service and algorithm axes replace the workload's
+    # own execution, in that order of precedence.
+    path = next(
+        (axis for axis in ("dynamic", "service", "algorithm") if getattr(scenario, axis) is not None),
+        scenario.workload.kind,
     )
+    start = time.perf_counter()
+    fields = _RUNNERS[path](scenario, graph, config, backend_name, root, small=small)
+    elapsed = time.perf_counter() - start
+    return ScenarioResult(name=scenario.name, small=small, elapsed_seconds=elapsed, **fields)
+
+
+def _child(root: np.random.Generator) -> np.random.Generator:
+    """The next child stream of a run's root generator."""
+    return as_generator(int(root.integers(2**62)))
+
+
+def _resolve_backend(name: str, graph: Graph, config: GossipConfig, *, num_channels: int = 1) -> str:
+    """``name``, with ``"auto"`` resolved for ``num_channels`` channels of
+    state under ``config`` (a latency-bearing network steers to the
+    event-driven async backend, multi-channel state away from the
+    message engine)."""
+    if name != "auto":
+        return resolve_backend_name(name)
+    return choose_backend_name(graph, dataclasses.replace(config, num_channels=num_channels))
+
+
+def draw_targets(rng: np.random.Generator, num_nodes: int, num_targets: int) -> List[int]:
+    """``min(num_targets, num_nodes)`` distinct target columns drawn
+    from ``rng``, sorted."""
+    count = min(num_targets, num_nodes)
+    return sorted(int(t) for t in rng.choice(num_nodes, size=count, replace=False))
+
+
+def _steer_targets(
+    targets: List[int], model: "Optional[AttackModel]", rng: np.random.Generator, num_nodes: int
+) -> List[int]:
+    """``targets`` with half the tracked columns steered onto the
+    attack's seeded victims.
+
+    Slander-type attacks poison a bounded victim set; uniformly sampled
+    target columns would almost never intersect it at scale, and the
+    metrics would measure second-order weight noise instead of the
+    attack. An on-off model is unwrapped to its inner attack. Attacks
+    without victims (or no attack) leave ``targets`` as drawn.
+    """
+    from repro.attacks.models import OnOffModel
+
+    if isinstance(model, OnOffModel) and model.inner is not None:
+        model = model.inner
+    if not hasattr(model, "cast"):
+        return targets
+    _, victims = model.cast(num_nodes)
+    if not victims.size:
+        return targets
+    half = max(1, len(targets) // 2)
+    if victims.size > half:
+        victims = rng.choice(victims, size=half, replace=False)
+    picked = set(int(v) for v in victims)
+    # Victims are kept unconditionally; the uniform draw only fills the
+    # remaining slots (truncating the sorted union could drop every
+    # steered victim again).
+    fill = [t for t in targets if t not in picked]
+    return sorted(picked | set(fill[: max(0, len(targets) - len(picked))]))
 
 
 def _run_dynamic(scenario, graph, config, backend, root, *, small):
-    """Epoch-driven dynamic run: churn trace over a mutable overlay."""
+    """Epoch-driven dynamic run: churn trace over a mutable overlay.
+
+    The runtime resolves the backend name itself: its ``"auto"`` policy
+    steers towards run_to_max-capable engines for the accuracy stop
+    rule.
+    """
     from repro.network.mutable import MutableOverlay
     from repro.runtime.dynamics import run_dynamic
     from repro.trust.newcomer_policy import DynamicNewcomerPolicy
@@ -789,7 +812,6 @@ def _run_dynamic(scenario, graph, config, backend, root, *, small):
     partition = (
         scenario.network.epoch_partition() if scenario.network is not None else None
     )
-    start = time.perf_counter()
     result = run_dynamic(
         MutableOverlay.from_graph(graph),
         trace,
@@ -805,7 +827,6 @@ def _run_dynamic(scenario, graph, config, backend, root, *, small):
         attack=attack,
         partition=partition,
     )
-    elapsed = time.perf_counter() - start
     final = result.final_record
     metrics = {
         "epochs": float(len(result.records)),
@@ -835,23 +856,24 @@ def _run_dynamic(scenario, graph, config, backend, root, *, small):
             f"scheduled partition: {partition.num_groups} groups cut over epochs "
             f"[{partition.start_epoch}, {partition.heal_epoch}), then healed"
         )
-    return ScenarioResult(
-        name=scenario.name,
+    return dict(
         backend=result.backend,
-        small=small,
         num_nodes=final.num_peers,
         num_edges=final.num_edges,
         steps=result.total_steps,
         push_messages=result.total_push_messages,
         converged_fraction=final.converged_fraction,
         metrics=metrics,
-        elapsed_seconds=elapsed,
         notes=notes,
     )
 
 
 def _run_service(scenario, graph, config, backend, root, *, small):
-    """Streaming service soak: ingest → fold → epoch → snapshot, measured."""
+    """Streaming service soak: ingest → fold → epoch → snapshot, measured.
+
+    The service resolves the backend name the way the dynamic runtime
+    does (it embeds the runtime for its per-tick epochs).
+    """
     from repro.network.mutable import MutableOverlay
     from repro.service.reports import generate_reports
     from repro.service.service import ReputationService
@@ -861,7 +883,7 @@ def _run_service(scenario, graph, config, backend, root, *, small):
     reports = generate_reports(
         num_reports,
         graph.num_nodes,
-        rng=as_generator(int(root.integers(2**62))),
+        rng=_child(root),
         noise=spec.noise,
     )
     service = ReputationService(
@@ -898,7 +920,6 @@ def _run_service(scenario, graph, config, backend, root, *, small):
     query_elapsed = time.perf_counter() - query_start
 
     snapshot = service.snapshot()
-    elapsed = time.perf_counter() - start
     staleness = [t.staleness for t in ticks]
     metrics = {
         "reports_folded": float(snapshot.reports_folded),
@@ -915,18 +936,14 @@ def _run_service(scenario, graph, config, backend, root, *, small):
         f"batch={spec.batch_size}, watermark={spec.high_watermark}",
         "every shed chunk was retried after a tick; final fold is batch-order independent",
     ]
-    last = ticks[-1]
-    return ScenarioResult(
-        name=scenario.name,
+    return dict(
         backend=service.backend,
-        small=small,
         num_nodes=graph.num_nodes,
         num_edges=graph.num_edges,
         steps=sum(t.epoch_steps for t in ticks),
         push_messages=sum(t.push_messages for t in ticks),
-        converged_fraction=last.converged_fraction,
+        converged_fraction=ticks[-1].converged_fraction,
         metrics=metrics,
-        elapsed_seconds=elapsed,
         notes=notes,
         timings={
             "ingest_reports_per_second": num_reports / ingest_elapsed if ingest_elapsed else 0.0,
@@ -935,45 +952,24 @@ def _run_service(scenario, graph, config, backend, root, *, small):
     )
 
 
-def _run_algorithm(scenario, graph, config, backend_name, root, *, small):
+def _run_algorithm(scenario, graph, config, backend, root, *, small):
     """Trust-global workload executed by a registered algorithm adapter.
 
     Builds the *same* world as :func:`_run_trust_global` (identical RNG
     draw order: trust matrix, then target sampling), then hands it to
     the scenario's pinned algorithm. ``steps``/``push_messages`` on the
     result carry the adapter's unified ``rounds``/``messages`` columns
-    (each adapter's docstring states its counting rule).
+    (each adapter's docstring states its counting rule). Only
+    backend-routed algorithms resolve a backend; the others own their
+    execution entirely and report ``"n/a"``.
     """
-    from repro.trust.matrix import complete_trust_matrix, random_trust_matrix
-
     algo = scenario.algorithm.build()
-    n = graph.num_nodes
-    if scenario.workload.observations == "complete":
-        trust = complete_trust_matrix(n, rng=as_generator(int(root.integers(2**62))))
-    else:
-        trust = random_trust_matrix(graph, rng=as_generator(int(root.integers(2**62))))
-    num_targets = min(scenario.workload.num_targets, n)
-    target_rng = as_generator(int(root.integers(2**62)))
-    targets = sorted(int(t) for t in target_rng.choice(n, size=num_targets, replace=False))
-
-    if algo.uses_backend:
-        resolved = (
-            choose_backend_name(graph, config)
-            if backend_name == "auto"
-            else resolve_backend_name(backend_name)
-        )
-    else:
-        resolved = "n/a"  # the adapter owns its execution entirely
-
-    start = time.perf_counter()
-    outcome = algo.prepare(
-        graph, trust, config, targets=targets,
-        backend=resolved if algo.uses_backend else "auto",
-    ).run()
-    elapsed = time.perf_counter() - start
-
+    trust = scenario.workload.build_trust(graph, _child(root))
+    targets = draw_targets(_child(root), graph.num_nodes, scenario.workload.num_targets)
+    resolved = _resolve_backend(backend, graph, config) if algo.uses_backend else "auto"
+    outcome = algo.prepare(graph, trust, config, targets=targets, backend=resolved).run()
     metrics = {
-        "num_targets": float(num_targets),
+        "num_targets": float(len(targets)),
         "accuracy_rms": outcome.rms_error,
         "max_abs_error": outcome.max_abs_error,
         "messages_per_node": outcome.messages_per_node,
@@ -984,19 +980,41 @@ def _run_algorithm(scenario, graph, config, backend_name, root, *, small):
         "steps/push_messages are the adapter's rounds/messages columns "
         "(counting rule in the adapter docstring)",
     ]
-    return ScenarioResult(
-        name=scenario.name,
-        backend=resolved,
-        small=small,
+    return dict(
+        backend=resolved if algo.uses_backend else "n/a",
         num_nodes=graph.num_nodes,
         num_edges=graph.num_edges,
         steps=outcome.rounds,
         push_messages=outcome.messages,
         converged_fraction=float(outcome.converged),
         metrics=metrics,
-        elapsed_seconds=elapsed,
         notes=notes,
     )
+
+
+def _static_round(workload, *, num_channels: int = 1):
+    """The runner for a workload gossiped in one static round.
+
+    ``workload(scenario, graph, config, backend, root)`` runs the round
+    on the resolved backend and returns its outcome, metrics and notes;
+    ``"auto"`` resolves for ``num_channels`` channels of state.
+    """
+
+    def run(scenario, graph, config, backend, root, *, small):
+        resolved = _resolve_backend(backend, graph, config, num_channels=num_channels)
+        outcome, metrics, notes = workload(scenario, graph, config, resolved, root)
+        return dict(
+            backend=resolved,
+            num_nodes=graph.num_nodes,
+            num_edges=graph.num_edges,
+            steps=outcome.steps,
+            push_messages=outcome.push_messages,
+            converged_fraction=float(np.mean(outcome.converged)),
+            metrics=metrics,
+            notes=notes,
+        )
+
+    return run
 
 
 def _loss_probability(config: GossipConfig) -> float:
@@ -1008,8 +1026,7 @@ def _loss_probability(config: GossipConfig) -> float:
 
 def _run_mean(scenario, graph, config, backend, root):
     """Uniform-gossip mean estimation (optionally under packet loss)."""
-    n = graph.num_nodes
-    values = as_generator(int(root.integers(2**62))).random(n)
+    values = _child(root).random(graph.num_nodes)
     truth = float(values.mean())
     outcome = aggregate(graph, values, config, backend=backend)
     errors = np.abs(outcome.estimates.reshape(-1) - truth)
@@ -1027,16 +1044,8 @@ def _run_mean(scenario, graph, config, backend, root):
 
 def _run_trust_global(scenario, graph, config, backend, root):
     """Vector-global reputation aggregation over sampled targets."""
-    from repro.trust.matrix import complete_trust_matrix, random_trust_matrix
-
-    n = graph.num_nodes
-    if scenario.workload.observations == "complete":
-        trust = complete_trust_matrix(n, rng=as_generator(int(root.integers(2**62))))
-    else:
-        trust = random_trust_matrix(graph, rng=as_generator(int(root.integers(2**62))))
-    num_targets = min(scenario.workload.num_targets, n)
-    target_rng = as_generator(int(root.integers(2**62)))
-    targets = sorted(int(t) for t in target_rng.choice(n, size=num_targets, replace=False))
+    trust = scenario.workload.build_trust(graph, _child(root))
+    targets = draw_targets(_child(root), graph.num_nodes, scenario.workload.num_targets)
     outcome = aggregate(
         graph, trust, config, backend=backend, variant="vector-global", targets=targets
     )
@@ -1044,7 +1053,7 @@ def _run_trust_global(scenario, graph, config, backend, root):
     scale = np.where(np.abs(true_values) > 0, np.abs(true_values), 1.0)
     rel = np.abs(outcome.estimates - true_values[None, :]) / scale[None, :]
     metrics = {
-        "num_targets": float(num_targets),
+        "num_targets": float(len(targets)),
         "max_rel_error": float(rel.max()),
         "mean_rel_error": float(rel.mean()),
     }
@@ -1055,44 +1064,18 @@ def _run_trust_gclr(scenario, graph, config, backend, root):
     """Full DGT under a registered attack (eq.-18 RMS error), clean vs dirty."""
     from repro.attacks.evaluate import _CleanRunCache, attack_impact
     from repro.attacks.models import CollusionModel, OnOffModel
-    from repro.trust.matrix import complete_trust_matrix, random_trust_matrix
 
     n = graph.num_nodes
-    if scenario.workload.observations == "complete":
-        trust = complete_trust_matrix(n, rng=as_generator(int(root.integers(2**62))))
-    else:
-        trust = random_trust_matrix(graph, rng=as_generator(int(root.integers(2**62))))
+    trust = scenario.workload.build_trust(graph, _child(root))
     model = scenario.attack.build(seed=int(root.integers(2**62)))
-    num_targets = min(scenario.workload.num_targets, n)
-    target_rng = as_generator(int(root.integers(2**62)))
-    targets = sorted(int(t) for t in target_rng.choice(n, size=num_targets, replace=False))
-    # Slander-type attacks poison a bounded victim set; uniformly
-    # sampled target columns would almost never intersect it at scale
-    # and eq. 18 would measure second-order weight noise instead of the
-    # attack. Steer half the tracked columns onto seeded victims.
-    probe = model.inner if isinstance(model, OnOffModel) and model.inner is not None else model
-    if hasattr(probe, "cast"):
-        _, victims = probe.cast(n)
-        if victims.size:
-            half = max(1, num_targets // 2)
-            picked = set(
-                int(v)
-                for v in (
-                    victims
-                    if victims.size <= half
-                    else target_rng.choice(victims, size=half, replace=False)
-                )
-            )
-            # Victims are kept unconditionally; the uniform draw only
-            # fills the remaining slots (truncating the sorted union
-            # could drop every steered victim again).
-            fill = [t for t in targets if t not in picked]
-            targets = sorted(picked | set(fill[: max(0, num_targets - len(picked))]))
-    clean_cache = _CleanRunCache()
-    impact = attack_impact(
-        graph, trust, model, targets=targets, config=config, backend=backend,
-        _clean_cache=clean_cache,
+    target_rng = _child(root)
+    targets = draw_targets(target_rng, n, scenario.workload.num_targets)
+    targets = _steer_targets(targets, model, target_rng, n)
+    impact_at = functools.partial(
+        attack_impact, graph, trust, model, targets=targets, config=config, backend=backend,
+        _clean_cache=_CleanRunCache(),
     )
+    impact = impact_at()
     metrics = {
         "rms_gclr": impact.rms_gclr,
         "rms_unweighted": impact.rms_unweighted,
@@ -1107,17 +1090,7 @@ def _run_trust_gclr(scenario, graph, config, backend, root):
         # oscillating adversary's two faces sit side by side. The shared
         # cache reuses the on-phase clean run; only the (trivially
         # clean-identical) dirty side runs again, as the actual check.
-        off = attack_impact(
-            graph,
-            trust,
-            model,
-            targets=targets,
-            config=config,
-            backend=backend,
-            epoch=model.on_epochs,
-            _clean_cache=clean_cache,
-        )
-        metrics["rms_gclr_off"] = off.rms_gclr
+        metrics["rms_gclr_off"] = impact_at(epoch=model.on_epochs).rms_gclr
     notes = [
         f"attack family '{model.name}' ({scenario.attack.kind}); "
         "identical seeds for clean/poisoned runs (gossip noise cancels)",
@@ -1128,46 +1101,19 @@ def _run_trust_gclr(scenario, graph, config, backend, root):
 
 def _run_dual_rank(scenario, graph, config, backend, root):
     """Golem-style dual rank: two trust channels gossiped in one V=2 pass."""
-    from repro.trust.matrix import complete_trust_matrix, random_trust_matrix
-
     n = graph.num_nodes
-
-    def build_trust():
-        rng = as_generator(int(root.integers(2**62)))
-        if scenario.workload.observations == "complete":
-            return complete_trust_matrix(n, rng=rng)
-        return random_trust_matrix(graph, rng=rng)
-
     # Two independent opinion worlds: how well peers compute for others,
     # and how well they delegate/pay — Golem's two reputation ranks.
     labels = ("computing", "delegating")
-    channels = (build_trust(), build_trust())
-    num_targets = min(scenario.workload.num_targets, n)
-    target_rng = as_generator(int(root.integers(2**62)))
-    targets = sorted(int(t) for t in target_rng.choice(n, size=num_targets, replace=False))
-
+    channels = tuple(scenario.workload.build_trust(graph, _child(root)) for _ in labels)
+    target_rng = _child(root)
+    targets = draw_targets(target_rng, n, scenario.workload.num_targets)
     model = (
         scenario.attack.build(seed=int(root.integers(2**62)))
         if scenario.attack is not None
         else None
     )
-    if model is not None and hasattr(model, "cast"):
-        # Steer half the tracked columns onto seeded victims, as in
-        # trust-gclr: uniformly sampled targets would rarely intersect a
-        # bounded victim set and the shift metrics would measure noise.
-        _, victims = model.cast(n)
-        if victims.size:
-            half = max(1, num_targets // 2)
-            picked = set(
-                int(v)
-                for v in (
-                    victims
-                    if victims.size <= half
-                    else target_rng.choice(victims, size=half, replace=False)
-                )
-            )
-            fill = [t for t in targets if t not in picked]
-            targets = sorted(picked | set(fill[: max(0, num_targets - len(picked))]))
+    targets = _steer_targets(targets, model, target_rng, n)
 
     # Clean per-channel ground truth *before* the attack poisons reports.
     clean_truth = {
@@ -1228,7 +1174,7 @@ def _run_dual_rank(scenario, graph, config, backend, root):
 def _run_free_riding(scenario, graph, config, backend, root):
     """Free-riding detection: each node compares itself to the gossiped mean."""
     n = graph.num_nodes
-    rng = as_generator(int(root.integers(2**62)))
+    rng = _child(root)
     free_riders = rng.random(n) < scenario.workload.free_rider_fraction
     # Contribution scores: cooperative peers share generously, free
     # riders barely at all (the Section-3 rational-peer spectrum).
@@ -1251,3 +1197,20 @@ def _run_free_riding(scenario, graph, config, backend, root):
     }
     notes = ["free riders flagged by their own locally gossiped mean-contribution estimate"]
     return outcome, metrics, notes
+
+
+#: One runner per execution path (:func:`run_scenario` picks the key).
+#: Each returns the :class:`ScenarioResult` fields that differ between
+#: paths and keeps its own RNG draw order, on which the catalogue's
+#: byte-identical output depends.
+_RUNNERS = {
+    "dynamic": _run_dynamic,
+    "service": _run_service,
+    "algorithm": _run_algorithm,
+    "mean": _static_round(_run_mean),
+    "trust-global": _static_round(_run_trust_global),
+    "trust-gclr": _static_round(_run_trust_gclr),
+    # Dual-rank gossips num_channels=2 state; "auto" must see that.
+    "dual-rank": _static_round(_run_dual_rank, num_channels=2),
+    "free-riding": _static_round(_run_free_riding),
+}

@@ -18,10 +18,16 @@ alongside the code so the review sees exactly which cells moved::
 The configurations are deliberately tiny (a second or two in total):
 golden fixtures guard against *drift*, not statistical quality — the
 full-scale sweeps remain the experiments' own job.
+
+``scenarios.json`` pins the scenario runner the same way: every
+registered scenario at ``--small`` on its own seed, plus the
+off-catalogue compositions of :func:`scenario_compositions`, each
+result stored field by field (wall clock and free-text notes left out).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 from typing import Dict
@@ -86,15 +92,105 @@ def golden_path(experiment_id: str) -> Path:
     return GOLDEN_DIR / f"{experiment_id}.json"
 
 
+#: ``ScenarioResult`` fields the scenario fixture leaves out: the wall
+#: clock, and the free-text notes.
+SCENARIO_UNPINNED = ("elapsed_seconds", "notes", "timings")
+
+
+def scenario_compositions() -> dict:
+    """Off-catalogue scenarios, by name, that reach runner branches no
+    registered scenario reaches."""
+    from repro.scenarios import (
+        AlgorithmSpec,
+        AttackSpec,
+        Scenario,
+        TopologySpec,
+        WorkloadSpec,
+    )
+
+    world = TopologySpec(kind="powerlaw", num_nodes=400, small_num_nodes=400, m=2)
+    global_complete = WorkloadSpec(kind="trust-global", observations="complete")
+    gclr = WorkloadSpec(kind="trust-gclr")
+    dual = WorkloadSpec(kind="dual-rank")
+    slander = dict(fraction=0.2, victim_fraction=0.05)
+    axes = {
+        "trust-global-complete": dict(workload=global_complete),
+        "eigentrust-complete": dict(
+            workload=global_complete, algorithm=AlgorithmSpec("eigentrust")
+        ),
+        "diff-gossip-algorithm": dict(
+            workload=WorkloadSpec(kind="trust-global"), algorithm=AlgorithmSpec("diff-gossip")
+        ),
+        "dual-rank-clean": dict(workload=dual),
+        "dual-rank-slandering-complete": dict(
+            workload=WorkloadSpec(kind="dual-rank", observations="complete"),
+            attack=AttackSpec(kind="slandering", **slander),
+        ),
+        "dual-rank-on-off": dict(workload=dual, attack=AttackSpec(kind="on-off", **slander)),
+        "gclr-cross-channel-slander": dict(
+            workload=gclr, attack=AttackSpec(kind="cross-channel-slander", **slander)
+        ),
+        "gclr-whitewashing": dict(
+            workload=gclr, attack=AttackSpec(kind="whitewashing", fraction=0.2)
+        ),
+        # 0.3 of 400 nodes: far more victims than half the 20 targets.
+        "gclr-many-victims": dict(
+            workload=gclr,
+            attack=AttackSpec(kind="slandering", fraction=0.2, victim_fraction=0.3),
+        ),
+        "gclr-on-off-no-off-phase": dict(
+            workload=gclr, attack=AttackSpec(kind="on-off", period=1, **slander)
+        ),
+    }
+    return {
+        name: Scenario(name=name, description="golden composition", topology=world, **spec)
+        for name, spec in axes.items()
+    }
+
+
+def scenario_cases() -> dict:
+    """Every pinned scenario by name: the catalogue, then the compositions."""
+    from repro.scenarios import available_scenarios, get_scenario
+
+    cases = {name: get_scenario(name) for name in available_scenarios()}
+    cases.update(scenario_compositions())
+    return cases
+
+
+def scenario_cell(scenario) -> dict:
+    """One scenario's ``--small`` result as the fixture stores it."""
+    from repro.scenarios import run_scenario
+
+    result = run_scenario(scenario, small=True)
+    return {
+        f.name: _plain(getattr(result, f.name))
+        for f in dataclasses.fields(result)
+        if f.name not in SCENARIO_UNPINNED
+    }
+
+
+def scenario_payload() -> dict:
+    """The JSON document ``scenarios.json`` stores."""
+    return {name: scenario_cell(scenario) for name, scenario in scenario_cases().items()}
+
+
+def _write(path: Path, payload: dict) -> None:
+    with path.open("w") as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+
+
 def main() -> int:
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
     for experiment_id in sorted(GOLDEN_SPECS):
         payload = golden_payload(experiment_id)
         path = golden_path(experiment_id)
-        with path.open("w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        _write(path, payload)
         print(f"wrote {path} ({len(payload['rows'])} rows)")
+    path = golden_path("scenarios")
+    payload = scenario_payload()
+    _write(path, payload)
+    print(f"wrote {path} ({len(payload)} scenarios)")
     return 0
 
 

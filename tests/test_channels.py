@@ -33,7 +33,7 @@ from repro.core.backend import (
     choose_backend_name,
     run_backend,
 )
-from repro.core.convergence import ConvergenceProtocol, channel_deviations
+from repro.core.convergence import ConvergenceProtocol
 from repro.core.sparse_engine import SparseGossipEngine
 from repro.facade import aggregate
 from repro.network.preferential_attachment import preferential_attachment_graph
@@ -294,12 +294,6 @@ class TestPerChannelConvergence:
         # The constant channel alone stops early; stacked with a
         # straggler it must keep gossiping until both channels latch.
         assert stacked.steps >= fast_alone.steps
-
-    def test_channel_deviations_sums_channel_major(self):
-        new = np.array([[1.0, 2.0, 3.0, 4.0]])
-        old = np.array([[0.5, 2.5, 3.0, 5.0]])
-        out = channel_deviations(new, old, 2)
-        np.testing.assert_allclose(out, [[1.0, 1.0]])
 
 
 class TestCapabilityErrors:

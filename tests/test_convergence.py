@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.convergence import ConvergenceProtocol, channel_deviations
+from repro.core.convergence import ConvergenceProtocol
 from repro.core.state import UNDEFINED_RATIO
 from repro.network.graph import Graph
 
@@ -135,24 +135,6 @@ class TestRebind:
         assert protocol.num_unconverged == 3
 
 
-class TestDeviationHelpers:
-    """``channel_deviations`` is eq. 7's movement, summed within each channel."""
-
-    def test_scalar(self):
-        out = channel_deviations(np.array([[1.0], [2.0]]), np.array([[1.5], [2.0]]), 1)
-        np.testing.assert_allclose(out, [[0.5], [0.0]])
-
-    def test_vector_sums_components(self):
-        new = np.array([[1.0, 2.0], [0.0, 0.0]])
-        old = np.array([[0.5, 1.0], [0.0, 0.0]])
-        out = channel_deviations(new, old, 1)
-        np.testing.assert_allclose(out, [[1.5], [0.0]])
-
-    def test_vector_rejects_1d(self):
-        with pytest.raises(ValueError):
-            channel_deviations(np.zeros(3), np.zeros(3), 1)
-
-
 def motionless_state(n, d=1):
     return np.full((n, d), 0.5), np.ones((n, d))
 
@@ -199,8 +181,8 @@ class TestObserveState:
         values, weights = motionless_state(3, 4)
         protocol.start(values, weights)
         moved = values.copy()
-        moved[:, 0] += 0.15  # channel 0 moves 0.3 in total (threshold 0.2)
-        moved[:, 1] += 0.15
+        moved[:, 0] += 0.15  # channel 0 moves 0.3 in total (threshold 0.2),
+        moved[:, 1] -= 0.15  # half of it backwards: |new - old| is summed
         moved[:, 2] += 0.05  # channel 1 moves 0.1
         assert protocol.observe_state(moved, weights, all_true(3)).size == 0
         assert not protocol.channel_converged[:, 0].any()

@@ -1,10 +1,13 @@
 """Documentation integrity tests.
 
-Two failure modes this file pins down:
+Three failure modes this file pins down:
 
 1. **Dead links** — every relative markdown link (and in-page anchor)
    in ``README.md`` and ``docs/`` must resolve.
-2. **Registry drift** — the tables in ``docs/architecture.md`` (and the
+2. **Dead citations** — every markdown file a Python file under
+   ``src/``, ``tests/``, ``benchmarks/`` or ``examples/`` names must
+   exist.
+3. **Registry drift** — the tables in ``docs/architecture.md`` (and the
    algorithm catalogue in ``docs/tournament.md``) must list exactly what
    ``available_backends()`` / ``available_attacks()`` /
    ``available_algorithms()`` / ``available_scenarios()`` expose.
@@ -64,6 +67,23 @@ def test_markdown_links_resolve(doc):
         if anchor and resolved.suffix == ".md" and anchor not in _anchors(resolved):
             broken.append(f"{target}: no heading slugs to #{anchor} in {resolved.name}")
     assert not broken, f"broken links in {doc.name}:\n" + "\n".join(broken)
+
+
+# -- cited files ---------------------------------------------------------------
+
+CITED_MARKDOWN = re.compile(r"[\w./-]+\.md\b")
+CODE_DIRS = ("src", "tests", "benchmarks", "examples")
+
+
+def test_markdown_cited_in_code_exists():
+    # A bare name resolves from the repo root or from docs/.
+    missing = []
+    for directory in CODE_DIRS:
+        for path in sorted((REPO_ROOT / directory).rglob("*.py")):
+            for name in sorted(set(CITED_MARKDOWN.findall(path.read_text()))):
+                if not any((base / name).exists() for base in (REPO_ROOT, REPO_ROOT / "docs")):
+                    missing.append(f"{path.relative_to(REPO_ROOT)}: {name}")
+    assert not missing, "Python files cite markdown files that do not exist:\n" + "\n".join(missing)
 
 
 # -- registry drift ----------------------------------------------------------

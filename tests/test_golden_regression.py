@@ -1,8 +1,8 @@
-"""Diff small experiment runs against the committed golden fixtures.
+"""Diff small experiment and scenario runs against the committed golden fixtures.
 
-A failure here means the numerics of an experiment pipeline moved. If
-the change is intentional, regenerate and commit the fixtures so the
-diff is visible at review time::
+A failure here means the numerics of an experiment pipeline or of the
+scenario runner moved. If the change is intentional, regenerate and
+commit the fixtures so the diff is visible at review time::
 
     PYTHONPATH=src python -m tests.regen_golden
 """
@@ -12,7 +12,13 @@ import math
 
 import pytest
 
-from tests.regen_golden import GOLDEN_SPECS, golden_path, golden_payload
+from tests.regen_golden import (
+    GOLDEN_SPECS,
+    golden_path,
+    golden_payload,
+    scenario_cases,
+    scenario_cell,
+)
 
 REGEN_HINT = (
     "golden fixture drift — if this numeric change is intentional, run "
@@ -60,3 +66,31 @@ def test_experiment_matches_golden_fixture(experiment_id):
             assert_cell_equal(
                 actual, expected, where=f"{experiment_id} row {row_index} [{header}]"
             )
+
+
+@pytest.fixture(scope="module")
+def scenario_fixture():
+    return load_fixture("scenarios")
+
+
+SCENARIO_CASES = scenario_cases()
+
+
+def test_scenario_fixture_pins_every_case(scenario_fixture):
+    assert sorted(scenario_fixture) == sorted(SCENARIO_CASES), (
+        f"the pinned scenario set changed; {REGEN_HINT}"
+    )
+
+
+@pytest.mark.parametrize("case", sorted(SCENARIO_CASES))
+def test_scenario_matches_golden_fixture(case, scenario_fixture):
+    expected = scenario_fixture[case]
+    fresh = scenario_cell(SCENARIO_CASES[case])
+    assert sorted(fresh) == sorted(expected), f"{case}: pinned fields changed; {REGEN_HINT}"
+    for key, value in expected.items():
+        if isinstance(value, dict):
+            assert sorted(fresh[key]) == sorted(value), f"{case}: {key} keys changed; {REGEN_HINT}"
+            for name, cell in value.items():
+                assert_cell_equal(fresh[key][name], cell, where=f"{case} {key}[{name}]")
+        else:
+            assert_cell_equal(fresh[key], value, where=f"{case} [{key}]")

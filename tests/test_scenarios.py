@@ -183,6 +183,19 @@ class TestRunScenario:
             < result.metrics["slander_shift_poisoned"] / 100
         )
 
+    def test_dual_rank_steers_on_off_targets_onto_victims(self):
+        # An on-off attack is steered through its inner slandering
+        # family, so its poisoned rank carries the attack, not noise.
+        scenario = Scenario(
+            name="test-dual-rank-on-off",
+            description="dual rank under an on-off slandering attack",
+            topology=TopologySpec(kind="powerlaw", num_nodes=400, small_num_nodes=400, m=2),
+            workload=WorkloadSpec(kind="dual-rank", num_targets=20),
+            attack=AttackSpec(kind="on-off", fraction=0.2, victim_fraction=0.05),
+        )
+        metrics = run_scenario(scenario).metrics
+        assert metrics["slander_shift_poisoned"] >= 100 * metrics["slander_shift_contained"]
+
     def test_free_riding_small_detects_free_riders(self):
         result = run_scenario("free-riding-500k", small=True)
         assert result.backend == "sparse"

@@ -72,7 +72,7 @@ class TestAggregation:
     def test_all_convention_accuracy(self, pa_graph_small, small_trust):
         # The 'all' convention mixes slowly (uniform weight, sparse value
         # mass), so the local stop rule needs a tighter xi for the same
-        # final accuracy — see EXPERIMENTS.md on the xi-to-error mapping.
+        # final accuracy — see docs/fidelity.md on the xi-to-error mapping.
         result = algorithm1(
             pa_graph_small, small_trust, 5, xi=1e-9, rng=3, convention="all"
         )

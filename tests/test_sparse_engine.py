@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from repro.core.differential import fixed_push_counts
 from repro.core.engine import MessageLevelGossip
 from repro.core.errors import ConvergenceError
+from repro.core.kernels import PushPlan
 from repro.core.sparse_engine import SparseGossipEngine
 from repro.core.state import UNDEFINED_RATIO
 from repro.core.vector_gclr import initial_state_vector_gclr, pick_designated_node
@@ -99,15 +100,20 @@ class TestApiParity:
         assert np.array_equal(values, snapshot)
 
 
+def engine_plan(graph, **engine_kwargs):
+    """The sampling plan over ``graph``'s CSR arrays at the engine's push counts."""
+    counts = SparseGossipEngine(graph, **engine_kwargs).push_counts
+    return PushPlan(graph.indptr, graph.indices, graph.degrees, counts), counts
+
+
 class TestTargetSelection:
     """Each sender pushes to exactly k_i distinct neighbours."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_targets_distinct_and_adjacent(self, fig2_network, seed):
-        engine = SparseGossipEngine(fig2_network, rng=seed)
+        plan, counts = engine_plan(fig2_network)
         active = fig2_network.degrees > 0
-        senders, targets = engine._choose_targets(active)
-        counts = engine.push_counts
+        senders, targets = plan.sample(np.random.default_rng(seed), active)
         for node in range(10):
             mask = senders == node
             assert int(mask.sum()) == int(counts[node])
@@ -117,10 +123,10 @@ class TestTargetSelection:
             assert set(chosen.tolist()) <= neighbors
 
     def test_inactive_nodes_send_nothing(self, fig2_network):
-        engine = SparseGossipEngine(fig2_network, rng=9)
+        plan, _ = engine_plan(fig2_network)
         active = np.zeros(10, dtype=bool)
         active[2] = True  # the k=3 hub
-        senders, targets = engine._choose_targets(active)
+        senders, targets = plan.sample(np.random.default_rng(9), active)
         assert set(senders.tolist()) == {2}
         assert senders.size == 3
 
@@ -133,24 +139,23 @@ class TestTargetSelection:
         edges += [(i, i + 1) for i in range(1, hub_degree)]
         graph = Graph(hub_degree + 1, edges)
         counts = np.full(hub_degree + 1, 2, dtype=np.int64)
-        engine = SparseGossipEngine(graph, push_counts=counts, rng=0)
-        for group in engine._groups:
+        plan, _ = engine_plan(graph, push_counts=counts)
+        for group in plan.groups:
             width = group.padded_neighbors.shape[1]
             min_degree = int(graph.degrees[group.nodes].min())
             assert width <= 2 * min_degree
-        total_padded = sum(g.padded_neighbors.size for g in engine._groups)
+        total_padded = sum(g.padded_neighbors.size for g in plan.groups)
         assert total_padded <= 2 * int(graph.degrees.sum())
 
     def test_hub_subsets_are_uniform(self, star5):
         # Star hub with degree 4 pushing k=2: all 6 pairs should appear.
-        engine = SparseGossipEngine(
-            star5, push_counts=np.array([2, 1, 1, 1, 1]), rng=11
-        )
+        plan, _ = engine_plan(star5, push_counts=np.array([2, 1, 1, 1, 1]))
+        rng = np.random.default_rng(11)
         active = np.zeros(5, dtype=bool)
         active[0] = True
         seen = set()
         for _ in range(200):
-            _, targets = engine._choose_targets(active)
+            _, targets = plan.sample(rng, active)
             seen.add(tuple(sorted(targets.tolist())))
         assert len(seen) == 6
 
