@@ -19,11 +19,9 @@ from repro.attacks.collusion import (
 )
 from repro.attacks.evaluate import (
     AttackImpact,
-    CollusionImpact,
     as_attack_model,
     attack_impact,
     attack_impact_series,
-    collusion_impact,
 )
 from repro.attacks.models import (
     AttackModel,
@@ -48,7 +46,6 @@ __all__ = [
     "AttackImpact",
     "AttackModel",
     "CollusionAttack",
-    "CollusionImpact",
     "CollusionModel",
     "ComposedAttack",
     "CrossChannelSlanderModel",
@@ -63,7 +60,6 @@ __all__ = [
     "attack_impact",
     "attack_impact_series",
     "available_attacks",
-    "collusion_impact",
     "get_attack",
     "group_colluders",
     "make_attack",

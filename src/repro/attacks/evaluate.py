@@ -12,8 +12,7 @@ topology-touching attacks (sybil floods) the dirty run executes on the
 enlarged overlay and the eq.-18 comparison restricts to the original
 honest peers. :func:`attack_impact_series` replays the same measurement
 per epoch, which is what makes on–off oscillation and per-epoch
-whitewashing observable. :func:`collusion_impact` survives as the
-backward-compatible wrapper the Figure-5/6 experiments consume.
+whitewashing observable.
 """
 
 from __future__ import annotations
@@ -81,10 +80,6 @@ class AttackImpact:
     algorithm: Optional[str] = None
     clean_algo_outcome: Optional["AlgorithmOutcome"] = None
     dirty_algo_outcome: Optional["AlgorithmOutcome"] = None
-
-
-#: Backward-compatible name (pre-adversary-engine API).
-CollusionImpact = AttackImpact
 
 
 @dataclass(frozen=True)
@@ -418,30 +413,3 @@ def attack_impact_series(
         )
         for epoch in range(epochs)
     ]
-
-
-def collusion_impact(
-    graph: Graph,
-    trust: TrustMatrix,
-    attack: CollusionAttack,
-    *,
-    targets: Optional[Sequence[int]] = None,
-    use_gossip: bool = True,
-    config: Optional[GossipConfig] = None,
-    backend: str = "auto",
-) -> AttackImpact:
-    """Measure one concrete collusion attack (pre-engine API).
-
-    Thin wrapper over :func:`attack_impact`. The default ``backend``
-    is ``"auto"`` (:func:`~repro.core.backend.choose_backend_name`);
-    pass an explicit name to pin an engine.
-    """
-    return attack_impact(
-        graph,
-        trust,
-        attack,
-        targets=targets,
-        use_gossip=use_gossip,
-        config=config,
-        backend=backend,
-    )

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.attacks.collusion import CollusionAttack, group_colluders, select_colluders
-from repro.attacks.evaluate import collusion_impact
+from repro.attacks.evaluate import attack_impact
 from repro.core.backend import GossipConfig
 from repro.core.weights import WeightParams
 from repro.network.graph import Graph
@@ -100,10 +100,9 @@ def measure_collusion(
 ) -> tuple:
     """Measure eq.-18 RMS error for one concrete attack.
 
-    Thin wrapper over :func:`repro.attacks.evaluate.attack_impact` (via
-    the :func:`~repro.attacks.evaluate.collusion_impact` compatibility
-    name), kept for the tuple return shape the figure experiments
-    consume. ``attack`` may equally be any
+    Thin wrapper over :func:`repro.attacks.evaluate.attack_impact`,
+    kept for the tuple return shape the figure experiments consume.
+    ``attack`` may equally be any
     :class:`repro.attacks.models.AttackModel` — the measurement is
     family-agnostic.
 
@@ -134,7 +133,7 @@ def measure_collusion(
         Eq.-18 errors for the weighted scheme and the unweighted
         comparator.
     """
-    impact = collusion_impact(
+    impact = attack_impact(
         graph,
         trust,
         attack,

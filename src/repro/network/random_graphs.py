@@ -11,9 +11,9 @@ claim falsifiable:
   sparse cross-region links) whose region blocks line up with
   :class:`repro.network.conditions.RegionalLinkModel`.
 
-`benchmarks/bench_ablation_overlay.py` runs the same convergence
-experiment on PA vs ER vs regular and shows the differential/normal gap
-collapsing as the degree distribution flattens.
+`tests/test_paper_fidelity.py` runs the same convergence experiment on
+PA and on a regular overlay and checks that the differential/normal
+step gap collapses as the degree distribution flattens.
 """
 
 from __future__ import annotations

@@ -91,6 +91,20 @@ PARTITION_EPOCH_KEY = 0x9A1717
 #: Epoch stop rules (see module docstring).
 STOP_RULES = ("accuracy", "protocol")
 
+#: Accuracy-rule granularity: gossip steps per ``run_to_max`` block
+#: between convergence checks.
+BLOCK_STEPS = 4
+
+#: Protocol-rule warmup of a warm epoch. A warm epoch starts next to its
+#: fixpoint, so the engines' default ``ceil(log2 N) + 1`` warmup would
+#: dominate the round.
+WARM_WARMUP_STEPS = 2
+
+#: Amplitude of a drifting opinion's move: the new opinion is the old
+#: one plus ``U(-DRIFT_SCALE, DRIFT_SCALE)``, clipped to ``[0, 1]``
+#: (local trust moves incrementally as transactions accumulate).
+DRIFT_SCALE = 0.1
+
 
 def _estimate_errors(values: np.ndarray, weights: np.ndarray, truth: float) -> tuple:
     """``(mean, max)`` absolute estimate error against ``truth``.
@@ -248,25 +262,16 @@ class DynamicReputationRuntime:
         docstring.
     epoch_tol:
         Accuracy-rule stop threshold: mean per-node distance to the
-        state's fixpoint.
-    block_steps:
-        Accuracy-rule granularity: gossip steps per ``run_to_max``
-        block between convergence checks.
-    warm_warmup_steps:
-        Protocol-rule warmup override for warm epochs. A warm epoch
-        starts next to its fixpoint, so the engines' default
-        ``ceil(log2 N) + 1`` warmup would dominate the round.
+        state's fixpoint, checked every :data:`BLOCK_STEPS` steps. Warm
+        epochs under the protocol rule warm up for
+        :data:`WARM_WARMUP_STEPS` steps.
     newcomer_policy:
         Optional :class:`DynamicNewcomerPolicy` granting joiners their
         initial opinion (and observing the join rate).
     opinion_drift:
         Fraction of surviving peers that re-draw their opinion each
-        epoch (models fresh transactions changing local trust).
-    drift_scale:
-        Amplitude of each re-drawn opinion's move: the new opinion is
-        the old one plus ``U(-drift_scale, drift_scale)``, clipped to
-        ``[0, 1]`` (local trust moves incrementally as transactions
-        accumulate; ``1.0`` makes re-draws effectively uniform).
+        epoch (models fresh transactions changing local trust); each
+        moves by at most :data:`DRIFT_SCALE`.
     attachment_m:
         Edges each joiner wires (preferential attachment).
     attack:
@@ -305,11 +310,8 @@ class DynamicReputationRuntime:
         warm_start: bool = True,
         stop_rule: str = "accuracy",
         epoch_tol: float = 1e-3,
-        block_steps: int = 4,
-        warm_warmup_steps: int = 2,
         newcomer_policy: Optional[DynamicNewcomerPolicy] = None,
         opinion_drift: float = 0.0,
-        drift_scale: float = 0.1,
         attachment_m: int = 2,
         attack=None,
         partition: Optional[EpochPartition] = None,
@@ -318,14 +320,8 @@ class DynamicReputationRuntime:
             raise ValueError(f"stop_rule must be one of {STOP_RULES}, got {stop_rule!r}")
         if epoch_tol <= 0:
             raise ValueError(f"epoch_tol must be positive, got {epoch_tol}")
-        if block_steps < 1:
-            raise ValueError(f"block_steps must be >= 1, got {block_steps}")
-        if warm_warmup_steps < 1:
-            raise ValueError(f"warm_warmup_steps must be >= 1, got {warm_warmup_steps}")
         if not 0.0 <= opinion_drift <= 1.0:
             raise ValueError(f"opinion_drift must be in [0, 1], got {opinion_drift}")
-        if not 0.0 < drift_scale <= 1.0:
-            raise ValueError(f"drift_scale must be in (0, 1], got {drift_scale}")
         if attachment_m < 1:
             raise ValueError(f"attachment_m must be >= 1, got {attachment_m}")
         self._overlay = overlay
@@ -353,12 +349,9 @@ class DynamicReputationRuntime:
             )
         self._stop_rule = stop_rule
         self._epoch_tol = float(epoch_tol)
-        self._block_steps = int(block_steps)
         self._warm_start = bool(warm_start)
-        self._warm_warmup_steps = int(warm_warmup_steps)
         self._policy = newcomer_policy
         self._drift = float(opinion_drift)
-        self._drift_scale = float(drift_scale)
         self._m = int(attachment_m)
         self._attack = attack
         if partition is not None and not isinstance(partition, EpochPartition):
@@ -550,7 +543,7 @@ class DynamicReputationRuntime:
             # engines; event-driven backends (async) have no per-step
             # warmup to shorten and reject the override outright.
             stepwise = getattr(get_backend(self._backend), "supports_run_to_max", False)
-            warmup = self._warm_warmup_steps if warm and stepwise else self._config.warmup_steps
+            warmup = WARM_WARMUP_STEPS if warm and stepwise else self._config.warmup_steps
             epoch_config = replace(
                 self._config, rng=stateless_child_sequence(seed, 1), warmup_steps=warmup
             )
@@ -681,7 +674,7 @@ class DynamicReputationRuntime:
             block_config = replace(
                 self._config,
                 rng=stateless_child_sequence(seed, 1 + block),
-                max_steps=min(self._block_steps, budget - steps),
+                max_steps=min(BLOCK_STEPS, budget - steps),
                 run_to_max=True,
                 warmup_steps=None,
             )
@@ -823,7 +816,7 @@ class DynamicReputationRuntime:
         moved = pids[rng.random(pids.shape[0]) < self._drift]
         if moved.shape[0] == 0:
             return
-        jitter = rng.uniform(-self._drift_scale, self._drift_scale, moved.shape[0])
+        jitter = rng.uniform(-DRIFT_SCALE, DRIFT_SCALE, moved.shape[0])
         fresh = np.clip(self._x[moved] + jitter, 0.0, 1.0)
         delta = self._config.delta
         changed = np.abs(fresh - self._x[moved]) > delta
@@ -844,11 +837,8 @@ def run_dynamic(
     warm_start: bool = True,
     stop_rule: str = "accuracy",
     epoch_tol: float = 1e-3,
-    block_steps: int = 4,
-    warm_warmup_steps: int = 2,
     newcomer_policy: Optional[DynamicNewcomerPolicy] = None,
     opinion_drift: float = 0.0,
-    drift_scale: float = 0.1,
     attachment_m: int = 2,
     attack=None,
     partition: Optional[EpochPartition] = None,
@@ -871,8 +861,8 @@ def run_dynamic(
         The seeded churn schedule; it also seeds every replay stream.
     config:
         Shared gossip knobs (:class:`repro.core.backend.GossipConfig`).
-    backend, warm_start, stop_rule, epoch_tol, block_steps, warm_warmup_steps, \
-newcomer_policy, opinion_drift, drift_scale, attachment_m, attack, partition:
+    backend, warm_start, stop_rule, epoch_tol, newcomer_policy, opinion_drift, \
+attachment_m, attack, partition:
         See :class:`DynamicReputationRuntime`.
 
     Examples
@@ -896,11 +886,8 @@ newcomer_policy, opinion_drift, drift_scale, attachment_m, attack, partition:
         warm_start=warm_start,
         stop_rule=stop_rule,
         epoch_tol=epoch_tol,
-        block_steps=block_steps,
-        warm_warmup_steps=warm_warmup_steps,
         newcomer_policy=newcomer_policy,
         opinion_drift=opinion_drift,
-        drift_scale=drift_scale,
         attachment_m=attachment_m,
         attack=attack,
         partition=partition,

@@ -467,7 +467,6 @@ class DynamicSpec:
     stop_rule: str = "accuracy"
     epoch_tol: float = 1e-3
     opinion_drift: float = 0.01
-    drift_scale: float = 0.1
     newcomer_trust: Optional[float] = None  # DynamicNewcomerPolicy grant; None = uniform opinions
 
     def __post_init__(self) -> None:
@@ -608,6 +607,39 @@ class Scenario:
                     "'async' backend, which gossips the scalar 'mean' workload "
                     f"only; got {self.workload.kind!r}"
                 )
+        if self.attack is not None:
+            self._check_attack()
+
+    @property
+    def _path(self) -> str:
+        """The runner this scenario executes on: the dynamic, service
+        and algorithm axes replace the workload's own execution, in that
+        order of precedence."""
+        return next(
+            (axis for axis in ("dynamic", "service", "algorithm") if getattr(self, axis) is not None),
+            self.workload.kind,
+        )
+
+    def _check_attack(self) -> None:
+        """Reject an attack the scenario's runner would never apply."""
+        from repro.attacks.models import AttackModel
+
+        if self._path not in ("dynamic", "trust-gclr", "dual-rank"):
+            raise ValueError(
+                f"the {self._path!r} runner never applies an attack; attacks run on "
+                "the 'trust-gclr' and 'dual-rank' workloads and on the dynamic axis"
+            )
+        model = self.attack.build(seed=self.seed)
+        if self._path == "dynamic" and type(model).on_epoch is AttackModel.on_epoch:
+            raise ValueError(
+                f"attack family {model.name!r} has no per-epoch hook, so a dynamic "
+                "run would never apply it"
+            )
+        if self._path == "dual-rank" and model.affects_topology:
+            raise ValueError(
+                f"attack family {model.name!r} grows the topology, which the "
+                "dual-rank workload's fixed overlay cannot take"
+            )
 
 
 @dataclass
@@ -720,14 +752,8 @@ def run_scenario(
         network=network,
         rng=int(root.integers(2**62)),
     )
-    # The dynamic, service and algorithm axes replace the workload's
-    # own execution, in that order of precedence.
-    path = next(
-        (axis for axis in ("dynamic", "service", "algorithm") if getattr(scenario, axis) is not None),
-        scenario.workload.kind,
-    )
     start = time.perf_counter()
-    fields = _RUNNERS[path](scenario, graph, config, backend_name, root, small=small)
+    fields = _RUNNERS[scenario._path](scenario, graph, config, backend_name, root, small=small)
     elapsed = time.perf_counter() - start
     return ScenarioResult(name=scenario.name, small=small, elapsed_seconds=elapsed, **fields)
 
@@ -822,7 +848,6 @@ def _run_dynamic(scenario, graph, config, backend, root, *, small):
         epoch_tol=spec.epoch_tol,
         newcomer_policy=policy,
         opinion_drift=spec.opinion_drift,
-        drift_scale=spec.drift_scale,
         attachment_m=scenario.topology.m,
         attack=attack,
         partition=partition,

@@ -119,7 +119,7 @@ class ReputationService:
         :class:`~repro.service.queue.ReportQueue`).
     batch_size:
         Maximum reports folded per tick.
-    epoch_tol, block_steps:
+    epoch_tol:
         Accuracy stop rule of the per-tick epoch (see
         :class:`~repro.runtime.dynamics.DynamicReputationRuntime`).
     attachment_m:
@@ -147,7 +147,6 @@ class ReputationService:
         high_watermark: int = 50_000,
         batch_size: int = 1024,
         epoch_tol: float = 1e-3,
-        block_steps: int = 4,
         attachment_m: int = 2,
     ):
         if batch_size < 1:
@@ -171,7 +170,6 @@ class ReputationService:
             warm_start=True,
             stop_rule="accuracy",
             epoch_tol=epoch_tol,
-            block_steps=block_steps,
             attachment_m=attachment_m,
         )
         # Zero initial trust: before any report arrives every published

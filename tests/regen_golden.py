@@ -15,6 +15,11 @@ alongside the code so the review sees exactly which cells moved::
 
     PYTHONPATH=src python -m tests.regen_golden
 
+Regeneration rewrites only the fixtures that moved: a file whose every
+cell matches under :func:`cell_difference` (the regression test's own
+comparison) is left as committed, so last-digit float noise from
+another platform's reductions never shows up as a diff.
+
 The configurations are deliberately tiny (a second or two in total):
 golden fixtures guard against *drift*, not statistical quality — the
 full-scale sweeps remain the experiments' own job.
@@ -29,8 +34,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from pathlib import Path
-from typing import Dict
+from typing import Dict, Optional
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
 
@@ -60,6 +66,37 @@ GOLDEN_SPECS: Dict[str, dict] = {
         backend="sparse",
     ),
 }
+
+
+#: Float cells within these tolerances of their pinned value have not
+#: moved (a reordered reduction changes the last digits, nothing more).
+REL_TOL = 1e-9
+ABS_TOL = 1e-12
+
+
+def cell_difference(actual, expected, where: str = "") -> Optional[str]:
+    """Where ``actual`` first differs from the pinned ``expected``, or
+    ``None`` if every cell matches: floats within ``REL_TOL``/``ABS_TOL``,
+    any other cell exactly, dicts and lists cell by cell."""
+    if isinstance(expected, dict) and isinstance(actual, dict):
+        if sorted(actual) != sorted(expected):
+            return f"{where}: keys {sorted(actual)} != golden {sorted(expected)}"
+        pairs = [(f"{where}[{key}]", actual[key], expected[key]) for key in sorted(expected)]
+    elif isinstance(expected, (list, tuple)) and isinstance(actual, (list, tuple)):
+        if len(actual) != len(expected):
+            return f"{where}: {len(actual)} cells != golden {len(expected)}"
+        pairs = [(f"{where}[{i}]", a, e) for i, (a, e) in enumerate(zip(actual, expected))]
+    else:
+        if isinstance(expected, float) or isinstance(actual, float):
+            same = math.isclose(float(actual), float(expected), rel_tol=REL_TOL, abs_tol=ABS_TOL)
+        else:
+            same = actual == expected
+        return None if same else f"{where}: {actual!r} != golden {expected!r}"
+    for path, a, e in pairs:
+        diff = cell_difference(a, e, path)
+        if diff is not None:
+            return diff
+    return None
 
 
 def _plain(cell):
@@ -174,23 +211,25 @@ def scenario_payload() -> dict:
     return {name: scenario_cell(scenario) for name, scenario in scenario_cases().items()}
 
 
-def _write(path: Path, payload: dict) -> None:
+def _write_if_moved(path: Path, payload: dict) -> None:
+    """Write ``payload`` to ``path`` unless the committed fixture already
+    pins it cell for cell."""
+    if path.exists():
+        with path.open() as handle:
+            if cell_difference(payload, json.load(handle)) is None:
+                print(f"unchanged {path}")
+                return
     with path.open("w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
+    print(f"wrote {path}")
 
 
 def main() -> int:
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
     for experiment_id in sorted(GOLDEN_SPECS):
-        payload = golden_payload(experiment_id)
-        path = golden_path(experiment_id)
-        _write(path, payload)
-        print(f"wrote {path} ({len(payload['rows'])} rows)")
-    path = golden_path("scenarios")
-    payload = scenario_payload()
-    _write(path, payload)
-    print(f"wrote {path} ({len(payload)} scenarios)")
+        _write_if_moved(golden_path(experiment_id), golden_payload(experiment_id))
+    _write_if_moved(golden_path("scenarios"), scenario_payload())
     return 0
 
 

@@ -22,7 +22,6 @@ from repro.attacks import (
     attack_impact,
     attack_impact_series,
     available_attacks,
-    collusion_impact,
     get_attack,
     make_attack,
     register_attack,
@@ -550,7 +549,7 @@ class TestDynamicHooks:
 class TestBackendDefaultRegression:
     """Satellite bugfix: the measurement must follow the auto policy.
 
-    ``collusion_impact`` used to hardcode ``backend="dense"``, silently
+    The eq.-18 measurement used to hardcode ``backend="dense"``, silently
     running every large-graph measurement through the (since retired)
     dense engine's per-hub Python loop — the same bug class PR 4 fixed
     in ``push_sum_average``.
@@ -560,9 +559,6 @@ class TestBackendDefaultRegression:
         import inspect
 
         assert inspect.signature(attack_impact).parameters["backend"].default == "auto"
-        assert (
-            inspect.signature(collusion_impact).parameters["backend"].default == "auto"
-        )
 
     @pytest.fixture
     def big_ring(self):
@@ -607,7 +603,7 @@ class TestBackendDefaultRegression:
         attack = CollusionModel(fraction=0.001, group_size=1, seed=1).attack_for(64)
         # Coarse xi: convergence lands right after warmup — the
         # assertion is about routing, not the estimate.
-        impact = collusion_impact(
+        impact = attack_impact(
             big_ring, trust, attack, targets=[0, 1], config=GossipConfig(xi=1.0, rng=2)
         )
         assert spy and set(spy) == {"sparse"}
@@ -617,7 +613,7 @@ class TestBackendDefaultRegression:
         # 24 nodes: "auto" would pick the message engine.
         graph, trust = world
         attack = CollusionModel(fraction=0.2, group_size=2, seed=1).attack_for(24)
-        collusion_impact(
+        attack_impact(
             graph, trust, attack, targets=[0, 1],
             config=GossipConfig(xi=1e-2, rng=2), backend="sparse",
         )

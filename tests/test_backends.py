@@ -449,14 +449,14 @@ class TestConfigAwareLayers:
 
     def test_collusion_impact_honours_push_rule(self, pa_graph_small, small_trust):
         from repro.attacks.collusion import group_colluders, select_colluders
-        from repro.attacks.evaluate import collusion_impact
+        from repro.attacks.evaluate import attack_impact
 
         attack = group_colluders(select_colluders(60, 0.2, rng=1), 3)
-        differential = collusion_impact(
+        differential = attack_impact(
             pa_graph_small, small_trust, attack,
             targets=[0, 5, 9], config=GossipConfig(xi=1e-5, rng=4),
         )
-        normal_push = collusion_impact(
+        normal_push = attack_impact(
             pa_graph_small, small_trust, attack,
             targets=[0, 5, 9], config=GossipConfig(xi=1e-5, rng=4, k=1),
         )
@@ -467,19 +467,19 @@ class TestConfigAwareLayers:
 
     def test_collusion_impact_churn_noise_cancels(self, pa_graph_small, small_trust):
         from repro.attacks.collusion import group_colluders, select_colluders
-        from repro.attacks.evaluate import collusion_impact
+        from repro.attacks.evaluate import attack_impact
         from repro.network.conditions import InstantLink
 
         attack = group_colluders(select_colluders(60, 0.2, rng=2), 3)
         config = GossipConfig(xi=1e-5, rng=4, network=InstantLink(0.2))
-        impact = collusion_impact(
+        impact = attack_impact(
             pa_graph_small, small_trust, attack, targets=[0, 5, 9], config=config
         )
         assert np.isfinite(impact.rms_gclr)
         # The loss draws replay identically in the clean and poisoned
         # runs, so an attack that poisons nothing measures exactly zero.
         noop = group_colluders(np.array([], dtype=np.int64), 3)
-        null = collusion_impact(
+        null = attack_impact(
             pa_graph_small, small_trust, noop, targets=[0, 5, 9], config=config
         )
         assert null.rms_gclr == 0.0

@@ -58,8 +58,8 @@ class TestSweptBackendDefaults:
     """The last ``backend="dense"`` default sweep, pinned.
 
     Every entry point that used to hardcode the dense engine must now
-    follow the auto policy — the same bug class PR 4 fixed in
-    ``push_sum_average`` and PR 7 fixed in ``collusion_impact``.
+    follow the auto policy — the same bug class already fixed in
+    ``push_sum_average`` and ``attack_impact``.
     """
 
     def test_signature_defaults_are_auto(self):

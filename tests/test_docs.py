@@ -1,6 +1,6 @@
 """Documentation integrity tests.
 
-Three failure modes this file pins down:
+Four failure modes this file pins down:
 
 1. **Dead links** — every relative markdown link (and in-page anchor)
    in ``README.md`` and ``docs/`` must resolve.
@@ -13,6 +13,9 @@ Three failure modes this file pins down:
    ``available_algorithms()`` / ``available_scenarios()`` expose.
    Registries are snapshotted in a subprocess, so that an entry some
    test registers in-process cannot leak into the comparison.
+4. **A harness nobody runs** — ``docs/benchmarks.md`` must give the
+   command of every script under ``benchmarks/`` (and of nothing else),
+   and a section to every committed ``BENCH_*.json``.
 """
 
 import json
@@ -84,6 +87,19 @@ def test_markdown_cited_in_code_exists():
                 if not any((base / name).exists() for base in (REPO_ROOT, REPO_ROOT / "docs")):
                     missing.append(f"{path.relative_to(REPO_ROOT)}: {name}")
     assert not missing, "Python files cite markdown files that do not exist:\n" + "\n".join(missing)
+
+
+# -- benchmark scripts ---------------------------------------------------------
+
+
+def test_benchmark_doc_covers_every_script_and_artifact():
+    text = (REPO_ROOT / "docs" / "benchmarks.md").read_text()
+    commands = set(re.findall(r"python benchmarks/([\w.-]+\.py)", text))
+    scripts = {path.name for path in (REPO_ROOT / "benchmarks").glob("*.py")}
+    assert commands == scripts, "scripts under benchmarks/ without a documented command, or the reverse"
+    sections = set(re.findall(r"^## `(BENCH_\w+\.json)`", text, flags=re.MULTILINE))
+    artifacts = {path.name for path in REPO_ROOT.glob("BENCH_*.json")}
+    assert sections == artifacts, "committed BENCH_*.json files and docs/benchmarks.md sections differ"
 
 
 # -- registry drift ----------------------------------------------------------

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from repro.scenarios import (
+    AlgorithmSpec,
     AttackSpec,
+    DynamicSpec,
     Scenario,
+    ServiceSpec,
     TopologySpec,
     WorkloadSpec,
     available_scenarios,
@@ -96,6 +99,46 @@ class TestSpecValidation:
                 description="d",
                 topology=TopologySpec(),
                 workload=WorkloadSpec(kind="trust-gclr"),
+            )
+
+    @pytest.mark.parametrize(
+        "axes, kind, reason",
+        [
+            (dict(workload=WorkloadSpec(kind="mean")), "sybil", "never applies"),
+            (dict(workload=WorkloadSpec(kind="trust-global")), "sybil", "never applies"),
+            (dict(workload=WorkloadSpec(kind="free-riding")), "collusion", "never applies"),
+            (
+                dict(workload=WorkloadSpec(kind="trust-global"), algorithm=AlgorithmSpec("eigentrust")),
+                "slandering",
+                "never applies",
+            ),
+            (dict(workload=WorkloadSpec(kind="mean"), service=ServiceSpec()), "whitewashing", "never applies"),
+            (dict(workload=WorkloadSpec(kind="mean"), dynamic=DynamicSpec()), "collusion", "per-epoch hook"),
+            (dict(workload=WorkloadSpec(kind="mean"), dynamic=DynamicSpec()), "slandering", "per-epoch hook"),
+            (dict(workload=WorkloadSpec(kind="dual-rank")), "sybil", "grows the topology"),
+        ],
+        ids=[
+            "mean-sybil",
+            "trust-global-sybil",
+            "free-riding-collusion",
+            "algorithm-slandering",
+            "service-whitewashing",
+            "dynamic-collusion",
+            "dynamic-slandering",
+            "dual-rank-sybil",
+        ],
+    )
+    def test_attack_the_runner_never_applies_is_rejected(self, axes, kind, reason):
+        # Rejected before the topology is built: the run would otherwise
+        # drop the attack without a word, count zero attack events, or
+        # fail mid-run.
+        with pytest.raises(ValueError, match=reason):
+            Scenario(
+                name="x",
+                description="d",
+                topology=TopologySpec(),
+                attack=AttackSpec(kind=kind),
+                **axes,
             )
 
 
