@@ -24,12 +24,12 @@ column per reputation channel.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.core.state import UNDEFINED_RATIO
-from repro.network.graph import Graph
+from repro.network.graph import Graph, csr_positions
 from repro.utils.validation import check_positive
 
 
@@ -387,19 +387,14 @@ class ConvergenceProtocol:
         self._refresh_stopped()
         return newly
 
-    def _announce(self, nodes: Iterable[int]) -> None:
+    def _announce(self, nodes: np.ndarray) -> None:
         """Mark ``nodes`` converged and notify their neighbours."""
-        node_array = np.asarray(list(nodes), dtype=np.int64)
-        self._converged[node_array] = True
+        self._converged[nodes] = True
         # Each announcement increments the converged-neighbour counter of
-        # every neighbour; np.add.at handles shared neighbours correctly.
-        indptr, indices = self._graph.indptr, self._graph.indices
-        neighbor_lists: List[np.ndarray] = [
-            indices[indptr[node] : indptr[node + 1]] for node in node_array
-        ]
-        if neighbor_lists:
-            all_neighbors = np.concatenate(neighbor_lists)
-            np.add.at(self._converged_neighbor_count, all_neighbors, 1)
+        # every neighbour, a shared neighbour once per announcing node.
+        counts = self._converged_neighbor_count
+        neighbors = self._graph.indices[csr_positions(self._graph.indptr, nodes)]
+        counts += np.bincount(neighbors, minlength=counts.size)
 
     def _refresh_stopped(self) -> None:
         # Compare counters against the construction-time degree copy,

@@ -7,19 +7,14 @@ scatter the pushed shares, and record who heard external mass. The
 engine keeps the convergence bookkeeping (ratios, deviations, the stop
 protocol, mass checks); the kernel keeps the arithmetic.
 
-On full-active steps (every step under ``run_to_max``, and every step
-until the first node stops) :class:`FusedNumpyKernel`:
+Each step :class:`FusedNumpyKernel`:
 
-- samples through :meth:`PushPlan.sample_full_active` — preallocated
-  flat target buffer, precomputed sender layout, repeated-argmin
-  selection — instead of building and concatenating per-group
-  temporaries;
-- prescales the whole state matrix in place, once
-  (``state *= 1/(k_i+1)``), and gathers shares from it with
-  ``np.take(..., out=)``, replacing a gathered share multiply *and* a
-  masked scale pass: the prescaled matrix already is the post-scale
-  state (isolated nodes have ``k_i = 0``, so their factor is exactly
-  1.0 and the prescale leaves them bitwise unchanged);
+- samples through :meth:`PushPlan.sample` into a preallocated flat
+  target buffer, one slot per push, senders ascending;
+- prescales the state matrix in place, once: active rows by
+  ``1/(k_i+1)``, every other row by exactly 1.0. The prescaled matrix
+  is the post-scale state, and its sender rows are the shares, so one
+  ``np.take(..., out=)`` gathers them;
 - scatter-adds all C columns with a single ``bincount`` over
   ``target * C + column`` keys (one pass over the share buffer instead
   of C strided passes). States wider than
@@ -27,14 +22,13 @@ until the first node stops) :class:`FusedNumpyKernel`:
   keys and the ``(P, C)`` share matrix: they gather and scatter one
   column at a time through a ``(P,)`` buffer.
 
-Each fused pass computes the same IEEE operations on the same operand
-pairs as the historical unfused step (a gathered share multiply, a
-masked scale pass and one ``bincount`` per column, kept in the test
-suite as the parity reference), so per-column results are
-byte-identical; only the within-sender push order differs (ascending
-key vs argpartition's unspecified order), which perturbs bincount's
-per-bin accumulation order at the 1e-16 level. The parity suite pins
-the sampled k-subsets byte-identical and full-run outputs to 1e-8.
+The historical unfused step, kept in the test suite as the parity
+reference, samples through the same plan and then multiplies the
+gathered shares by ``1/(k_i+1)``, scales the active rows in a masked
+pass and scatters with one ``bincount`` per column. Those are the same
+IEEE products on the same operands, accumulated in the same push order,
+so the two steps are byte-identical; the parity suite pins whole runs
+with exact equality.
 """
 
 from __future__ import annotations
@@ -153,10 +147,8 @@ class FusedNumpyKernel(_KernelBase):
 
     def __init__(self, plan, inv_k_plus_one, num_cols, num_channels=1):
         super().__init__(plan, inv_k_plus_one, num_cols, num_channels)
-        # Whole-matrix prescale factors: eligible rows carry 1/(k_i + 1)
-        # (bitwise equal to the reference factors), rows with no
-        # neighbours are forced to exactly 1.0 so the prescaled matrix
-        # is the post-scale state outright.
+        # Prescale factors of a step where every eligible row is active:
+        # 1/(k_i + 1), and exactly 1.0 on rows with no neighbours.
         inv_swap = self._inv.copy()
         inv_swap[plan.degrees == 0] = 1.0
         self._inv_swap = inv_swap
@@ -175,17 +167,20 @@ class FusedNumpyKernel(_KernelBase):
             self.state_order = "F"
 
     def step(self, state, active, *, all_active, rng, loss_model, heard_out):
-        if all_active:
-            return self._step_full(state, rng, loss_model, heard_out)
-        return self._step_subset(state, active, rng, loss_model, heard_out)
-
-    def _step_full(self, state, rng, loss_model, heard_out):
-        senders, targets = self._plan.sample_full_active(rng, self._targets_buf)
+        senders, targets = self._plan.sample(
+            rng, active, all_active=all_active, targets_out=self._targets_buf
+        )
         effective_targets = self._effective_targets(senders, targets, loss_model)
-        if senders.size == 0:
-            heard_out[:] = False
-            return state, 0
-        np.multiply(state, self._inv_swap[:, None], out=state)
+        # Prescale in place: active rows keep 1/(k_i + 1) of their state
+        # and every other row all of it, so the prescaled matrix is the
+        # post-scale state and its sender rows are the shares.
+        if all_active:
+            scale = self._inv_swap
+        else:
+            scale = self._scale
+            scale.fill(1.0)
+            np.copyto(scale, self._inv, where=active)
+        np.multiply(state, scale[:, None], out=state)
         if self._key_buf is None:
             self._push_columns(state, senders, effective_targets)
         else:
@@ -197,46 +192,11 @@ class FusedNumpyKernel(_KernelBase):
         )
         return state, int(senders.size)
 
-    def _step_subset(self, state, active, rng, loss_model, heard_out):
-        # Stop-protocol tail steps: a strict subset of nodes pushes, so
-        # the whole-matrix prescale shortcut no longer applies. Fall back
-        # to the reference share + masked-scale passes (cost scales with
-        # the shrinking active set).
-        senders, targets = self._plan.sample_subset(rng, active)
-        effective_targets = self._effective_targets(senders, targets, loss_model)
-        scale = self._scale
-        scale.fill(1.0)
-        scale[active] = self._inv[active]
-        if self._key_buf is None:
-            self._push_columns(
-                state, senders, effective_targets, self._inv[senders], scale
-            )
-        else:
-            shares = self._shares_buf[: senders.size]
-            np.multiply(state[senders], self._inv[senders, None], out=shares)
-            state *= scale[:, None]
-            scatter_add_shares(state, effective_targets, shares, self._key_buf)
-        self._record_heard(
-            senders, effective_targets, lossless=loss_model is None, heard_out=heard_out
-        )
-        return state, int(senders.size)
-
-    def _push_columns(self, state, senders, targets, share_factors=None, scale=None):
-        """Gather, split and scatter a wide state one column at a time.
-
-        Without ``share_factors`` the state is already prescaled (a
-        full-active step): each column's shares are gathered as they
-        stand. With them, each column's shares are the gathered values
-        times ``share_factors`` and the column is then scaled by
-        ``scale`` — the same IEEE operations on the same operands as the
-        whole-matrix passes, so the result is byte-identical to them.
-        """
+    def _push_columns(self, state, senders, targets):
+        """Gather and scatter a prescaled wide state one column at a time."""
         n = state.shape[0]
         shares = self._shares_buf[: senders.size]
         for c in range(state.shape[1]):
             column = state[:, c]
             np.take(column, senders, out=shares)
-            if share_factors is not None:
-                np.multiply(shares, share_factors, out=shares)
-                column *= scale
             column += np.bincount(targets, weights=shares, minlength=n)

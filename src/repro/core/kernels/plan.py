@@ -1,14 +1,26 @@
-"""Shared sampling structures for the push-round kernel.
+"""The push sampler: one flat slot layout and one ``sample`` method.
 
-A :class:`PushPlan` holds everything target sampling needs for one CSR
-topology + push-count assignment: the ``k = 1`` fast-path arrays, the
-padded ``(k, degree-band)`` groups, and the precomputed full-active
-flat sender layout. The sparse engine builds one over the graph's CSR
-arrays, and its push kernel samples through it. Sampling lives apart
-from the share/scatter arithmetic, so any kernel sampling through the
-same plan draws byte-identical targets at a fixed seed (it consumes the
-*same* generator stream in the *same* order) — which is what lets the
-fused kernel be checked against the historical unfused step.
+A :class:`PushPlan` lays out one *slot* per push over a CSR topology
+and its push counts — node ``i`` owns ``k_i`` consecutive slots, senders
+ascending — and draws every step's targets over the active slots only:
+
+1. each active slot draws an exact offset into its sender's neighbour
+   list (``rng.integers(degree)``), giving a CSR position; a sender with
+   ``k_i = 1`` is done;
+2. the positions of every sender with ``k_i >= 2`` and
+   ``2 k_i <= degree`` are sorted together, and only the duplicates are
+   redrawn, until each such sender holds ``k_i`` distinct positions;
+3. a sender with ``k_i >= 2`` and ``2 k_i > degree``, where redrawing
+   would repeat many times (a star hub with ``k = d`` is the coupon
+   collector), drops its offsets and takes the ``k_i`` smallest of one
+   random key per neighbour, in one ``lexsort`` over all such senders.
+
+Both draws treat a sender's neighbours alike, so each ``k_i``-subset is
+equally likely, and both leave each sender's targets in CSR order. The
+sparse engine builds one plan over the graph's CSR arrays, and its push
+kernel samples through it; the unfused reference step in the test suite
+samples through the same method, so both consume the *same* generator
+stream in the *same* order and draw byte-identical targets.
 
 The plan is channel-oblivious by design: multi-channel gossip packs V
 reputation channels into extra state *columns*, and a node pushes its
@@ -21,57 +33,27 @@ pay for).
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.network.graph import csr_positions
 
-class PaddedGroup:
-    """Padded sampling state for rows sharing one push count ``k >= 2``.
-
-    ``padded_neighbors[r]`` holds row ``nodes[r]``'s neighbour list
-    right-padded to the group's width; ``invalid`` marks padding slots;
-    ``keys`` is the reusable random-key scratch buffer. Identical in
-    layout to the engines' historical per-group structures — groups are
-    built per (k, degree band) so padding stays within 2x of every
-    member's degree and total padded storage is O(E).
-    """
-
-    __slots__ = ("k", "nodes", "padded_neighbors", "invalid", "keys", "row_index")
-
-    def __init__(
-        self,
-        k: int,
-        nodes: np.ndarray,
-        degrees: np.ndarray,
-        indptr: np.ndarray,
-        indices: np.ndarray,
-    ):
-        self.k = int(k)
-        self.nodes = nodes
-        node_degrees = degrees[nodes]
-        width = int(node_degrees.max())
-        starts = indptr[nodes]
-        cols = np.arange(width, dtype=np.int64)
-        slots = starts[:, None] + cols[None, :]
-        valid = cols[None, :] < node_degrees[:, None]
-        # Clamp padding reads into range; the values there are never used.
-        slots[~valid] = 0
-        self.padded_neighbors = indices[slots]
-        self.invalid = ~valid
-        self.keys = np.empty((nodes.size, width), dtype=np.float64)
-        self.row_index = np.arange(nodes.size)
+#: Slot kinds beyond the plain single draw of a ``k_i = 1`` sender (0):
+#: duplicates are redrawn, or the smallest keys are taken.
+_REDRAW, _KEYED = 1, 2
 
 
 class PushPlan:
-    """Sampling plan over one CSR topology: k=1 arrays + padded groups.
+    """Flat push-slot layout over one CSR topology and its push counts.
 
     Parameters
     ----------
     indptr, indices, degrees:
         The CSR arrays to sample over.
     push_counts:
-        Per-row push counts ``k_i`` aligned with ``degrees``.
+        Per-row push counts ``k_i`` aligned with ``degrees``; rows with
+        no neighbours never push.
     """
 
     def __init__(
@@ -81,115 +63,26 @@ class PushPlan:
         degrees: np.ndarray,
         push_counts: np.ndarray,
     ):
-        self.indptr = indptr
         self.indices = indices
         self.degrees = degrees
         eligible = degrees > 0
         self.eligible_count = int(eligible.sum())
-        self.k1_nodes = np.flatnonzero(eligible & (push_counts == 1))
-        # Precomputed full-active gathers: the k=1 population never
-        # changes, only the per-step active subset does, and on steps
-        # where every eligible node is active (every run_to_max step,
-        # and every step before the first node stops) these replace two
-        # fancy gathers per step.
-        self.k1_starts = indptr[self.k1_nodes]
-        self.k1_degrees = degrees[self.k1_nodes]
-        self._k1_slots = np.empty(self.k1_nodes.size, dtype=np.int64)
-        self.groups: List[PaddedGroup] = []
-        for k in np.unique(push_counts[eligible & (push_counts >= 2)]):
-            nodes = np.flatnonzero(push_counts == k)
-            # Sub-bucket by degree scale (powers of two): one huge hub
-            # sharing k with thousands of low-degree nodes must not
-            # widen every row of their padded matrix to its degree.
-            bands = np.ceil(np.log2(degrees[nodes])).astype(np.int64)
-            for band in np.unique(bands):
-                self.groups.append(
-                    PaddedGroup(int(k), nodes[bands == band], degrees, indptr, indices)
-                )
-        self.max_pushes = int(push_counts[eligible].sum())
-        # Full-active flat sender layout: [k1 block][group0 rows*k][...].
-        chunks = [self.k1_nodes]
-        chunks.extend(np.repeat(g.nodes, g.k) for g in self.groups)
-        self.senders_full = (
-            np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
-        )
-
-    def sample_full_active(
-        self, rng: np.random.Generator, targets_out: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Draw targets for every eligible node into ``targets_out``.
-
-        Consumes the generator stream identically to
-        :meth:`sample_subset` with an all-eligible mask, but writes into
-        a preallocated flat buffer (no per-group temporaries or final
-        concatenation) and skips the active-subset gathers.
-
-        Returns ``(senders, targets)`` — views over the precomputed
-        sender layout and ``targets_out``.
-        """
-        pos = self.k1_nodes.size
-        if pos:
-            # integers() is exact: offsets are in [0, degree) by
-            # construction (float scaling could round up to degree).
-            offsets = rng.integers(self.k1_degrees)
-            np.add(self.k1_starts, offsets, out=self._k1_slots)
-            np.take(self.indices, self._k1_slots, out=targets_out[:pos])
-        for group in self.groups:
-            keys = group.keys
-            rng.random(out=keys)
-            np.copyto(keys, np.inf, where=group.invalid)
-            k = group.k
-            rows = group.nodes.size
-            segment = targets_out[pos : pos + rows * k].reshape(rows, k)
-            # The k smallest of a row's iid-uniform keys are a uniform
-            # k-subset of its valid slots. k repeated row-wise argmin
-            # passes (~2.5x faster than argpartition for the small k
-            # that dominate real degree sequences) gather each pass's
-            # neighbours straight into the flat target buffer: same
-            # subsets as sample_subset, in ascending-key order.
-            row_index = group.row_index
-            padded = group.padded_neighbors
-            for j in range(k):
-                chosen = np.argmin(keys, axis=1)
-                segment[:, j] = padded[row_index, chosen]
-                if j < k - 1:
-                    keys[row_index, chosen] = np.inf
-            pos += rows * k
-        return self.senders_full, targets_out[:pos]
-
-    def sample_subset(
-        self, rng: np.random.Generator, active: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Draw targets for the ``active`` subset.
-
-        The historical chunk-and-concatenate path, byte-faithful to the
-        pre-kernel sparse engine (``argpartition`` selection included):
-        the historical unfused step sampled this way on every step, the
-        fused kernel does only once some nodes have stopped and the
-        per-step active gathers become unavoidable.
-        """
-        sender_chunks: List[np.ndarray] = []
-        target_chunks: List[np.ndarray] = []
-        k1 = self.k1_nodes[active[self.k1_nodes]]
-        if k1.size:
-            offsets = rng.integers(self.degrees[k1])
-            target_chunks.append(self.indices[self.indptr[k1] + offsets])
-            sender_chunks.append(k1)
-        for group in self.groups:
-            rows = np.flatnonzero(active[group.nodes])
-            if not rows.size:
-                continue
-            keys = group.keys[: rows.size]
-            rng.random(out=keys)
-            keys[group.invalid[rows]] = np.inf
-            cols = np.argpartition(keys, group.k - 1, axis=1)[:, : group.k]
-            chosen = group.padded_neighbors[rows[:, None], cols]
-            target_chunks.append(chosen.ravel())
-            sender_chunks.append(np.repeat(group.nodes[rows], group.k))
-        if not sender_chunks:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        return np.concatenate(sender_chunks), np.concatenate(target_chunks)
+        counts = np.where(eligible, push_counts, 0)
+        self.max_pushes = int(counts.sum())
+        kinds = (counts >= 2).astype(np.int8)
+        kinds[(kinds == _REDRAW) & (2 * counts > degrees)] = _KEYED
+        self._senders = np.repeat(np.arange(degrees.size), counts)
+        del counts  # node-sized scratch, dead before the slot arrays grow
+        self._starts = indptr[self._senders]
+        self._degrees = degrees[self._senders]
+        self._kinds = kinds[self._senders]
+        self._redraw = np.flatnonzero(self._kinds == _REDRAW)
+        self._keyed = np.flatnonzero(self._kinds == _KEYED)
+        # Every keyed sender's neighbour list, flattened: one key each.
+        keyed_nodes = np.flatnonzero(kinds == _KEYED)
+        self._key_positions = csr_positions(indptr, keyed_nodes)
+        self._key_owners = np.repeat(keyed_nodes, degrees[keyed_nodes])
+        self._key_counts = np.repeat(push_counts[keyed_nodes], degrees[keyed_nodes])
 
     def sample(
         self,
@@ -202,13 +95,76 @@ class PushPlan:
         """Random push targets for the active rows.
 
         ``senders[p]`` pushes one share to ``targets[p]``; each active
-        sender appears ``k_i`` times with *distinct* targets, uniformly
-        over the ``k_i``-subsets of its neighbourhood. ``all_active``
-        (when the caller already knows the active count) and
-        ``targets_out`` enable the no-temporaries fast path.
+        sender appears ``k_i`` times, ascending by sender, with
+        *distinct* targets drawn uniformly over the ``k_i``-subsets of
+        its neighbourhood. ``all_active`` (when the caller already knows
+        every eligible row is active) skips the active-slot gathers, and
+        ``targets_out`` receives the targets instead of a new array.
         """
         if all_active is None:
             all_active = int(active.sum()) == self.eligible_count
-        if all_active and targets_out is not None:
-            return self.sample_full_active(rng, targets_out)
-        return self.sample_subset(rng, active)
+        if all_active:
+            senders, starts, degrees = self._senders, self._starts, self._degrees
+            redraw, keyed = self._redraw, self._keyed
+        else:
+            slots = np.flatnonzero(active[self._senders])
+            senders, starts, degrees = (
+                self._senders[slots], self._starts[slots], self._degrees[slots]
+            )
+            kinds = self._kinds[slots]
+            redraw = np.flatnonzero(kinds == _REDRAW) if self._redraw.size else self._redraw
+            keyed = np.flatnonzero(kinds == _KEYED) if self._keyed.size else self._keyed
+        # integers() is exact: offsets are in [0, degree) by construction
+        # (float scaling could round up to degree).
+        positions = rng.integers(degrees)
+        positions += starts
+        if redraw.size:
+            positions[redraw] = _distinct_positions(
+                rng, positions[redraw], redraw, starts, degrees
+            )
+        if keyed.size:
+            positions[keyed] = self._smallest_keys(rng, None if all_active else active)
+        if targets_out is None:
+            return senders, self.indices[positions]
+        targets = targets_out[: senders.size]
+        np.take(self.indices, positions, out=targets)
+        return senders, targets
+
+    def _smallest_keys(self, rng: np.random.Generator, active: Optional[np.ndarray]) -> np.ndarray:
+        """CSR positions of the ``k_i`` smallest keys of each active keyed sender."""
+        owners, positions, counts = self._key_owners, self._key_positions, self._key_counts
+        if active is not None:
+            keep = active[owners]
+            owners, positions, counts = owners[keep], positions[keep], counts[keep]
+        order = np.lexsort((rng.random(owners.size), owners))
+        # Owners ascend, so the lexsort keeps each sender's run where it
+        # was and only orders its keys: a key's rank is its place in the run.
+        run_starts = np.flatnonzero(np.r_[True, owners[1:] != owners[:-1]])
+        run_lengths = np.diff(np.r_[run_starts, owners.size])
+        rank = np.arange(owners.size) - np.repeat(run_starts, run_lengths)
+        chosen = np.zeros(owners.size, dtype=bool)
+        chosen[order[rank < counts]] = True
+        return positions[chosen]
+
+
+def _distinct_positions(
+    rng: np.random.Generator,
+    positions: np.ndarray,
+    slots: np.ndarray,
+    starts: np.ndarray,
+    degrees: np.ndarray,
+) -> np.ndarray:
+    """Redraw duplicate ``positions`` until every sender's are distinct.
+
+    ``positions[j]`` was drawn for slot ``slots[j]``. Each sender's
+    positions lie in its own CSR range and senders ascend, so one sort
+    orders every sender's run in place and leaves duplicates adjacent;
+    only the later copy of each is redrawn.
+    """
+    while True:
+        positions.sort()
+        dup = np.flatnonzero(positions[1:] == positions[:-1]) + 1
+        if not dup.size:
+            return positions
+        redo = slots[dup]
+        positions[dup] = starts[redo] + rng.integers(degrees[redo])

@@ -23,13 +23,13 @@ over nodes, however skewed the degree distribution.
 The push round itself — target sampling, share split, self-share scale,
 scatter-accumulate, heard bookkeeping — runs in one kernel,
 :class:`~repro.core.kernels.numpy_kernels.FusedNumpyKernel`, over a
-float64 state: it prescales the state matrix once, in place, instead of
-re-scaling, gathers shares with a single ``take``, and scatter-adds
-narrow states through one combined ``bincount`` (wide states column by
-column) — no ``(N, C)`` temporaries in the hot loop. Targets are drawn
-through a :class:`~repro.core.kernels.plan.PushPlan`; see the kernels
-package for the byte-compatibility contract with the historical
-unfused step.
+float64 state: it prescales the state matrix once, in place, gathers
+shares with a single ``take``, and scatter-adds narrow states through
+one combined ``bincount`` (wide states column by column) — no ``(N, C)``
+temporaries in the hot loop. Targets are drawn through a
+:class:`~repro.core.kernels.plan.PushPlan`, one flat slot per push; see
+the kernels package for how the draw stays uniform and byte-compatible
+with the historical unfused step.
 
 Every step runs the shared mass-conservation check
 (:class:`repro.core.state.MassCheck`), and the convergence protocol
@@ -122,7 +122,6 @@ class SparseGossipEngine:
         self._rng = as_generator(rng)
         self._plan = PushPlan(graph.indptr, graph.indices, graph.degrees, push_counts)
         self._inv_k_plus_one = 1.0 / (push_counts + 1.0)
-        self._max_pushes = self._plan.max_pushes
         self._kernels: Dict[Tuple[int, int], object] = {}
 
     @property

@@ -400,6 +400,20 @@ class Graph:
         return hash((self._num_nodes, self._indices.tobytes()))
 
 
+def csr_positions(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """CSR positions of every entry of ``rows``, row by row, in CSR order.
+
+    ``indices[csr_positions(indptr, rows)]`` concatenates the rows'
+    neighbour lists without a Python loop: each row's start is repeated
+    by its length and one ``arange`` over the total adds the offsets.
+    """
+    starts = indptr[rows]
+    lengths = indptr[rows + 1] - starts
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if ends.size else 0
+    return np.repeat(starts - (ends - lengths), lengths) + np.arange(total)
+
+
 def from_adjacency(adjacency: Sequence[Sequence[int]]) -> Graph:
     """Build a :class:`Graph` from an adjacency-list representation.
 

@@ -1,8 +1,9 @@
 """The historical unfused push step: the fused kernel's parity reference.
 
-:class:`UnfusedNumpyKernel` is the pre-kernel sparse-engine step —
-``argpartition`` target selection, a gathered share multiply, a masked
-scale pass and one ``bincount`` per state column. The fused kernel must
+:class:`UnfusedNumpyKernel` keeps the pre-kernel sparse-engine
+arithmetic — a gathered share multiply, a masked scale pass and one
+``bincount`` per state column — and samples its targets through the
+same :meth:`PushPlan.sample` as the fused kernel. The fused kernel must
 reproduce it (same targets, same IEEE operations on the same operands),
 so the parity tests run the engine on both and compare the outcomes.
 
@@ -23,12 +24,11 @@ from repro.core.kernels.numpy_kernels import _KernelBase
 
 
 class UnfusedNumpyKernel(_KernelBase):
-    """Reference kernel: the historical sparse-engine step, verbatim.
+    """Reference kernel: the historical sparse-engine arithmetic, verbatim.
 
-    Byte-for-byte the pre-kernel engine at float64 — including the
-    ``argpartition`` target selection and its randomness consumption —
-    so it doubles as the baseline for the fused kernels' speedup and
-    parity measurements.
+    Byte-for-byte the pre-kernel engine's float64 step on the targets
+    :meth:`PushPlan.sample` draws, so it doubles as the baseline for the
+    fused kernel's speedup and parity measurements.
     """
 
     name = "unfused"
@@ -38,7 +38,7 @@ class UnfusedNumpyKernel(_KernelBase):
         self._shares_buf = np.empty((plan.max_pushes, num_cols), dtype=np.float64)
 
     def step(self, state, active, *, all_active, rng, loss_model, heard_out):
-        senders, targets = self._plan.sample_subset(rng, active)
+        senders, targets = self._plan.sample(rng, active)
         effective_targets = self._effective_targets(senders, targets, loss_model)
         shares = self._shares_buf[: senders.size]
         np.multiply(state[senders], self._inv[senders, None], out=shares)

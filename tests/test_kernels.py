@@ -17,10 +17,7 @@ from repro.core.differential import resolve_push_counts
 from repro.core.kernels import PushPlan, create_kernel, select_kernel
 from repro.core.sparse_engine import SparseGossipEngine
 from repro.network.conditions import PacketLossModel
-from repro.network.preferential_attachment import (
-    preferential_attachment_graph,
-    preferential_attachment_graph_fast,
-)
+from repro.network.preferential_attachment import preferential_attachment_graph_fast
 from tests.reference_kernel import reference_kernel
 
 
@@ -77,24 +74,6 @@ class TestKernelApi:
             tracemalloc.stop()
         assert plan.max_pushes > 0
         assert peak < 1.5 * retained, f"build peaked at {peak / retained:.2f}x what the plan keeps"
-
-
-class TestSamplingParity:
-    """The full-active and subset samplers draw byte-identical targets."""
-
-    def test_full_active_matches_subset_sampling(self):
-        graph = preferential_attachment_graph(400, m=3, rng=9)
-        engine = SparseGossipEngine(graph, rng=0)
-        plan = engine._plan
-        all_active = np.ones(graph.num_nodes, dtype=bool)
-        targets_out = np.empty(plan.max_pushes, dtype=np.int64)
-        for seed in (0, 1, 2):
-            s_fast, t_fast = plan.sample_full_active(
-                np.random.default_rng(seed), targets_out
-            )
-            s_ref, t_ref = plan.sample_subset(np.random.default_rng(seed), all_active)
-            np.testing.assert_array_equal(s_fast, s_ref)
-            np.testing.assert_array_equal(t_fast, t_ref)
 
 
 def _kernel_names(engine):

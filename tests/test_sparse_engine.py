@@ -7,12 +7,14 @@ same update rule), mass is conserved every round, and the round's
 message accounting matches the protocol.
 """
 
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chisquare
 
 from repro.core.differential import fixed_push_counts
 from repro.core.engine import MessageLevelGossip
@@ -130,22 +132,94 @@ class TestTargetSelection:
         assert set(senders.tolist()) == {2}
         assert senders.size == 3
 
-    def test_degree_banding_bounds_padding(self):
-        # A k=2 group mixing degree-2 nodes with one degree-40 hub must
-        # not pad every row to the hub's degree: banding keeps each
-        # group's width within 2x of its members' degrees.
-        hub_degree = 40
-        edges = [(0, i) for i in range(1, hub_degree + 1)]
-        edges += [(i, i + 1) for i in range(1, hub_degree)]
-        graph = Graph(hub_degree + 1, edges)
-        counts = np.full(hub_degree + 1, 2, dtype=np.int64)
-        plan, _ = engine_plan(graph, push_counts=counts)
-        for group in plan.groups:
-            width = group.padded_neighbors.shape[1]
-            min_degree = int(graph.degrees[group.nodes].min())
-            assert width <= 2 * min_degree
-        total_padded = sum(g.padded_neighbors.size for g in plan.groups)
-        assert total_padded <= 2 * int(graph.degrees.sum())
+    def test_plan_keeps_a_few_words_per_push(self):
+        # The flat layout keeps three words and a kind byte per push slot,
+        # plus the slot ids of k >= 2 senders, and three words per
+        # neighbour of a 2k > d sender: nothing sized by the other edges.
+        worlds = []
+        graph = preferential_attachment_graph_fast(50_000, 8, rng=11)
+        worlds.append((graph, SparseGossipEngine(graph).push_counts))
+        graph = preferential_attachment_graph_fast(20_000, 2, rng=4)
+        worlds.append((graph, fixed_push_counts(graph, 2)))
+        for graph, counts in worlds:
+            tracemalloc.start()
+            try:
+                plan = PushPlan(graph.indptr, graph.indices, graph.degrees, counts)
+                retained, _ = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            keyed = (counts >= 2) & (2 * counts > graph.degrees)
+            bound = 40 * plan.max_pushes + 24 * int(graph.degrees[keyed].sum())
+            assert retained <= bound, f"plan keeps {retained} bytes, bound {bound}"
+
+    @pytest.mark.parametrize("rule", ["fixed-2", "fixed-3", "differential"])
+    @pytest.mark.parametrize("fraction", [1.0, 0.5, 0.05])
+    def test_k_distinct_adjacent_targets_per_sender(self, rule, fraction):
+        # fixed-2 on PA(2000, m=2) sends most rows down the 2k > d path.
+        graph = preferential_attachment_graph_fast(2000, 2, rng=4)
+        n = graph.num_nodes
+        if rule == "differential":
+            counts = SparseGossipEngine(graph).push_counts
+        else:
+            counts = fixed_push_counts(graph, int(rule[-1]))
+        plan = PushPlan(graph.indptr, graph.indices, graph.degrees, counts)
+        rng = np.random.default_rng(7)
+        active = (graph.degrees > 0) & (rng.random(n) < fraction)
+        edges = np.repeat(np.arange(n), graph.degrees) * n + graph.indices
+        for _ in range(5):
+            senders, targets = plan.sample(rng, active)
+            assert np.all(np.diff(senders) >= 0)
+            np.testing.assert_array_equal(
+                np.bincount(senders, minlength=n), np.where(active, counts, 0)
+            )
+            pairs = senders * n + targets
+            assert np.isin(pairs, edges).all()
+            assert np.unique(pairs).size == pairs.size
+
+    @pytest.mark.parametrize("degree,k", [(5, 3), (6, 2), (4, 3), (7, 5), (8, 4), (5, 5)])
+    def test_star_hub_subsets_pass_chi_square(self, degree, k):
+        # 3000 disjoint stars whose hubs each push k of their leaves; 20
+        # draws, alternately hubs-only and all-active, give 60,000 hub
+        # subsets, binned by leaf bitmask.
+        stars, size = 3000, degree + 1
+        hubs = np.arange(stars) * size
+        graph = Graph(
+            stars * size, [(h, h + j) for h in hubs.tolist() for j in range(1, size)]
+        )
+        counts = np.ones(graph.num_nodes, dtype=np.int64)
+        counts[hubs] = k
+        plan = PushPlan(graph.indptr, graph.indices, graph.degrees, counts)
+        hubs_only = np.zeros(graph.num_nodes, dtype=bool)
+        hubs_only[hubs] = True
+        everyone = graph.degrees > 0
+        rng = np.random.default_rng(2024)
+        masks = []
+        for draw in range(20):
+            senders, targets = plan.sample(rng, hubs_only if draw % 2 else everyone)
+            from_hub = senders % size == 0
+            leaves = targets[from_hub] - senders[from_hub] - 1
+            masks.append(np.bitwise_or.reduce((1 << leaves).reshape(-1, k), axis=1))
+        observed = np.bincount(np.concatenate(masks), minlength=1 << degree)
+        subsets = [sum(1 << i for i in c) for c in itertools.combinations(range(degree), k)]
+        assert observed[subsets].sum() == observed.sum() == 20 * stars
+        if len(subsets) > 1:
+            assert chisquare(observed[subsets]).pvalue > 1e-3
+
+    def test_star_hub_pushes_to_every_leaf_once(self):
+        # k = d on a 20,000-leaf hub: the smallest-keys draw returns the
+        # whole neighbourhood, on full and partial steps alike.
+        leaves = 20_000
+        graph = Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+        counts = np.ones(leaves + 1, dtype=np.int64)
+        counts[0] = leaves
+        plan = PushPlan(graph.indptr, graph.indices, graph.degrees, counts)
+        targets_out = np.empty(plan.max_pushes, dtype=np.int64)
+        hub_only = np.zeros(leaves + 1, dtype=bool)
+        hub_only[0] = True
+        rng = np.random.default_rng(0)
+        full = plan.sample(rng, graph.degrees > 0, all_active=True, targets_out=targets_out)
+        for senders, targets in (full, plan.sample(rng, hub_only)):
+            np.testing.assert_array_equal(targets[senders == 0], np.arange(1, leaves + 1))
 
     def test_hub_subsets_are_uniform(self, star5):
         # Star hub with degree 4 pushing k=2: all 6 pairs should appear.
