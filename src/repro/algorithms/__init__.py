@@ -1,8 +1,8 @@
 """First-class comparison-algorithm registry.
 
-Mirrors :mod:`repro.core.backend`: algorithms register under canonical
-names (plus aliases), and every consumer — attack engine, scenario
-layer, tournament leaderboard — resolves them through one lookup.
+Mirrors :mod:`repro.core.backend`: each algorithm registers under one
+name, and every consumer — attack engine, scenario layer, tournament
+leaderboard — looks it up through one table.
 
 >>> from repro.algorithms import available_algorithms
 >>> "diff-gossip" in available_algorithms()

@@ -19,12 +19,17 @@ conventions hold across all of them:
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from repro.algorithms.base import AlgorithmOutcome, PreparedAlgorithm, resolve_targets
 from repro.algorithms.registry import register_algorithm
+from repro.baselines.absolute_trust import absolute_trust_fixpoint
+from repro.baselines.eigentrust import eigentrust_fixpoint
+from repro.baselines.flooding import flood_spread
+from repro.baselines.gossip_trust import gossip_trust_fixpoint
+from repro.baselines.push_pull import push_pull_average
 from repro.core.backend import BackendCapabilityError, GossipConfig, run_backend
 from repro.core.results import GossipOutcome
 from repro.core.vector_global import initial_state_vector_global
@@ -201,8 +206,6 @@ class PushPullAlgorithm:
         targets: Optional[Sequence[int]] = None,
         backend: str = "auto",
     ) -> PreparedAlgorithm:
-        from repro.baselines.push_pull import push_pull_average
-
         target_list = resolve_targets(trust, targets)
         base = _base_config(config)
         if base.network is not None:
@@ -223,127 +226,6 @@ class PushPullAlgorithm:
                 patience=base.patience,
             )
             return _gossip_outcome_to_algorithm(self.name, outcome, truth)
-
-        return PreparedAlgorithm(self.name, runner)
-
-
-class GossipTrustAlgorithm:
-    """GossipTrust's reputation-weighted global fixpoint (ref. [17]).
-
-    Runs :func:`repro.baselines.gossip_trust.gossip_trust_fixpoint`
-    from a seeded start; every peer ends with the *same* global vector.
-
-    Truth: the same fixpoint solved from the deterministic uniform
-    start, so ``rms_error`` measures seed perturbation only (the
-    fixpoint is unique). Counting rule: each aggregation cycle
-    re-disseminates every explicit trust report, so ``messages =
-    cycles × num_observations`` — the cost GossipTrust's per-cycle
-    gossip sums would pay.
-    """
-
-    name = "gossip-trust"
-    uses_backend = False
-
-    def __init__(self, *, max_cycles: int = 200, tolerance: float = 1e-10, damping: float = 0.5):
-        self.max_cycles = max_cycles
-        self.tolerance = tolerance
-        self.damping = damping
-
-    def prepare(
-        self,
-        graph: Graph,
-        trust: TrustMatrix,
-        config: Optional[GossipConfig] = None,
-        *,
-        targets: Optional[Sequence[int]] = None,
-        backend: str = "auto",
-    ) -> PreparedAlgorithm:
-        from repro.baselines.gossip_trust import gossip_trust_fixpoint
-
-        target_list = resolve_targets(trust, targets)
-        kwargs = dict(
-            max_cycles=self.max_cycles, tolerance=self.tolerance, damping=self.damping
-        )
-        reference = gossip_trust_fixpoint(trust, **kwargs)
-        messages_per_cycle = trust.num_observations
-
-        def runner(rng: RngLike) -> AlgorithmOutcome:
-            result = gossip_trust_fixpoint(trust, rng=_resolve_rng(config, rng), **kwargs)
-            return AlgorithmOutcome(
-                algorithm=self.name,
-                estimates=result.values[target_list],
-                truth=reference.values[target_list],
-                num_nodes=trust.num_nodes,
-                rounds=result.cycles,
-                messages=result.cycles * messages_per_cycle,
-                converged=result.converged,
-                raw=result,
-            )
-
-        return PreparedAlgorithm(self.name, runner)
-
-
-class EigenTrustAlgorithm:
-    """EigenTrust's damped principal eigenvector (Kamvar et al.).
-
-    Runs :func:`repro.baselines.eigentrust.eigentrust_fixpoint` from a
-    seeded start; the damped map is an L1 contraction, so the fixpoint
-    is unique.
-
-    Truth: the fixpoint solved from the deterministic pre-trusted
-    start. Counting rule: each power iteration exchanges every explicit
-    trust report once, so ``messages = iterations × num_observations``.
-    """
-
-    name = "eigentrust"
-    uses_backend = False
-
-    def __init__(
-        self,
-        *,
-        pretrusted: Optional[Sequence[int]] = None,
-        alpha: float = 0.1,
-        max_iterations: int = 200,
-        tolerance: float = 1e-12,
-    ):
-        self.pretrusted = list(pretrusted) if pretrusted is not None else None
-        self.alpha = alpha
-        self.max_iterations = max_iterations
-        self.tolerance = tolerance
-
-    def prepare(
-        self,
-        graph: Graph,
-        trust: TrustMatrix,
-        config: Optional[GossipConfig] = None,
-        *,
-        targets: Optional[Sequence[int]] = None,
-        backend: str = "auto",
-    ) -> PreparedAlgorithm:
-        from repro.baselines.eigentrust import eigentrust_fixpoint
-
-        target_list = resolve_targets(trust, targets)
-        kwargs = dict(
-            pretrusted=self.pretrusted,
-            alpha=self.alpha,
-            max_iterations=self.max_iterations,
-            tolerance=self.tolerance,
-        )
-        reference = eigentrust_fixpoint(trust, **kwargs)
-        messages_per_iteration = trust.num_observations
-
-        def runner(rng: RngLike) -> AlgorithmOutcome:
-            result = eigentrust_fixpoint(trust, rng=_resolve_rng(config, rng), **kwargs)
-            return AlgorithmOutcome(
-                algorithm=self.name,
-                estimates=result.values[target_list],
-                truth=reference.values[target_list],
-                num_nodes=trust.num_nodes,
-                rounds=result.iterations,
-                messages=result.iterations * messages_per_iteration,
-                converged=result.converged,
-                raw=result,
-            )
 
         return PreparedAlgorithm(self.name, runner)
 
@@ -378,8 +260,6 @@ class FloodingAlgorithm:
         targets: Optional[Sequence[int]] = None,
         backend: str = "auto",
     ) -> PreparedAlgorithm:
-        from repro.baselines.flooding import flood_spread
-
         target_list = resolve_targets(trust, targets)
 
         def runner(rng: RngLike) -> AlgorithmOutcome:
@@ -409,26 +289,37 @@ class FloodingAlgorithm:
         return PreparedAlgorithm(self.name, runner)
 
 
-class AbsoluteTrustAlgorithm:
-    """Absolute Trust's self-weighted fixpoint (arXiv:1601.01419).
+class FixpointAlgorithm:
+    """An exact global-trust solver as a registered algorithm.
 
-    Runs :func:`repro.baselines.absolute_trust.absolute_trust_fixpoint`
-    from a seeded positive start, with the arXiv:1603.00589 convergence
-    guard (oscillation-triggered damping plus an iteration bound).
+    Registered three times, once per solver:
 
-    Truth: the same fixpoint solved from the deterministic all-ones
-    start (the fixpoint is unique on connected evaluation structures).
-    Counting rule: each iteration re-exchanges every explicit trust
-    report along with the evaluators' current trust values, so
-    ``messages = iterations × num_observations``.
+    - ``gossip-trust``: GossipTrust's reputation-weighted global
+      fixpoint (ref. [17],
+      :func:`repro.baselines.gossip_trust.gossip_trust_fixpoint`);
+    - ``eigentrust``: EigenTrust's damped principal eigenvector
+      (Kamvar et al., :func:`repro.baselines.eigentrust.eigentrust_fixpoint`);
+    - ``absolute-trust``: Absolute Trust's self-weighted fixpoint
+      (arXiv:1601.01419,
+      :func:`repro.baselines.absolute_trust.absolute_trust_fixpoint`),
+      with the arXiv:1603.00589 convergence guard.
+
+    Each solver runs at its own defaults from a seeded start; every
+    peer ends with the *same* global vector.
+
+    Truth: the same fixpoint solved from the solver's deterministic
+    default start, so ``rms_error`` measures seed perturbation only
+    (each fixpoint is unique). Counting rule: each iteration exchanges
+    every explicit trust report once (GossipTrust's per-cycle gossip
+    sums, EigenTrust's power step, Absolute Trust's evaluator-weighted
+    re-exchange), so ``messages = iterations × num_observations``.
     """
 
-    name = "absolute-trust"
     uses_backend = False
 
-    def __init__(self, *, max_iterations: int = 500, tolerance: float = 1e-10):
-        self.max_iterations = max_iterations
-        self.tolerance = tolerance
+    def __init__(self, name: str, solve: Callable):
+        self.name = name
+        self.solve = solve
 
     def prepare(
         self,
@@ -439,15 +330,12 @@ class AbsoluteTrustAlgorithm:
         targets: Optional[Sequence[int]] = None,
         backend: str = "auto",
     ) -> PreparedAlgorithm:
-        from repro.baselines.absolute_trust import absolute_trust_fixpoint
-
         target_list = resolve_targets(trust, targets)
-        kwargs = dict(max_iterations=self.max_iterations, tolerance=self.tolerance)
-        reference = absolute_trust_fixpoint(trust, **kwargs)
+        reference = self.solve(trust)
         messages_per_iteration = trust.num_observations
 
         def runner(rng: RngLike) -> AlgorithmOutcome:
-            result = absolute_trust_fixpoint(trust, rng=_resolve_rng(config, rng), **kwargs)
+            result = self.solve(trust, rng=_resolve_rng(config, rng))
             return AlgorithmOutcome(
                 algorithm=self.name,
                 estimates=result.values[target_list],
@@ -462,14 +350,12 @@ class AbsoluteTrustAlgorithm:
         return PreparedAlgorithm(self.name, runner)
 
 
-register_algorithm(
-    "diff-gossip", DiffGossipAlgorithm(), aliases=("dgt", "differential-gossip")
-)
-register_algorithm("push-sum", PushSumAlgorithm(), aliases=("normal-push",))
+register_algorithm("diff-gossip", DiffGossipAlgorithm())
+register_algorithm("push-sum", PushSumAlgorithm())
 register_algorithm("push-pull", PushPullAlgorithm())
-register_algorithm("gossip-trust", GossipTrustAlgorithm(), aliases=("gossiptrust",))
-register_algorithm("eigentrust", EigenTrustAlgorithm(), aliases=("eigen-trust",))
-register_algorithm("flooding", FloodingAlgorithm(), aliases=("flood",))
+register_algorithm("gossip-trust", FixpointAlgorithm("gossip-trust", gossip_trust_fixpoint))
+register_algorithm("eigentrust", FixpointAlgorithm("eigentrust", eigentrust_fixpoint))
+register_algorithm("flooding", FloodingAlgorithm())
 register_algorithm(
-    "absolute-trust", AbsoluteTrustAlgorithm(), aliases=("absolutetrust",)
+    "absolute-trust", FixpointAlgorithm("absolute-trust", absolute_trust_fixpoint)
 )

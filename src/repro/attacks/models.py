@@ -18,10 +18,9 @@ backend registry of :mod:`repro.core.backend`:
   ``(seed, epoch)`` replays bit-identically;
 - :func:`register_attack` / :func:`get_attack` / :func:`make_attack` /
   :func:`available_attacks` manage the registry. Six families ship
-  built-in: ``"collusion"``, ``"whitewashing"``, ``"slandering"``
-  (alias ``"bad-mouthing"``), ``"on-off"`` (alias ``"oscillation"``),
-  ``"sybil"`` (alias ``"sybil-flood"``) and
-  ``"cross-channel-slander"`` (alias ``"cross-slander"``, the
+  built-in, one name each: ``"collusion"``, ``"whitewashing"``,
+  ``"slandering"`` (bad-mouthing), ``"on-off"`` (oscillating raters),
+  ``"sybil"`` (sybil join floods) and ``"cross-channel-slander"`` (the
   multi-channel variant that slanders one reputation channel while
   reporting honestly on the others);
 - :meth:`AttackModel.on_epoch` is the dynamic hook: attacks that act on
@@ -39,7 +38,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, ClassVar, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, ClassVar, Optional, Tuple
 
 import numpy as np
 
@@ -51,6 +50,7 @@ from repro.attacks.collusion import (
 )
 from repro.attacks.whitewashing import WhitewashingModel
 from repro.trust.matrix import TrustMatrix
+from repro.utils.registry import Registry
 from repro.utils.rng import stateless_child_sequence
 from repro.utils.validation import check_fraction, check_trust_value
 
@@ -647,90 +647,34 @@ def stack_attacks(*attacks: AttackModel) -> ComposedAttack:
 
 AttackFactory = Callable[..., AttackModel]
 
-_ATTACKS: Dict[str, AttackFactory] = {}
-_ATTACK_ALIASES: Dict[str, str] = {}
+#: The attack-family table. ``factory`` is any callable building an
+#: :class:`AttackModel` from keyword parameters (typically the model
+#: class itself). After :func:`register_attack` the family is
+#: selectable everywhere an attack kind is accepted — :func:`make_attack`,
+#: the scenario :class:`~repro.scenarios.spec.AttackSpec` axis and the
+#: attack benchmark sweep.
+_ATTACKS: Registry[AttackFactory] = Registry("attack family", UnknownAttackError)
 
-
-def register_attack(
-    name: str,
-    factory: AttackFactory,
-    *,
-    aliases: Tuple[str, ...] = (),
-    overwrite: bool = False,
-) -> None:
-    """Register an attack family under ``name`` (plus optional aliases).
-
-    ``factory`` is any callable building an :class:`AttackModel` from
-    keyword parameters (typically the model class itself). After
-    registration the family is selectable everywhere an attack kind is
-    accepted — :func:`make_attack`, the scenario
-    :class:`~repro.scenarios.spec.AttackSpec` axis and the attack
-    benchmark sweep.
-
-    Examples
-    --------
-    >>> register_attack("demo-slander", SlanderingModel, overwrite=True)
-    >>> make_attack("demo-slander", fraction=0.1, seed=3).name
-    'slandering'
-    >>> del _ATTACKS["demo-slander"]  # leave the process-wide registry as it was
-    """
-    if not name or not isinstance(name, str):
-        raise ValueError(f"attack name must be a non-empty string, got {name!r}")
-    if not overwrite:
-        # Validate every name before mutating anything, so a conflict
-        # never leaves a half-registered family behind.
-        if name in _ATTACKS or name in _ATTACK_ALIASES:
-            raise ValueError(f"attack {name!r} is already registered (pass overwrite=True)")
-        for alias in aliases:
-            if alias in _ATTACKS or alias in _ATTACK_ALIASES:
-                raise ValueError(f"attack alias {alias!r} is already registered")
-    _ATTACKS[name] = factory
-    for alias in aliases:
-        _ATTACK_ALIASES[alias] = name
-
-
-def resolve_attack_name(name: str) -> str:
-    """Canonical registry name for ``name`` (resolving aliases)."""
-    if name in _ATTACKS:
-        return name
-    if name in _ATTACK_ALIASES:
-        return _ATTACK_ALIASES[name]
-    catalogue = ", ".join(sorted(_ATTACKS) + sorted(_ATTACK_ALIASES))
-    raise UnknownAttackError(f"unknown attack family {name!r}; available: {catalogue}")
-
-
-def get_attack(name: str) -> AttackFactory:
-    """Look up a registered attack factory by name or alias."""
-    return _ATTACKS[resolve_attack_name(name)]
+register_attack = _ATTACKS.register
+resolve_attack_name = _ATTACKS.resolve
+get_attack = _ATTACKS.get
+available_attacks = _ATTACKS.names
 
 
 def make_attack(name: str, **params) -> AttackModel:
-    """Build an attack model from a registered family name (aliases resolve).
+    """Build an attack model from a registered family name.
 
     Examples
     --------
-    >>> make_attack("bad-mouthing", fraction=0.25, seed=1).fraction
+    >>> make_attack("slandering", fraction=0.25, seed=1).fraction
     0.25
     """
     return get_attack(name)(**params)
 
 
-def available_attacks() -> Tuple[str, ...]:
-    """Canonical names of all registered attack families, sorted.
-
-    Examples
-    --------
-    >>> {"collusion", "slandering", "sybil"} <= set(available_attacks())
-    True
-    """
-    return tuple(sorted(_ATTACKS))
-
-
 register_attack("collusion", CollusionModel)
-register_attack("whitewashing", WhitewashingAttackModel, aliases=("whitewash",))
-register_attack("slandering", SlanderingModel, aliases=("bad-mouthing", "badmouthing"))
-register_attack(
-    "cross-channel-slander", CrossChannelSlanderModel, aliases=("cross-slander",)
-)
-register_attack("on-off", OnOffModel, aliases=("oscillation", "oscillating"))
-register_attack("sybil", SybilFloodModel, aliases=("sybil-flood",))
+register_attack("whitewashing", WhitewashingAttackModel)
+register_attack("slandering", SlanderingModel)
+register_attack("cross-channel-slander", CrossChannelSlanderModel)
+register_attack("on-off", OnOffModel)
+register_attack("sybil", SybilFloodModel)

@@ -3,7 +3,10 @@
 The paper positions differential gossip against:
 
 - **normal push gossip** (push-sum, Kempe et al. FOCS'03) — what Fig. 3
-  and Table 2 compare step counts / message overhead with;
+  and Table 2 compare step counts / message overhead with. It is
+  differential gossip with ``k_i = 1`` for every node, so it runs as
+  ``repro.aggregate(graph, values, GossipConfig(k=1, ...))`` and needs
+  no module here;
 - **push-pull gossip** — what Theorem 5.1's discussion says one would
   need on PA graphs if hubs could be identified;
 - **GossipTrust** (Zhou, Hwang & Cai, TKDE'08) — the prior gossip-based
@@ -23,34 +26,23 @@ the scenario layer and the tournament leaderboard through one shared
 protocol.
 """
 
-from repro.baselines.absolute_trust import (
-    AbsoluteTrustResult,
-    absolute_trust,
-    absolute_trust_fixpoint,
-)
-from repro.baselines.eigentrust import EigenTrustResult, eigentrust, eigentrust_fixpoint
+from repro.baselines.absolute_trust import AbsoluteTrustResult, absolute_trust_fixpoint
+from repro.baselines.eigentrust import EigenTrustResult, eigentrust_fixpoint
 from repro.baselines.flooding import FloodResult, flood_spread
 from repro.baselines.gossip_trust import (
     GossipTrustResult,
     gossip_trust_fixpoint,
-    gossip_trust_global,
     unweighted_global_estimate,
 )
 from repro.baselines.push_pull import push_pull_average
-from repro.baselines.push_sum import normal_push_engine, push_sum_average
 
 __all__ = [
-    "push_sum_average",
-    "normal_push_engine",
     "push_pull_average",
-    "gossip_trust_global",
     "gossip_trust_fixpoint",
     "GossipTrustResult",
     "unweighted_global_estimate",
-    "eigentrust",
     "eigentrust_fixpoint",
     "EigenTrustResult",
-    "absolute_trust",
     "absolute_trust_fixpoint",
     "AbsoluteTrustResult",
     "flood_spread",

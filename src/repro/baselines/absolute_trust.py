@@ -145,25 +145,3 @@ def absolute_trust_fixpoint(
     return AbsoluteTrustResult(
         values=current, iterations=iterations, converged=converged, damped=damped
     )
-
-
-def absolute_trust(
-    trust: TrustMatrix,
-    *,
-    max_iterations: int = 500,
-    tolerance: float = 1e-10,
-    rng: RngLike = None,
-) -> np.ndarray:
-    """The Absolute Trust global vector (thin shim over the fixpoint solve).
-
-    Examples
-    --------
-    >>> t = TrustMatrix(3)
-    >>> t.set(0, 1, 1.0); t.set(2, 1, 0.8); t.set(1, 0, 0.4); t.set(1, 2, 0.4)
-    >>> scores = absolute_trust(t)
-    >>> int(np.argmax(scores))
-    1
-    """
-    return absolute_trust_fixpoint(
-        trust, max_iterations=max_iterations, tolerance=tolerance, rng=rng
-    ).values

@@ -57,14 +57,42 @@ def eigentrust_fixpoint(
     tolerance: float = 1e-12,
     rng: RngLike = None,
 ) -> EigenTrustResult:
-    """EigenTrust's power iteration with its full convergence record.
+    """Global EigenTrust vector by power iteration, with its convergence record.
 
-    Same iteration as :func:`eigentrust` (which remains the thin shim
-    over this solver) but returns the iteration count and the converged
-    flag. ``rng`` (routed through :func:`repro.utils.rng.as_generator`)
-    seeds a random starting distribution instead of ``p``; the damped
-    map is an L1 contraction with factor ``1 - alpha``, so its fixpoint
-    is unique and the seed perturbs only the trajectory.
+    Parameters
+    ----------
+    trust:
+        Local trust matrix.
+    pretrusted:
+        Ids of pre-trusted peers. Defaults to node 0 — EigenTrust
+        *requires* a non-empty pre-trusted set for convergence
+        guarantees, which is precisely the deployment burden the paper
+        criticises.
+    alpha:
+        Damping weight toward the pre-trusted distribution, in [0, 1].
+    max_iterations, tolerance:
+        Power-iteration controls (L1 movement below ``tolerance`` stops
+        the iteration).
+    rng:
+        Optional seed for a random starting distribution instead of
+        ``p`` (any ``RngLike``; routed through
+        :func:`repro.utils.rng.as_generator`). The damped map is an L1
+        contraction with factor ``1 - alpha``, so its fixpoint is unique
+        and the seed never changes the answer beyond ``tolerance``.
+
+    Returns
+    -------
+    EigenTrustResult
+        ``values`` is the global trust distribution (non-negative, sums
+        to 1); ``iterations`` and ``converged`` record the solve.
+
+    Examples
+    --------
+    >>> t = TrustMatrix(3)
+    >>> t.set(0, 1, 1.0); t.set(2, 1, 1.0); t.set(1, 2, 0.2)
+    >>> scores = eigentrust_fixpoint(t, pretrusted=[0]).values
+    >>> int(np.argmax(scores))
+    1
     """
     check_probability(alpha, "alpha")
     if max_iterations < 1:
@@ -100,57 +128,3 @@ def eigentrust_fixpoint(
     total = scores.sum()
     values = scores / total if total > 0 else scores
     return EigenTrustResult(values=values, iterations=iterations, converged=converged)
-
-
-def eigentrust(
-    trust: TrustMatrix,
-    *,
-    pretrusted: Optional[Sequence[int]] = None,
-    alpha: float = 0.1,
-    max_iterations: int = 200,
-    tolerance: float = 1e-12,
-    rng: RngLike = None,
-) -> np.ndarray:
-    """Global EigenTrust vector for the given local trust matrix.
-
-    Parameters
-    ----------
-    trust:
-        Local trust matrix.
-    pretrusted:
-        Ids of pre-trusted peers. Defaults to node 0 — EigenTrust
-        *requires* a non-empty pre-trusted set for convergence
-        guarantees, which is precisely the deployment burden the paper
-        criticises.
-    alpha:
-        Damping weight toward the pre-trusted distribution, in [0, 1].
-    max_iterations, tolerance:
-        Power-iteration controls.
-    rng:
-        Optional seed for a random starting distribution (any
-        ``RngLike``; routed through
-        :func:`repro.utils.rng.as_generator`). The damped fixpoint is
-        unique, so the seed never changes the answer beyond
-        ``tolerance``.
-
-    Returns
-    -------
-    numpy.ndarray
-        Global trust distribution (non-negative, sums to 1).
-
-    Examples
-    --------
-    >>> t = TrustMatrix(3)
-    >>> t.set(0, 1, 1.0); t.set(2, 1, 1.0); t.set(1, 2, 0.2)
-    >>> scores = eigentrust(t, pretrusted=[0])
-    >>> int(np.argmax(scores))
-    1
-    """
-    return eigentrust_fixpoint(
-        trust,
-        pretrusted=pretrusted,
-        alpha=alpha,
-        max_iterations=max_iterations,
-        tolerance=tolerance,
-        rng=rng,
-    ).values

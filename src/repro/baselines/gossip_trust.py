@@ -58,7 +58,7 @@ class GossipTrustResult:
     """Fixpoint solve outcome: the vector plus its convergence record."""
 
     values: np.ndarray
-    cycles: int
+    iterations: int
     converged: bool
 
 
@@ -71,16 +71,50 @@ def gossip_trust_fixpoint(
     damping: float = 0.5,
     rng: RngLike = None,
 ) -> GossipTrustResult:
-    """GossipTrust's fixpoint solve with its full convergence record.
+    """GossipTrust's reputation-weighted global fixpoint, with its convergence record.
 
-    Same iteration as :func:`gossip_trust_global` (which remains the
-    thin shim over this solver) but returns the cycle count and the
-    converged flag — what the tournament leaderboard charges GossipTrust
-    per aggregation cycle. ``rng`` (routed through
-    :func:`repro.utils.rng.as_generator`) seeds a random positive
-    starting vector; the damped power iteration's fixpoint is the
-    principal eigenvector, so the seed perturbs the trajectory, not the
-    limit.
+    The iteration count is what the tournament leaderboard charges
+    GossipTrust per aggregation cycle.
+
+    Parameters
+    ----------
+    trust:
+        Local trust matrix.
+    max_cycles:
+        Upper bound on aggregation cycles.
+    tolerance:
+        L1 movement below which the fixpoint is declared reached.
+    initial:
+        Starting reputation vector (default: uniform ``1/N``).
+    damping:
+        Mixing weight of the previous iterate, in ``[0, 1)``. Plain
+        power iteration (``damping = 0``) oscillates forever on
+        bipartite-like trust structures; averaging with the previous
+        iterate kills the negative eigenvalue's oscillation while
+        preserving the fixpoint.
+    rng:
+        Optional seed for a random positive starting vector (routed
+        through :func:`repro.utils.rng.as_generator`; any
+        ``RngLike`` — ``None``, int, ``Generator``, ``SeedSequence``).
+        Ignored when ``initial`` is given. The damped power iteration's
+        fixpoint is the principal eigenvector, so the seed perturbs the
+        trajectory, not the limit.
+
+    Returns
+    -------
+    GossipTrustResult
+        ``values`` is the global reputation vector, normalised to sum
+        to 1 (GossipTrust reports reputations as a ranking
+        distribution); ``iterations`` counts the aggregation cycles run
+        and ``converged`` says whether ``tolerance`` was met.
+
+    Examples
+    --------
+    >>> t = TrustMatrix(3)
+    >>> t.set(0, 1, 1.0); t.set(2, 1, 1.0); t.set(1, 0, 0.5)
+    >>> r = gossip_trust_fixpoint(t).values
+    >>> bool(r[1] > r[0] > r[2])
+    True
     """
     check_positive(tolerance, "tolerance")
     if max_cycles < 1:
@@ -125,62 +159,4 @@ def gossip_trust_fixpoint(
             converged = True
             break
         reputation = updated
-    return GossipTrustResult(values=reputation, cycles=cycles, converged=converged)
-
-
-def gossip_trust_global(
-    trust: TrustMatrix,
-    *,
-    max_cycles: int = 200,
-    tolerance: float = 1e-10,
-    initial: Optional[np.ndarray] = None,
-    damping: float = 0.5,
-    rng: RngLike = None,
-) -> np.ndarray:
-    """GossipTrust's reputation-weighted global fixpoint.
-
-    Parameters
-    ----------
-    trust:
-        Local trust matrix.
-    max_cycles:
-        Upper bound on aggregation cycles.
-    tolerance:
-        L1 movement below which the fixpoint is declared reached.
-    initial:
-        Starting reputation vector (default: uniform ``1/N``).
-    damping:
-        Mixing weight of the previous iterate, in ``[0, 1)``. Plain
-        power iteration (``damping = 0``) oscillates forever on
-        bipartite-like trust structures; averaging with the previous
-        iterate kills the negative eigenvalue's oscillation while
-        preserving the fixpoint.
-    rng:
-        Optional seed for a random positive starting vector (routed
-        through :func:`repro.utils.rng.as_generator`; any
-        ``RngLike`` — ``None``, int, ``Generator``, ``SeedSequence``).
-        Ignored when ``initial`` is given. The fixpoint is
-        seed-independent; the trajectory is not.
-
-    Returns
-    -------
-    numpy.ndarray
-        Global reputation vector, normalised to sum to 1 (GossipTrust
-        reports reputations as a ranking distribution).
-
-    Examples
-    --------
-    >>> t = TrustMatrix(3)
-    >>> t.set(0, 1, 1.0); t.set(2, 1, 1.0); t.set(1, 0, 0.5)
-    >>> r = gossip_trust_global(t)
-    >>> bool(r[1] > r[0] > r[2])
-    True
-    """
-    return gossip_trust_fixpoint(
-        trust,
-        max_cycles=max_cycles,
-        tolerance=tolerance,
-        initial=initial,
-        damping=damping,
-        rng=rng,
-    ).values
+    return GossipTrustResult(values=reputation, iterations=cycles, converged=converged)

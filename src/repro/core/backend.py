@@ -45,11 +45,13 @@ from repro.core.results import GossipOutcome
 from repro.core.weights import WeightParams
 from repro.network.conditions import LinkModel, PacketLossModel
 from repro.network.graph import Graph
+from repro.utils.registry import Registry
 from repro.utils.rng import RngLike, spawn_child, stateless_child_sequence
 
 #: Spawn key of the link/loss stream derived by GossipConfig.link_stream.
-#: Deliberately far above any realistic spawn_seed_sequences sweep index,
-#: so link streams never alias a sweep point's stream (see
+#: A large constant, apart from the small keys the dynamic runtime gives
+#: its gossip blocks and from the other subsystems' keys, so the link
+#: stream never aliases another stream derived from the same seed (see
 #: repro.utils.rng.stateless_child_sequence).
 LOSS_STREAM_KEY = 0xFFFF1055
 
@@ -470,66 +472,17 @@ class AsyncBackend:
 
 # -- registry ---------------------------------------------------------------
 
-_REGISTRY: Dict[str, GossipBackend] = {}
+#: The backend table. Third-party engines plug in with
+#: :func:`register_backend`; after registration the backend is
+#: selectable everywhere a backend name is accepted — the
+#: :func:`repro.aggregate` facade, the variant entry points, scenarios
+#: and benchmarks.
+_BACKENDS: Registry[GossipBackend] = Registry("gossip backend/engine", UnknownBackendError)
 
-
-def register_backend(name: str, backend: GossipBackend, *, overwrite: bool = False) -> None:
-    """Register ``backend`` under ``name``.
-
-    Third-party engines plug in here; after registration the backend is
-    selectable everywhere a backend name is accepted — the
-    :func:`repro.aggregate` facade, the variant entry points, scenarios
-    and benchmarks.
-
-    Examples
-    --------
-    >>> register_backend("demo", get_backend("sparse"), overwrite=True)
-    >>> get_backend("demo") is get_backend("sparse")
-    True
-    >>> del _REGISTRY["demo"]  # leave the process-wide registry as it was
-    """
-    if not name or not isinstance(name, str):
-        raise ValueError(f"backend name must be a non-empty string, got {name!r}")
-    if not overwrite and name in _REGISTRY:
-        raise ValueError(f"backend {name!r} is already registered (pass overwrite=True)")
-    _REGISTRY[name] = backend
-
-
-def resolve_backend_name(name: str) -> str:
-    """``name`` itself, once checked against the registry."""
-    if name in _REGISTRY:
-        return name
-    catalogue = ", ".join(sorted(_REGISTRY))
-    raise UnknownBackendError(
-        f"unknown gossip backend/engine {name!r}; available: {catalogue}, auto"
-    )
-
-
-def get_backend(name: str) -> GossipBackend:
-    """Look up a registered backend by name.
-
-    Examples
-    --------
-    >>> get_backend("sparse").name
-    'sparse'
-    >>> get_backend("dense")  # doctest: +IGNORE_EXCEPTION_DETAIL
-    Traceback (most recent call last):
-        ...
-    repro.core.backend.UnknownBackendError: unknown gossip backend/engine 'dense'
-    """
-    return _REGISTRY[resolve_backend_name(name)]
-
-
-def available_backends() -> Tuple[str, ...]:
-    """Names of all registered backends, sorted.
-
-    Examples
-    --------
-    >>> {"async", "message", "sparse"} <= set(available_backends())
-    True
-    """
-    return tuple(sorted(_REGISTRY))
-
+register_backend = _BACKENDS.register
+resolve_backend_name = _BACKENDS.resolve
+get_backend = _BACKENDS.get
+available_backends = _BACKENDS.names
 
 register_backend("message", MessageBackend())
 register_backend("sparse", SparseBackend())

@@ -217,16 +217,10 @@ def initial_state_vector_gclr(
     column. Exposed separately so the :func:`repro.aggregate` facade and
     tests share the exact initialisation.
     """
-    n = trust.num_nodes
-    target_array = np.asarray(list(targets), dtype=np.int64)
-    d = target_array.size
-    values = np.zeros((n, d), dtype=np.float64)
-    counts = np.zeros((n, d), dtype=np.float64)
-    for col, target in enumerate(target_array):
-        for observer, value in trust.column(int(target)).items():
-            values[observer, col] = value
-            counts[observer, col] = 1.0
-    weights = np.zeros((n, d), dtype=np.float64)
+    # Observer opinions and observer indicators are exactly Algorithm 1's
+    # initial values and weights.
+    values, counts = initial_state_vector_global(trust, targets)
+    weights = np.zeros_like(values)
     weights[designated, :] = 1.0
     return values, weights, counts
 

@@ -1,39 +1,22 @@
-"""Parallel sweep execution over a multiprocessing pool.
+"""Parallel experiment execution over a multiprocessing pool.
 
-Every figure/table experiment is a sweep: the same measurement repeated
-over a grid of points (network sizes, collusion fractions, loss rates)
-that never communicate — embarrassingly parallel work the serial
-runner executes one point at a time. :func:`run_sweep` fans those
-points out over worker processes while keeping results *byte-identical*
-to a serial run:
+Every registry experiment is independent of the others, so
+``python -m repro.experiments all --parallel N`` fans whole experiments
+out over worker processes (:func:`iter_experiments`). Each experiment
+derives its random streams from its own seed, never from which worker
+runs it or in what order, so results are byte-identical to a serial
+run, and they are yielded in input order regardless of completion
+order.
 
-- each point gets its own :class:`numpy.random.SeedSequence`, spawned
-  from the master seed by index
-  (:func:`repro.utils.rng.spawn_seed_sequences`), so a point's random
-  stream never depends on which worker runs it or in what order;
-- results are returned in point order regardless of completion order.
-
-:func:`run_experiments` applies the same machinery one level up — whole
-registry experiments as the unit of work — and is what
-``python -m repro.experiments all --parallel N`` uses.
-
-Workers must be module-level callables (the pool pickles them by
-qualified name). Worker processes inherit ``REPRO_FULL_SCALE`` and the
-rest of the environment from the parent.
+Worker processes inherit ``REPRO_FULL_SCALE`` and the rest of the
+environment from the parent.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
-
-import numpy as np
-
-from repro.utils.rng import spawn_seed_sequences
-
-#: A sweep worker: ``worker(point, seed_sequence) -> result``.
-SweepWorker = Callable[[Any, np.random.SeedSequence], Any]
+from typing import Any, Dict, Iterator, Optional, Sequence, Tuple
 
 
 def default_processes() -> int:
@@ -51,12 +34,6 @@ def default_processes() -> int:
     return max(1, available)
 
 
-def _call_worker(job: Tuple[SweepWorker, Any, np.random.SeedSequence]) -> Any:
-    """Top-level pool target (must be picklable by qualified name)."""
-    worker, point, seed = job
-    return worker(point, seed)
-
-
 def _resolve_context(mp_context: Optional[str]):
     """Optional start-method name -> multiprocessing context (or None)."""
     if mp_context is None:
@@ -66,72 +43,8 @@ def _resolve_context(mp_context: Optional[str]):
     return multiprocessing.get_context(mp_context)
 
 
-def run_sweep(
-    worker: SweepWorker,
-    points: Sequence[Any],
-    *,
-    master_seed: "int | np.random.SeedSequence | None" = 0,
-    processes: Optional[int] = 1,
-    mp_context: Optional[str] = None,
-) -> List[Any]:
-    """Map ``worker`` over ``points`` with per-point seeded RNG streams.
-
-    Parameters
-    ----------
-    worker:
-        Module-level callable ``worker(point, seed_sequence)``. Build a
-        generator inside the worker with
-        ``numpy.random.default_rng(seed_sequence)``.
-    points:
-        Sweep grid; any picklable values.
-    master_seed:
-        Root seed; child ``i``'s stream depends only on this and ``i``.
-    processes:
-        Worker processes. ``1`` (the default) runs serially in-process;
-        ``None`` uses every CPU. Any value yields identical results.
-    mp_context:
-        Optional :func:`multiprocessing.get_context` method name
-        (``"fork"``, ``"spawn"``, ...); ``None`` uses the platform
-        default.
-
-    Returns
-    -------
-    list
-        One result per point, in point order.
-
-    Examples
-    --------
-    >>> def double(point, seed):
-    ...     return point * 2
-    >>> run_sweep(double, [1, 2, 3], master_seed=0)
-    [2, 4, 6]
-    """
-    points = list(points)
-    seeds = spawn_seed_sequences(master_seed, len(points))
-    jobs = [(worker, point, seed) for point, seed in zip(points, seeds)]
-    if processes is None:
-        processes = default_processes()
-    if processes < 1:
-        raise ValueError(f"processes must be >= 1 (or None), got {processes}")
-    if processes == 1 or len(jobs) <= 1:
-        return [_call_worker(job) for job in jobs]
-    pool = ProcessPoolExecutor(
-        max_workers=min(processes, len(jobs)), mp_context=_resolve_context(mp_context)
-    )
-    try:
-        futures = [pool.submit(_call_worker, job) for job in jobs]
-        results = [future.result() for future in futures]
-    except BaseException:
-        # First failure: drop queued points instead of finishing the
-        # whole sweep before the exception can surface.
-        pool.shutdown(wait=False, cancel_futures=True)
-        raise
-    pool.shutdown(wait=True)
-    return results
-
-
 def _run_registry_experiment(job: Tuple[str, Dict[str, Any]]) -> Any:
-    """Pool target for :func:`run_experiments` (registry lookup in-worker)."""
+    """Pool target for :func:`iter_experiments` (registry lookup in-worker)."""
     from repro.experiments.registry import get_experiment
 
     experiment_id, kwargs = job
@@ -200,15 +113,3 @@ def iter_experiments(
     else:
         pool.shutdown(wait=True)
 
-
-def run_experiments(
-    experiment_ids: Sequence[str],
-    *,
-    processes: Optional[int] = 1,
-    seed: Optional[int] = None,
-    mp_context: Optional[str] = None,
-) -> List[Any]:
-    """Like :func:`iter_experiments`, but collected into a list."""
-    return list(
-        iter_experiments(experiment_ids, processes=processes, seed=seed, mp_context=mp_context)
-    )

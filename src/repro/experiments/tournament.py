@@ -116,16 +116,14 @@ def build_leaderboard(
     algorithm damps attacks more relative to the unweighted global
     estimate), tie-broken by mean accuracy.
     """
-    from repro.algorithms import get_algorithm, resolve_algorithm_name
+    from repro.algorithms import get_algorithm
     from repro.analysis.metrics import attack_amplification
     from repro.attacks.evaluate import _CleanRunCache, attack_impact
     from repro.attacks.models import make_attack
     from repro.core.backend import GossipConfig
     from repro.scenarios.spec import draw_targets
 
-    algorithm_names = [
-        resolve_algorithm_name(a) for a in (algorithms or DEFAULT_ALGORITHMS)
-    ]
+    entrants = [(name, get_algorithm(name)) for name in algorithms or DEFAULT_ALGORITHMS]
     scenario_names = list(scenarios or DEFAULT_SCENARIOS)
     attack_params = dict(attacks if attacks is not None else DEFAULT_ATTACKS)
     backend_names = list(backends)
@@ -152,8 +150,7 @@ def build_leaderboard(
             )
             for family, params in attack_params.items()
         }
-        for algorithm_name in algorithm_names:
-            algorithm = get_algorithm(algorithm_name)
+        for algorithm_name, algorithm in entrants:
             gossip_seed = int(
                 _subseed(seed, "gossip", scenario_name, algorithm_name).integers(2**62)
             )
@@ -214,8 +211,7 @@ def build_leaderboard(
                     )
 
     leaderboard = []
-    for algorithm_name in algorithm_names:
-        algorithm = get_algorithm(algorithm_name)
+    for algorithm_name, algorithm in entrants:
         for backend in backend_names if algorithm.uses_backend else ["n/a"]:
             rows = [
                 c for c in cells
@@ -255,7 +251,7 @@ def build_leaderboard(
         "xi": xi,
         "num_targets": num_targets,
         "full_scale_cap": FULL_SCALE_CAP,
-        "algorithms": algorithm_names,
+        "algorithms": [name for name, _ in entrants],
         "backends": backend_names,
         "scenarios": scenario_meta,
         "attack_params": attack_params,

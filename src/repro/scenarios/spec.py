@@ -19,7 +19,7 @@ import dataclasses
 import functools
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
 import numpy as np
 
@@ -32,6 +32,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 from repro.core.backend import GossipConfig, choose_backend_name, resolve_backend_name
 from repro.facade import aggregate
 from repro.network.graph import Graph
+from repro.utils.registry import Registry
 from repro.utils.rng import as_generator
 
 TOPOLOGY_KINDS = (
@@ -297,7 +298,7 @@ class AttackSpec:
     """Adversary axis: one registered attack family plus its parameters.
 
     ``kind`` names any family in the attack registry
-    (:mod:`repro.attacks.models`; aliases resolve). Unused parameters
+    (:mod:`repro.attacks.models`) by its one registered name. Unused parameters
     are ignored by :meth:`build`, so one spec shape covers every
     family:
 
@@ -373,9 +374,9 @@ class AttackSpec:
 
     def build(self, *, seed: int) -> "AttackModel":
         """Instantiate the family with this spec's parameters and ``seed``."""
-        from repro.attacks.models import make_attack, resolve_attack_name
+        from repro.attacks.models import make_attack
 
-        kind = resolve_attack_name(self.kind)
+        kind = self.kind
         if kind == "collusion":
             return make_attack(
                 kind, fraction=self.fraction, group_size=self.group_size, seed=seed
@@ -414,7 +415,7 @@ class AlgorithmSpec:
     """Aggregation-algorithm axis: which registered algorithm executes.
 
     ``kind`` names any algorithm in the registry
-    (:mod:`repro.algorithms`; aliases resolve). Setting this on a
+    (:mod:`repro.algorithms`) by its one registered name. Setting this on a
     scenario replaces the default vector-global gossip of the
     ``"trust-global"`` workload with the named algorithm's adapter —
     the same world (topology, trust matrix, sampled targets, seed)
@@ -429,13 +430,6 @@ class AlgorithmSpec:
         from repro.algorithms import resolve_algorithm_name
 
         resolve_algorithm_name(self.kind)  # raises UnknownAlgorithmError early
-
-    @property
-    def canonical(self) -> str:
-        """Canonical registry name (aliases resolved)."""
-        from repro.algorithms import resolve_algorithm_name
-
-        return resolve_algorithm_name(self.kind)
 
     def build(self) -> "AggregationAlgorithm":
         """The registered adapter this spec names."""
@@ -682,29 +676,16 @@ class ScenarioResult:
 
 # -- registry ---------------------------------------------------------------
 
-_SCENARIOS: Dict[str, Scenario] = {}
+_SCENARIOS: Registry[Scenario] = Registry("scenario", KeyError)
+
+get_scenario = _SCENARIOS.get
+available_scenarios = _SCENARIOS.names
 
 
 def register_scenario(scenario: Scenario, *, overwrite: bool = False) -> Scenario:
-    """Add ``scenario`` to the catalogue (returned for chaining)."""
-    if not overwrite and scenario.name in _SCENARIOS:
-        raise ValueError(f"scenario {scenario.name!r} is already registered")
-    _SCENARIOS[scenario.name] = scenario
+    """Add ``scenario`` to the catalogue under its name (returned for chaining)."""
+    _SCENARIOS.register(scenario.name, scenario, overwrite=overwrite)
     return scenario
-
-
-def get_scenario(name: str) -> Scenario:
-    """Look up a registered scenario; KeyError lists the catalogue."""
-    try:
-        return _SCENARIOS[name]
-    except KeyError:
-        available = ", ".join(sorted(_SCENARIOS))
-        raise KeyError(f"unknown scenario {name!r}; available: {available}") from None
-
-
-def available_scenarios() -> Tuple[str, ...]:
-    """Names of all registered scenarios, sorted."""
-    return tuple(sorted(_SCENARIOS))
 
 
 # -- execution --------------------------------------------------------------

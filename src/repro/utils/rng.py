@@ -11,7 +11,7 @@ selection do not share (and therefore perturb) one stream.
 
 from __future__ import annotations
 
-from typing import List, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -72,67 +72,14 @@ def stateless_child_sequence(
     Built exactly as ``root.spawn()`` would build child ``key`` for a
     fresh root (spawn_key extended, pool_size inherited) but without
     mutating the root's spawn counter, so the child depends on nothing
-    but the root entropy and the key. Note the children of
-    :func:`spawn_seed_sequences` occupy keys ``0..count-1`` of the same
-    keyspace — subsystem streams derived with this helper should use
-    large keys (``> 2**32 - 2**16``, say) that no sweep will reach.
+    but the root entropy and the key. Children of ``root.spawn()``
+    occupy keys ``0, 1, ...`` of the same keyspace, so a subsystem
+    stream derived with this helper takes a large key of its own (such
+    as ``repro.core.backend.LOSS_STREAM_KEY``) that no small index
+    reaches.
     """
     return np.random.SeedSequence(
         entropy=root.entropy,
         spawn_key=root.spawn_key + (int(key),),
         pool_size=root.pool_size,
     )
-
-
-def spawn_seed_sequences(master_seed: RngLike, count: int) -> List[np.random.SeedSequence]:
-    """Spawn ``count`` independent child :class:`~numpy.random.SeedSequence` streams.
-
-    This is the parallel-sweep seeding primitive: child ``i`` depends only
-    on the master seed and its index, never on which worker process runs
-    it or in what order — so a sweep's results are byte-identical whether
-    executed serially or fanned out over a process pool.
-
-    Parameters
-    ----------
-    master_seed:
-        Root entropy: ``None``, an ``int``, or an existing
-        ``SeedSequence`` (a ``Generator`` is not accepted — generators
-        carry hidden stream state that would break run-to-run identity).
-    count:
-        Number of child sequences; must be >= 0.
-
-    Examples
-    --------
-    >>> a = spawn_seed_sequences(7, 3)
-    >>> b = spawn_seed_sequences(7, 3)
-    >>> [x.generate_state(1)[0] for x in a] == [y.generate_state(1)[0] for y in b]
-    True
-
-    Calling twice with the *same* ``SeedSequence`` object also yields
-    identical children — the root is never mutated (``.spawn()`` would
-    advance its spawn counter). The flip side: children occupy the same
-    spawn keyspace as ``root.spawn()``, so child ``i`` here is
-    bit-identical to the ``i``-th stream a *fresh* root would spawn. Do
-    not seed other subsystems from ``root.spawn()`` of the same root —
-    give each subsystem its own master seed (or a dedicated child) so
-    sweep streams never alias streams consumed elsewhere:
-
-    >>> import numpy as np
-    >>> root = np.random.SeedSequence(7)
-    >>> first = spawn_seed_sequences(root, 2)
-    >>> second = spawn_seed_sequences(root, 2)
-    >>> [x.generate_state(1)[0] for x in first] == [y.generate_state(1)[0] for y in second]
-    True
-    """
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
-    if isinstance(master_seed, np.random.Generator):
-        raise TypeError("master_seed must be an int, None or SeedSequence, not a Generator")
-    if isinstance(master_seed, np.random.SeedSequence):
-        root = master_seed
-    else:
-        root = np.random.SeedSequence(master_seed)
-    # Stateless children: the root's spawn counter is left untouched,
-    # so child i depends only on (root entropy, i) — never on how often
-    # the root was used before.
-    return [stateless_child_sequence(root, i) for i in range(count)]

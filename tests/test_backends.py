@@ -12,7 +12,6 @@ import inspect
 import numpy as np
 import pytest
 
-from repro.baselines.push_sum import push_sum_average
 from repro.core.backend import (
     AUTO_MESSAGE_MAX_NODES,
     BackendCapabilityError,
@@ -62,7 +61,7 @@ class TestRegistry:
             register_backend("sparse", get_backend("message"))
         assert get_backend("sparse").name == "sparse"
 
-    def test_custom_backend_plugs_into_facade(self, fixture_values):
+    def test_custom_backend_plugs_into_facade(self, fixture_values, monkeypatch):
         class Recorder:
             name = "recorder-test"
 
@@ -78,17 +77,14 @@ class TestRegistry:
         from repro.core import backend as backend_mod
 
         recorder = Recorder()
-        register_backend("recorder-test", recorder, overwrite=True)
-        try:
-            out = aggregate(
-                example_network(),
-                fixture_values,
-                GossipConfig(xi=1e-6, rng=3),
-                backend="recorder-test",
-            )
-        finally:
-            # Don't leak the fixture backend into the global registry.
-            backend_mod._REGISTRY.pop("recorder-test", None)
+        # Undone at teardown: the fixture backend never leaks into the registry.
+        monkeypatch.setitem(backend_mod._BACKENDS._entries, "recorder-test", recorder)
+        out = aggregate(
+            example_network(),
+            fixture_values,
+            GossipConfig(xi=1e-6, rng=3),
+            backend="recorder-test",
+        )
         assert recorder.calls == 1
         assert np.allclose(out.estimates, TRUE_MEAN, atol=1e-3)
 
@@ -486,7 +482,7 @@ class TestConfigAwareLayers:
         np.testing.assert_array_equal(null.clean_outcome.values, null.dirty_outcome.values)
 
     @pytest.mark.parametrize(
-        "entry_point", [aggregate_vector_global, aggregate_vector_gclr, push_sum_average]
+        "entry_point", [aggregate, aggregate_vector_global, aggregate_vector_gclr]
     )
     def test_one_way_to_configure(self, entry_point):
         # Every GossipConfig knob is set through config=, never through a

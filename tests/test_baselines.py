@@ -3,30 +3,35 @@
 import numpy as np
 import pytest
 
-from repro.baselines.eigentrust import eigentrust
+from repro.baselines.eigentrust import eigentrust_fixpoint
 from repro.baselines.flooding import flood_spread
-from repro.baselines.gossip_trust import gossip_trust_global, unweighted_global_estimate
+from repro.baselines.gossip_trust import gossip_trust_fixpoint, unweighted_global_estimate
 from repro.baselines.push_pull import push_pull_average
-from repro.baselines.push_sum import normal_push_engine, push_sum_average
 from repro.core.backend import GossipConfig
+from repro.facade import aggregate
 from repro.trust.matrix import TrustMatrix
 
 
 class TestPushSum:
+    """Normal push gossip: differential gossip with ``k = 1`` at every node."""
+
     def test_converges_to_mean(self, pa_graph_small):
         values = np.arange(60.0)
-        out = push_sum_average(pa_graph_small, values, config=GossipConfig(xi=1e-7, rng=1))
+        out = aggregate(pa_graph_small, values, GossipConfig(xi=1e-7, rng=1, k=1))
         assert np.allclose(out.estimates, values.mean(), atol=1e-2)
 
     def test_engine_pushes_once_per_step(self, pa_graph_small):
-        engine = normal_push_engine(pa_graph_small, rng=2)
-        assert np.all(engine.push_counts == 1)
+        out = aggregate(
+            pa_graph_small, np.ones(60), GossipConfig(xi=1e-3, rng=2, k=1), backend="sparse"
+        )
+        # Every active node sends exactly one push per step.
+        assert out.push_messages == out.active_node_steps > 0
 
     def test_no_degree_announcement_overhead(self, pa_graph_small):
         # Pinned to the vectorised engine: the message engine also counts
         # its per-node stop announcements, which is not what this measures.
-        out = push_sum_average(
-            pa_graph_small, np.ones(60), config=GossipConfig(xi=1e-3, rng=3), backend="sparse"
+        out = aggregate(
+            pa_graph_small, np.ones(60), GossipConfig(xi=1e-3, rng=3, k=1), backend="sparse"
         )
         # Normal push needs no degree exchange; protocol messages are
         # only the convergence announcements.
@@ -34,17 +39,17 @@ class TestPushSum:
 
     def test_mass_conserved(self, pa_graph_small):
         values = np.random.default_rng(0).random(60)
-        out = push_sum_average(pa_graph_small, values, config=GossipConfig(xi=1e-5, rng=4))
+        out = aggregate(pa_graph_small, values, GossipConfig(xi=1e-5, rng=4, k=1))
         assert float(out.values.sum()) == pytest.approx(float(values.sum()), rel=1e-9)
 
     def test_shape_validation(self, pa_graph_small):
         with pytest.raises(ValueError):
-            push_sum_average(pa_graph_small, np.ones(10))
+            aggregate(pa_graph_small, np.ones(10), GossipConfig(k=1))
 
     def test_default_backend_is_auto(self):
         import inspect
 
-        assert inspect.signature(push_sum_average).parameters["backend"].default == "auto"
+        assert inspect.signature(aggregate).parameters["backend"].default == "auto"
 
     def test_large_graph_routes_to_sparse_by_default(self, monkeypatch):
         # Regression: the baseline used to hardcode backend="dense", so
@@ -67,7 +72,7 @@ class TestPushSum:
         )
         # Constant values converge right after warmup, so the huge ring
         # stays cheap; the assertion is about routing, not the estimate.
-        out = push_sum_average(ring, np.full(n, 0.5), config=GossipConfig(xi=1.0, rng=1))
+        out = aggregate(ring, np.full(n, 0.5), GossipConfig(xi=1.0, rng=1, k=1))
         assert chosen == ["sparse"]
         assert np.allclose(out.estimates, 0.5)
 
@@ -83,9 +88,7 @@ class TestPushSum:
             or real_get_backend(name),
         )
         # 60 nodes: "auto" would pick the message engine.
-        push_sum_average(
-            pa_graph_small, np.ones(60), config=GossipConfig(xi=1e-2, rng=2), backend="sparse"
-        )
+        aggregate(pa_graph_small, np.ones(60), GossipConfig(xi=1e-2, rng=2, k=1), backend="sparse")
         assert chosen == ["sparse"]
 
 
@@ -107,7 +110,7 @@ class TestPushPull:
     def test_usually_faster_than_push_on_hubby_graph(self, pa_graph_medium):
         values = np.random.default_rng(2).random(300)
         pp = push_pull_average(pa_graph_medium, values, xi=1e-5, rng=4)
-        ps = push_sum_average(pa_graph_medium, values, config=GossipConfig(xi=1e-5, rng=4))
+        ps = aggregate(pa_graph_medium, values, GossipConfig(xi=1e-5, rng=4, k=1))
         assert pp.steps < ps.steps
 
     def test_shape_validation(self, pa_graph_small):
@@ -136,34 +139,34 @@ class TestGossipTrust:
         t.set(0, 1, 1.0)
         t.set(2, 1, 1.0)
         t.set(1, 0, 0.5)
-        r = gossip_trust_global(t)
+        r = gossip_trust_fixpoint(t).values
         assert r[1] > r[0] > r[2]
         assert float(r.sum()) == pytest.approx(1.0)
 
     def test_empty_matrix_uniform(self):
-        r = gossip_trust_global(TrustMatrix(5))
+        r = gossip_trust_fixpoint(TrustMatrix(5)).values
         assert np.allclose(r, 0.2)
 
     def test_custom_initial(self):
         t = TrustMatrix(3)
         t.set(0, 1, 1.0)
-        r = gossip_trust_global(t, initial=np.array([1.0, 1.0, 1.0]))
+        r = gossip_trust_fixpoint(t, initial=np.array([1.0, 1.0, 1.0])).values
         assert float(r.sum()) == pytest.approx(1.0)
 
     def test_rejects_bad_initial(self):
         t = TrustMatrix(3)
         with pytest.raises(ValueError):
-            gossip_trust_global(t, initial=np.zeros(3))
+            gossip_trust_fixpoint(t, initial=np.zeros(3))
         with pytest.raises(ValueError):
-            gossip_trust_global(t, initial=np.array([1.0, -1.0, 1.0]))
+            gossip_trust_fixpoint(t, initial=np.array([1.0, -1.0, 1.0]))
         with pytest.raises(ValueError):
-            gossip_trust_global(t, initial=np.ones(2))
+            gossip_trust_fixpoint(t, initial=np.ones(2))
 
     def test_rejects_bad_controls(self):
         with pytest.raises(ValueError):
-            gossip_trust_global(TrustMatrix(3), max_cycles=0)
+            gossip_trust_fixpoint(TrustMatrix(3), max_cycles=0)
         with pytest.raises(ValueError):
-            gossip_trust_global(TrustMatrix(3), tolerance=0.0)
+            gossip_trust_fixpoint(TrustMatrix(3), tolerance=0.0)
 
 
 class TestEigenTrust:
@@ -172,29 +175,29 @@ class TestEigenTrust:
         t.set(0, 1, 1.0)
         t.set(2, 1, 1.0)
         t.set(1, 2, 0.2)
-        scores = eigentrust(t, pretrusted=[0])
+        scores = eigentrust_fixpoint(t, pretrusted=[0]).values
         assert int(np.argmax(scores)) == 1
 
     def test_distribution_sums_to_one(self, small_trust):
-        scores = eigentrust(small_trust, pretrusted=[0, 1])
+        scores = eigentrust_fixpoint(small_trust, pretrusted=[0, 1]).values
         assert float(scores.sum()) == pytest.approx(1.0)
         assert scores.min() >= 0.0
 
     def test_alpha_one_returns_pretrusted(self):
         t = TrustMatrix(4)
         t.set(0, 1, 1.0)
-        scores = eigentrust(t, pretrusted=[2], alpha=1.0)
+        scores = eigentrust_fixpoint(t, pretrusted=[2], alpha=1.0).values
         assert scores[2] == pytest.approx(1.0)
 
     def test_rejects_bad_pretrusted(self, small_trust):
         with pytest.raises(ValueError):
-            eigentrust(small_trust, pretrusted=[])
+            eigentrust_fixpoint(small_trust, pretrusted=[])
         with pytest.raises(ValueError):
-            eigentrust(small_trust, pretrusted=[999])
+            eigentrust_fixpoint(small_trust, pretrusted=[999])
 
     def test_rejects_bad_alpha(self, small_trust):
         with pytest.raises(ValueError):
-            eigentrust(small_trust, alpha=1.5)
+            eigentrust_fixpoint(small_trust, alpha=1.5)
 
 
 class TestFlooding:

@@ -363,7 +363,9 @@ class TestChannelApi:
         for i in range(n - 1):
             t1.set(i, i + 1, 0.9)
             t2.set(i, i + 1, 0.9)
-        model = make_attack("cross-slander", fraction=0.3, seed=4, target_channel=1)
+        model = make_attack(
+            "cross-channel-slander", fraction=0.3, seed=4, target_channel=1
+        )
         (clean, poisoned), _ = model.apply_channels((t1, t2))
         assert clean is t1  # untouched channels are shared, not copied
         assert poisoned is not t2

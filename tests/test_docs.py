@@ -12,7 +12,8 @@ Four failure modes this file pins down:
    ``available_backends()`` / ``available_attacks()`` /
    ``available_algorithms()`` / ``available_scenarios()`` expose.
    Registries are snapshotted in a subprocess, so that an entry some
-   test registers in-process cannot leak into the comparison.
+   test registers in-process cannot leak into the comparison. Each
+   entry has one name, so each row names exactly one.
 4. **A harness nobody runs** — ``docs/benchmarks.md`` must give the
    command of every script under ``benchmarks/`` (and of nothing else),
    and a section to every committed ``BENCH_*.json``.
@@ -204,3 +205,27 @@ def test_readme_backend_table_matches_registry(registries):
     readme = (REPO_ROOT / "README.md").read_text()
     documented = _table_first_names(_section(readme, "## Choosing a backend"))
     assert documented == set(registries["backends"])
+
+
+REGISTRY_TABLES = [
+    ("docs/architecture.md", "## Gossip backends"),
+    ("docs/architecture.md", "## Aggregation algorithms"),
+    ("docs/architecture.md", "## Attack families"),
+    ("docs/architecture.md", "## Scenario catalogue"),
+    ("docs/tournament.md", "## Algorithm catalogue"),
+    ("README.md", "## Choosing a backend"),
+]
+
+
+@pytest.mark.parametrize("doc, heading", REGISTRY_TABLES)
+def test_registry_table_rows_name_one_entry(doc, heading):
+    # No second spelling beside the registered name: the first cell of
+    # every row holds exactly one backticked identifier.
+    rows = [
+        line
+        for line in _section((REPO_ROOT / doc).read_text(), heading).splitlines()
+        if line.startswith("| `")
+    ]
+    assert rows, f"no registry table under {heading!r} in {doc}"
+    for row in rows:
+        assert len(re.findall(r"`[^`]+`", row.split("|")[1])) == 1, row

@@ -10,8 +10,6 @@ import pkgutil
 import pytest
 
 import repro
-from repro.algorithms.registry import available_algorithms
-from repro.attacks.models import available_attacks
 from repro.core.backend import available_backends
 
 
@@ -44,13 +42,16 @@ def test_backend_doctests_leave_the_registry_as_they_found_it():
 @pytest.mark.parametrize(
     "module_name, listing, demo",
     [
-        ("repro.attacks.models", available_attacks, "demo-slander"),
-        ("repro.algorithms.registry", available_algorithms, "demo"),
+        ("repro.attacks.models", "available_attacks", "demo-slander"),
+        ("repro.algorithms.registry", "available_algorithms", "demo"),
     ],
 )
 def test_registry_doctests_do_not_leak(module_name, listing, demo):
+    names = getattr(importlib.import_module(module_name), listing)
+    before = names()
     _run_doctests(module_name)
-    assert demo not in listing()
+    assert names() == before
+    assert demo not in names()
 
 
 @pytest.mark.parametrize("symbol", [name for name in repro.__all__ if not name.startswith("__")])

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from repro.attacks.collusion import group_colluders, select_colluders
-from repro.baselines.push_sum import normal_push_engine
+from repro.core.differential import fixed_push_counts
 from repro.core.sparse_engine import SparseGossipEngine
 from repro.core.weights import WeightParams
 from repro.experiments.collusion_common import measure_collusion
@@ -40,7 +40,9 @@ def _step_gap(graph) -> float:
     values = as_generator(28).random(OVERLAY_N)
     weights = np.ones(OVERLAY_N)
     diff = SparseGossipEngine(graph, rng=29).run(values, weights, xi=OVERLAY_XI)
-    push = normal_push_engine(graph, rng=29).run(values, weights, xi=OVERLAY_XI)
+    push = SparseGossipEngine(graph, push_counts=fixed_push_counts(graph, 1), rng=29).run(
+        values, weights, xi=OVERLAY_XI
+    )
     return push.steps / diff.steps
 
 

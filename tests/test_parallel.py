@@ -1,118 +1,21 @@
-"""Tests for the parallel sweep runner and its seeding discipline.
+"""Tests for the parallel experiment runner.
 
-The contract under test: fanning a sweep out over worker processes
+The contract under test: fanning experiments out over worker processes
 changes wall-clock behaviour only — results are byte-identical to a
-serial run with the same master seed.
+serial run with the same seed.
 """
 
-import numpy as np
 import pytest
 
 from repro.experiments.__main__ import main
-from repro.experiments.parallel import (
-    default_processes,
-    iter_experiments,
-    run_experiments,
-    run_sweep,
-)
-from repro.utils.rng import spawn_seed_sequences
-
-
-def _draw(point, seed):
-    """Module-level worker (pool workers are pickled by qualified name)."""
-    rng = np.random.default_rng(seed)
-    return point, rng.random(4)
-
-
-def _scale(point, seed):
-    return point * 3
-
-
-def _explode_on_two(point, seed):
-    if point == 2:
-        raise RuntimeError(f"worker failed on point {point}")
-    return point
-
-
-class TestSpawnSeedSequences:
-    def test_deterministic_by_index(self):
-        a = spawn_seed_sequences(123, 5)
-        b = spawn_seed_sequences(123, 5)
-        for left, right in zip(a, b):
-            assert left.generate_state(2).tolist() == right.generate_state(2).tolist()
-
-    def test_children_are_independent(self):
-        children = spawn_seed_sequences(0, 3)
-        states = {tuple(child.generate_state(2).tolist()) for child in children}
-        assert len(states) == 3
-
-    def test_count_validation(self):
-        with pytest.raises(ValueError, match=">= 0"):
-            spawn_seed_sequences(0, -1)
-        assert spawn_seed_sequences(0, 0) == []
-
-    def test_rejects_generator(self):
-        with pytest.raises(TypeError, match="Generator"):
-            spawn_seed_sequences(np.random.default_rng(0), 2)
-
-    def test_does_not_mutate_seed_sequence_root(self):
-        # .spawn() would advance the root's spawn counter; reusing the
-        # same root must keep yielding the same children.
-        root = np.random.SeedSequence(7)
-        first = spawn_seed_sequences(root, 2)
-        second = spawn_seed_sequences(root, 2)
-        for left, right in zip(first, second):
-            assert left.generate_state(2).tolist() == right.generate_state(2).tolist()
-        assert root.n_children_spawned == 0
-        # And the children match a fresh spawn from the same seed.
-        fresh = np.random.SeedSequence(7).spawn(2)
-        for child, expected in zip(first, fresh):
-            assert child.generate_state(2).tolist() == expected.generate_state(2).tolist()
-
-    def test_propagates_root_pool_size(self):
-        root = np.random.SeedSequence(7, pool_size=8)
-        child = spawn_seed_sequences(root, 1)[0]
-        expected = np.random.SeedSequence(7, pool_size=8).spawn(1)[0]
-        assert child.pool_size == 8
-        assert child.generate_state(2).tolist() == expected.generate_state(2).tolist()
-
-
-class TestRunSweep:
-    def test_preserves_point_order(self):
-        assert run_sweep(_scale, [3, 1, 2], master_seed=0) == [9, 3, 6]
-
-    def test_serial_and_parallel_byte_identical(self):
-        points = list(range(6))
-        serial = run_sweep(_draw, points, master_seed=99, processes=1)
-        parallel = run_sweep(_draw, points, master_seed=99, processes=2)
-        assert len(serial) == len(parallel) == 6
-        for (sp, sv), (pp, pv) in zip(serial, parallel):
-            assert sp == pp
-            assert sv.tobytes() == pv.tobytes()  # bit-for-bit, not just close
-
-    def test_master_seed_changes_streams(self):
-        a = run_sweep(_draw, [0], master_seed=1)
-        b = run_sweep(_draw, [0], master_seed=2)
-        assert a[0][1].tobytes() != b[0][1].tobytes()
-
-    def test_process_count_validation(self):
-        with pytest.raises(ValueError, match="processes"):
-            run_sweep(_scale, [1], processes=0)
-        assert default_processes() >= 1
-
-    def test_empty_sweep(self):
-        assert run_sweep(_scale, [], master_seed=0, processes=4) == []
-
-    def test_worker_exception_propagates_from_pool(self):
-        with pytest.raises(RuntimeError, match="point 2"):
-            run_sweep(_explode_on_two, [1, 2, 3, 4], master_seed=0, processes=2)
+from repro.experiments.parallel import default_processes, iter_experiments
 
 
 class TestRunExperiments:
     def test_serial_and_parallel_identical(self):
         ids = ["table1", "table2"]
-        serial = run_experiments(ids, processes=1, seed=5)
-        parallel = run_experiments(ids, processes=2, seed=5)
+        serial = list(iter_experiments(ids, processes=1, seed=5))
+        parallel = list(iter_experiments(ids, processes=2, seed=5))
         assert [r.experiment_id for r in serial] == [r.experiment_id for r in parallel]
         for left, right in zip(serial, parallel):
             assert left.headers == right.headers
@@ -120,7 +23,12 @@ class TestRunExperiments:
 
     def test_unknown_id_fails_fast(self):
         with pytest.raises(KeyError, match="bogus"):
-            run_experiments(["table1", "bogus"], processes=2)
+            list(iter_experiments(["table1", "bogus"], processes=2))
+
+    def test_process_count_validation(self):
+        with pytest.raises(ValueError, match="processes"):
+            list(iter_experiments(["table1"], processes=0))
+        assert default_processes() >= 1
 
     def test_iter_experiments_streams_before_failure(self, monkeypatch):
         # Completed results must reach the consumer before a later

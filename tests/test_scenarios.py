@@ -69,10 +69,12 @@ class TestSpecValidation:
     def test_attack_kind_validated_against_registry(self):
         with pytest.raises(ValueError, match="available"):
             AttackSpec(kind="ddos")
-        # Aliases are accepted and build the canonical family.
+        # Each family has one name: "bad-mouthing" is spelled "slandering".
+        with pytest.raises(ValueError, match="available"):
+            AttackSpec(kind="bad-mouthing")
         from repro.attacks.models import SlanderingModel
 
-        spec = AttackSpec(kind="bad-mouthing", fraction=0.2)
+        spec = AttackSpec(kind="slandering", fraction=0.2)
         assert isinstance(spec.build(seed=1), SlanderingModel)
 
     def test_attack_spec_builds_every_family(self):
