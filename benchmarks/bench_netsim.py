@@ -4,15 +4,15 @@ Two seeded sweeps through the event-driven engine, recorded in
 ``BENCH_netsim.json``:
 
 1. **Latency sweep** — one preferential-attachment graph, one
-   :class:`~repro.network.conditions.HomogeneousLink` whose exponential
+   :class:`~repro.network.conditions.LinkModel` whose exponential
    per-push delay mean grows from 0 (instant) upward. Reports simulated
    convergence time, push count, peak in-flight pairs, and final
    estimate error: latency stretches simulated time and keeps mass in
    the air, but mass conservation holds at every event, so accuracy
    should not degrade.
 
-2. **Partition sweep** — one regional graph under a
-   :class:`~repro.network.conditions.RegionalLinkModel` with a single
+2. **Partition sweep** — one regional graph under a two-region
+   :class:`~repro.network.conditions.LinkModel` with a single
    :class:`~repro.network.conditions.PartitionWindow` of growing
    duration. The engine refuses to declare convergence before the
    window heals (the link's ``quiet_horizon``), so the headline
@@ -36,12 +36,7 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from repro.core.async_engine import AsyncGossipEngine
-from repro.network.conditions import (
-    HomogeneousLink,
-    LatencySpec,
-    PartitionWindow,
-    RegionalLinkModel,
-)
+from repro.network.conditions import LatencySpec, LinkModel, PartitionWindow
 from repro.network.preferential_attachment import preferential_attachment_graph
 from repro.network.random_graphs import regional_graph
 from repro.utils.hardware import host_metadata
@@ -80,7 +75,7 @@ def sweep_latency(n: int, *, means: Sequence[float], seed: int,
     graph = preferential_attachment_graph(n, m=2, rng=seed)
     rows = []
     for mean in means:
-        link = HomogeneousLink(0.0, latency=LatencySpec("exponential", mean))
+        link = LinkModel(latency=LatencySpec("exponential", mean))
         row = _run_once(
             graph, link, seed=seed + 10, xi=xi,
             quiet_window=3.0 + 4.0 * mean, max_time=5_000.0 * (1.0 + mean),
@@ -101,8 +96,8 @@ def sweep_partition(n: int, *, durations: Sequence[float], start: float,
     rows = []
     for duration in durations:
         partitions = (PartitionWindow(start=start, duration=duration),) if duration else ()
-        link = RegionalLinkModel(
-            2, intra_latency=latency, inter_latency=LatencySpec("exponential", 0.2),
+        link = LinkModel(
+            latency=latency, regions=2, inter_latency=LatencySpec("exponential", 0.2),
             partitions=partitions,
         )
         row = _run_once(graph, link, seed=seed + 20, xi=xi,

@@ -1,13 +1,14 @@
-"""Benchmark: the serving layer — query QPS, ingest throughput, staleness.
+"""Benchmark: the serving layer — contended query QPS and staleness.
 
-Three measurements against a live :class:`repro.service.ReputationService`:
+Two measurements against a live :class:`repro.service.ReputationService`,
+the two that perfbench's ``service-stream`` workload does not take (it
+times ingest and single-threaded reads):
 
 1. **Query QPS** — lock-free ``get_reputation`` reads from the current
-   immutable snapshot (single-threaded and under reader threads while
-   the service loop keeps swapping snapshots).
-2. **Ingest throughput** — reports/second through the bounded queue and
-   fold path, driven to completion with backpressure retries.
-3. **Staleness vs epoch rate** — the operational trade-off: throttling
+   immutable snapshot under reader threads while the service loop keeps
+   swapping snapshots, next to the single-threaded rate on the same
+   world.
+2. **Staleness vs epoch rate** — the operational trade-off: throttling
    the tick interval (fewer, larger folds) raises the staleness bound
    of every published snapshot; the curve records max/mean staleness
    and effective fold cost at each simulated interval.
@@ -25,7 +26,7 @@ import json
 import sys
 import threading
 import time
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from repro.service.reports import generate_reports
 from repro.service.service import ReputationService, ServiceLoop
@@ -43,8 +44,9 @@ def _fresh_service(args, *, batch_size: int, high_watermark: int) -> ReputationS
     )
 
 
-def bench_query_qps(args) -> Dict[str, object]:
-    """Snapshot read rate, idle and under concurrent snapshot swaps."""
+def bench_query_qps(args) -> Tuple[str, Dict[str, object]]:
+    """The resolved backend, and the snapshot read rate idle and under
+    concurrent snapshot swaps."""
     service = _fresh_service(args, batch_size=512, high_watermark=1 << 20)
     reports = generate_reports(min(args.reports, 20_000), args.peers, rng=args.seed)
     service.submit_batch(reports)
@@ -77,38 +79,12 @@ def bench_query_qps(args) -> Dict[str, object]:
         t.join()
     loop.stop()
     swapped = service.snapshot().version - start_version
-    return {
+    return service.backend, {
         "idle_qps": round(idle_qps, 1),
         "contended_qps_total": round(sum(counts) / args.contended_seconds, 1),
         "reader_threads": args.readers,
         "snapshot_swaps_during_read": int(swapped),
         "query_samples": samples,
-    }
-
-
-def bench_ingest(args) -> Dict[str, object]:
-    """Reports/second through queue + fold + epoch, with backpressure retries."""
-    service = _fresh_service(args, batch_size=1024, high_watermark=4096)
-    reports = generate_reports(args.reports, args.peers, rng=args.seed + 1)
-    shed_events = 0
-    start = time.perf_counter()
-    cursor = 0
-    while cursor < len(reports):
-        chunk = reports[cursor : cursor + 512]
-        accepted = service.submit_batch(chunk)
-        cursor += accepted
-        if accepted < len(chunk):
-            shed_events += 1
-            service.tick()
-    ticks = service.drain_pending()
-    elapsed = time.perf_counter() - start
-    return {
-        "reports": args.reports,
-        "elapsed_seconds": round(elapsed, 3),
-        "reports_per_second": round(args.reports / elapsed, 1),
-        "ticks": len(ticks) + shed_events,
-        "shed_events": shed_events,
-        "queue_rejected_total": service.queue.rejected_total,
     }
 
 
@@ -153,19 +129,17 @@ def bench_staleness_curve(args) -> List[Dict[str, object]]:
 
 
 def run_benchmark(args) -> Dict[str, object]:
-    """All three measurements; returns the JSON-friendly record."""
-    service = _fresh_service(args, batch_size=512, high_watermark=1024)
-    record = {
+    """Both measurements; returns the JSON-friendly record."""
+    backend, query = bench_query_qps(args)
+    return {
         "benchmark": "service",
         "peers": args.peers,
         "reports": args.reports,
-        "backend": service.backend,
+        "backend": backend,
         "seed": args.seed,
-        "query": bench_query_qps(args),
-        "ingest": bench_ingest(args),
+        "query": query,
         "staleness_vs_epoch_rate": bench_staleness_curve(args),
     }
-    return record
 
 
 def main(argv=None) -> int:
@@ -194,13 +168,12 @@ def main(argv=None) -> int:
     with open(args.out, "w") as handle:
         json.dump(record, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    query, ingest = record["query"], record["ingest"]
+    query = record["query"]
     print(
         f"peers={record['peers']} backend={record['backend']}: "
         f"query {query['idle_qps']:.0f} qps idle / "
         f"{query['contended_qps_total']:.0f} qps with {query['reader_threads']} readers "
-        f"({query['snapshot_swaps_during_read']} snapshot swaps); "
-        f"ingest {ingest['reports_per_second']:.0f} reports/s"
+        f"({query['snapshot_swaps_during_read']} snapshot swaps)"
     )
     for point in record["staleness_vs_epoch_rate"]:
         print(

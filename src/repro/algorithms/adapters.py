@@ -158,7 +158,7 @@ class PushSumAlgorithm:
         backend: str = "auto",
     ) -> PreparedAlgorithm:
         target_list = resolve_targets(trust, targets)
-        base = replace(_base_config(config), k=1, push_counts=None)
+        base = replace(_base_config(config), k=1)
         columns, weights = initial_state_vector_global(trust, target_list, "all")
         truth = _all_nodes_truth(trust, target_list)
 

@@ -192,9 +192,9 @@ def attack_impact(
         uses the exact eq.-6 fixpoint (large sweeps, benchmarks).
     config:
         Gossip knobs, forwarded whole through :func:`repro.aggregate`
-        (``k``/``push_counts``, ``warmup_steps``, ``track_history``,
-        ... all apply); ``config.params`` holds the GCLR weighting
-        constants. ``rng`` is reduced to one integer seed shared by the
+        (``k``, ``warmup_steps``, ``max_steps``, ... all apply);
+        ``config.params`` holds the GCLR weighting constants. ``rng``
+        is reduced to one integer seed shared by the
         clean and poisoned runs. Packet loss rides on ``config.network``
         and draws from a stream derived statelessly from that seed
         (:meth:`~repro.core.backend.GossipConfig.link_stream`), so it

@@ -53,7 +53,7 @@ def eigentrust_fixpoint(
     *,
     pretrusted: Optional[Sequence[int]] = None,
     alpha: float = 0.1,
-    max_iterations: int = 200,
+    max_iterations: int = 1000,
     tolerance: float = 1e-12,
     rng: RngLike = None,
 ) -> EigenTrustResult:
@@ -72,7 +72,10 @@ def eigentrust_fixpoint(
         Damping weight toward the pre-trusted distribution, in [0, 1].
     max_iterations, tolerance:
         Power-iteration controls (L1 movement below ``tolerance`` stops
-        the iteration).
+        the iteration). The map contracts by ``1 - alpha`` per step and
+        the first movement is at most 2, so at the default ``alpha`` and
+        ``tolerance`` a solve can take ``ceil(ln(5e-13) / ln(0.9)) = 269``
+        steps; the default cap leaves room for that.
     rng:
         Optional seed for a random starting distribution instead of
         ``p`` (any ``RngLike``; routed through

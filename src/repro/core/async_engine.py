@@ -127,8 +127,8 @@ class AsyncGossipEngine:
     link:
         Optional :class:`repro.network.conditions.LinkModel` deciding
         each push's fate (drop / instant / delayed). ``None`` is the
-        perfect network — byte-identical to
-        :class:`~repro.network.conditions.InstantLink` with zero loss.
+        perfect network — byte-identical to a lossless, zero-latency
+        :class:`~repro.network.conditions.LinkModel`.
     link_rng:
         Seed / generator for the link's own randomness (loss draws,
         latency samples). Kept separate from ``rng`` so attaching a link

@@ -86,15 +86,13 @@ class GossipConfig:
     k:
         Fixed per-node push count; ``None`` (default) selects the
         paper's differential rule, ``1`` reproduces normal push gossip.
-        Mutually exclusive with ``push_counts``. Caveat: with a small
-        fixed ``k`` the per-node xi-movement stop can fire prematurely —
-        a node receiving no pushes for ``patience`` steps sees zero
-        movement and announces while mixing is still finishing, so
-        normal-push estimates may end ~1e-6 off a tight-``xi`` fixpoint.
-        That reception starvation is exactly what the differential
-        rule's degree-scaled push counts prevent (Section 4.2).
-    push_counts:
-        Explicit per-node push-count array (ablations); overrides ``k``.
+        Caveat: with a small fixed ``k`` the per-node xi-movement stop
+        can fire prematurely — a node receiving no pushes for
+        ``patience`` steps sees zero movement and announces while mixing
+        is still finishing, so normal-push estimates may end ~1e-6 off a
+        tight-``xi`` fixpoint. That reception starvation is exactly what
+        the differential rule's degree-scaled push counts prevent
+        (Section 4.2).
     params:
         GCLR weighting constants ``a``, ``b`` of eq. 2. Engines never
         read them; the GCLR entry point
@@ -109,7 +107,7 @@ class GossipConfig:
         Optional :class:`repro.network.conditions.LinkModel` — the one
         way to ask for packet loss, and the network-conditions axis
         (per-edge loss, latency distributions, bandwidth caps, regions,
-        partitions). ``InstantLink(p)`` is the paper's churn model:
+        partitions). ``LinkModel(p)`` is the paper's churn model:
         each push is lost with probability ``p`` and the sender keeps
         the pair (Section 5.3). Loss-only models run on every backend
         via :meth:`materialize`; latency-bearing models need the
@@ -129,8 +127,6 @@ class GossipConfig:
     warmup_steps:
         Steps before convergence checks count (``None`` = engine
         default ``ceil(log2 N) + 1``).
-    track_history:
-        Record per-step ratio snapshots in the outcome.
     run_to_max:
         Ignore the stop protocol and run exactly ``max_steps`` steps
         (fixed-budget diffusion studies and benchmarks).
@@ -158,7 +154,6 @@ class GossipConfig:
 
     xi: float = 1e-4
     k: Optional[int] = None
-    push_counts: Optional[np.ndarray] = None
     params: WeightParams = field(default_factory=WeightParams)
     delta: float = 0.05
     network: Optional[LinkModel] = None
@@ -166,7 +161,6 @@ class GossipConfig:
     max_steps: int = 10_000
     patience: int = 3
     warmup_steps: Optional[int] = None
-    track_history: bool = False
     run_to_max: bool = False
     num_channels: int = 1
 
@@ -177,8 +171,6 @@ class GossipConfig:
             raise ValueError(f"xi must be positive, got {self.xi}")
         if self.k is not None and self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.k is not None and self.push_counts is not None:
-            raise ValueError("pass either k (uniform) or push_counts (per-node), not both")
         if self.network is not None and not isinstance(self.network, LinkModel):
             raise ValueError(
                 f"network must be a repro.network.conditions.LinkModel, "
@@ -194,8 +186,6 @@ class GossipConfig:
     def resolved_push_counts(self, graph: Graph) -> Optional[np.ndarray]:
         """Per-node push counts for ``graph``, or ``None`` for the
         differential default (engines then also announce degrees)."""
-        if self.push_counts is not None:
-            return np.asarray(self.push_counts, dtype=np.int64)
         if self.k is not None:
             return fixed_push_counts(graph, self.k)
         return None
@@ -332,7 +322,6 @@ class _SynchronousBackend:
             xi=config.xi,
             extras=extras,
             max_steps=config.max_steps,
-            track_history=config.track_history,
             patience=config.patience,
             warmup_steps=config.warmup_steps,
         )
@@ -386,15 +375,16 @@ class AsyncBackend:
     Asynchronous gossip has no global steps, so the returned
     :class:`GossipOutcome` maps simulated time onto ``steps`` (rounded)
     and individual push events onto ``push_messages``. Only scalar
-    (single-component) state is supported, and extras/history are
-    synchronous-model features this backend rejects explicitly.
+    (single-component) state is supported, and extras and
+    ``run_to_max`` are synchronous-model features this backend rejects
+    explicitly.
 
     This is the one backend that runs the full network-conditions axis:
     ``config.network`` link models with latency, bandwidth caps,
     regions and partition windows execute natively (a push becomes a
     *send* event that lands after its sampled delay), and the paper's
-    uniform loss runs as the zero-latency
-    :class:`~repro.network.conditions.InstantLink`. The link's
+    uniform loss runs as a zero-latency
+    :class:`~repro.network.conditions.LinkModel`. The link's
     randomness draws from the same ``LOSS_STREAM_KEY`` child stream the
     synchronous loss path uses, so attaching a link model never
     perturbs target selection.
@@ -421,10 +411,8 @@ class AsyncBackend:
                 "backend 'async' gossips a single reputation channel; "
                 "use 'sparse' for num_channels > 1"
             )
-        if config.track_history or config.run_to_max:
-            raise BackendCapabilityError(
-                "backend 'async' does not support track_history/run_to_max"
-            )
+        if config.run_to_max:
+            raise BackendCapabilityError("backend 'async' does not support run_to_max")
         # The async stop rule is a quiet window over simulated time, not
         # a per-step protocol — reject rather than silently ignore the
         # synchronous stopping knobs when they differ from the defaults.

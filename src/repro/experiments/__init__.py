@@ -26,7 +26,7 @@ node sweeps; the default "quick" scale preserves every qualitative shape
 at laptop-friendly sizes.
 """
 
-from repro.experiments.registry import EXPERIMENTS, get_experiment
+from repro.experiments.registry import available_experiments, get_experiment
 from repro.experiments.runner import ExperimentResult, full_scale_enabled
 
-__all__ = ["EXPERIMENTS", "get_experiment", "ExperimentResult", "full_scale_enabled"]
+__all__ = ["available_experiments", "get_experiment", "ExperimentResult", "full_scale_enabled"]

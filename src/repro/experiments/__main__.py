@@ -6,7 +6,7 @@ import argparse
 import os
 import sys
 
-from repro.experiments.registry import EXPERIMENTS, get_experiment
+from repro.experiments.registry import available_experiments, get_experiment
 from repro.experiments.runner import FULL_SCALE_ENV
 
 
@@ -56,13 +56,13 @@ def main(argv=None) -> int:
         os.environ[FULL_SCALE_ENV] = "0"
 
     if args.experiment == "list":
-        for experiment_id in sorted(EXPERIMENTS):
-            doc = sys.modules[EXPERIMENTS[experiment_id].__module__].__doc__ or ""
+        for experiment_id in available_experiments():
+            doc = sys.modules[get_experiment(experiment_id).__module__].__doc__ or ""
             first_line = doc.strip().splitlines()[0] if doc.strip() else ""
             print(f"{experiment_id:12s} {first_line}")
         return 0
 
-    ids = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
+    ids = available_experiments() if args.experiment == "all" else [args.experiment]
     try:
         for experiment_id in ids:
             get_experiment(experiment_id)

@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence
 from repro.core.backend import GossipConfig
 from repro.experiments.runner import ExperimentResult, Stopwatch, full_scale_enabled
 from repro.facade import aggregate
-from repro.network.conditions import InstantLink
+from repro.network.conditions import LinkModel
 from repro.network.preferential_attachment import preferential_attachment_graph
 from repro.utils.rng import as_generator
 
@@ -56,7 +56,7 @@ def run(
                     values,
                     GossipConfig(
                         xi=xi,
-                        network=InstantLink(loss),
+                        network=LinkModel(loss),
                         rng=int(root.integers(2**62)),
                     ),
                     backend=backend,

@@ -68,7 +68,7 @@ def iter_experiments(
     Parameters
     ----------
     experiment_ids:
-        Registry keys (see ``repro.experiments.registry.EXPERIMENTS``).
+        Registry keys (see ``repro.experiments.registry.available_experiments``).
     processes:
         Worker processes; ``1`` runs serially, ``None`` uses every
         available CPU.

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+from typing import Callable
 
 from repro.experiments import (
     attack_sweeps,
@@ -18,34 +18,29 @@ from repro.experiments import (
     xi_accuracy,
 )
 from repro.experiments.runner import ExperimentResult
+from repro.utils.registry import Registry
 
 ExperimentRunner = Callable[..., ExperimentResult]
 
 #: Experiment id -> runner. Ids name the paper's tables and figures,
 #: plus supplementary checks and the attack-robustness sweeps
 #: (attack_*) beyond the paper.
-EXPERIMENTS: Dict[str, ExperimentRunner] = {
-    "table1": table1.run,
-    "table2": table2.run,
-    "fig3": fig3.run,
-    "fig4": fig4.run,
-    "fig5": fig5.run,
-    "fig6": fig6.run,
-    "theorem52": theorem52.run,
-    "eq17": eq17.run,
-    "xi_accuracy": xi_accuracy.run,
-    "attack_slander": attack_sweeps.run_slander,
-    "attack_sybil": attack_sweeps.run_sybil,
-    "tournament": tournament.run,
-}
+_EXPERIMENTS: Registry[ExperimentRunner] = Registry("experiment", KeyError)
+for _id, _run in (
+    ("table1", table1.run),
+    ("table2", table2.run),
+    ("fig3", fig3.run),
+    ("fig4", fig4.run),
+    ("fig5", fig5.run),
+    ("fig6", fig6.run),
+    ("theorem52", theorem52.run),
+    ("eq17", eq17.run),
+    ("xi_accuracy", xi_accuracy.run),
+    ("attack_slander", attack_sweeps.run_slander),
+    ("attack_sybil", attack_sweeps.run_sybil),
+    ("tournament", tournament.run),
+):
+    _EXPERIMENTS.register(_id, _run)
 
-
-def get_experiment(experiment_id: str) -> ExperimentRunner:
-    """Look up an experiment runner; raise ``KeyError`` with the catalogue."""
-    try:
-        return EXPERIMENTS[experiment_id]
-    except KeyError:
-        available = ", ".join(sorted(EXPERIMENTS))
-        raise KeyError(
-            f"unknown experiment {experiment_id!r}; available: {available}"
-        ) from None
+get_experiment = _EXPERIMENTS.get
+available_experiments = _EXPERIMENTS.names

@@ -14,27 +14,21 @@ package provides:
   network of the paper's Figure 2 (degree sequence 4,4,7,3,3,2,2,2,3,2);
 - :mod:`repro.network.conditions` — seeded link models for network
   realism: :class:`~repro.network.conditions.PacketLossModel` (the
-  mass-conserving packet-loss model of Figure 4), plus
-  latency/bandwidth/region/partition-aware
-  :class:`~repro.network.conditions.LinkModel` implementations
-  (:class:`~repro.network.conditions.InstantLink`,
-  :class:`~repro.network.conditions.HomogeneousLink`,
-  :class:`~repro.network.conditions.RegionalLinkModel`) that the
-  event-driven async backend executes natively;
+  mass-conserving packet-loss model of Figure 4), plus the one
+  loss/latency/region/partition-aware
+  :class:`~repro.network.conditions.LinkModel` that the event-driven
+  async backend executes natively;
 - :func:`repro.network.random_graphs.regional_graph` — a
-  planted-partition topology whose blocks line up with
-  :class:`~repro.network.conditions.RegionalLinkModel` regions.
+  planted-partition topology whose blocks line up with the regions of
+  a :class:`~repro.network.conditions.LinkModel`.
 """
 
 from repro.network.conditions import (
     EpochPartition,
-    HomogeneousLink,
-    InstantLink,
     LatencySpec,
     LinkModel,
     PacketLossModel,
     PartitionWindow,
-    RegionalLinkModel,
     block_regions,
 )
 from repro.network.mutable import MutableOverlay
@@ -61,9 +55,6 @@ __all__ = [
     "PacketLossModel",
     "LinkModel",
     "LatencySpec",
-    "InstantLink",
-    "HomogeneousLink",
-    "RegionalLinkModel",
     "PartitionWindow",
     "EpochPartition",
     "block_regions",

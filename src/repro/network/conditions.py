@@ -10,25 +10,19 @@ of that *network realism*, factored out of the engines:
   the form a synchronous engine applies;
 - :class:`LatencySpec` — a seeded one-dimensional delay distribution
   (constant / uniform / exponential / lognormal);
-- :class:`LinkModel` — the protocol every network condition implements,
-  and what ``GossipConfig(network=...)`` takes: the one way to ask a
-  gossip round for packet loss. It has two faces:
-  :meth:`LinkModel.uniform_loss_probability` lets the *synchronous*
+- :class:`LinkModel` — what ``GossipConfig(network=...)`` takes: the
+  one way to ask a gossip round for packet loss, and the one network
+  model. ``LinkModel(p)`` is the paper's churn model (zero latency,
+  uniform loss); ``latency=`` adds a per-push delay; ``regions=k``
+  splits the peers into contiguous blocks with their own cross-region
+  loss, latency and bandwidth cap, an optional flaky region, and
+  scheduled :class:`PartitionWindow`\\ s that drop cross-region
+  traffic until they heal. It has two faces:
+  :attr:`LinkModel.uniform_loss_probability` lets the *synchronous*
   engines run a loss-only model on their vectorised
   :class:`PacketLossModel` path, and :meth:`LinkModel.bind` produces a
   per-run :class:`BoundLink` whose :meth:`BoundLink.transfer` the
   *event-driven* engine consults per push (drop? how much delay?);
-- :class:`InstantLink` — the paper's churn model: zero latency,
-  optional uniform loss. ``InstantLink(0.0)`` is provably a no-op (it
-  consumes no randomness), so an async run under it is byte-identical
-  to one without a link model;
-- :class:`HomogeneousLink` — one loss probability, one latency
-  distribution and one optional bandwidth cap for every edge;
-- :class:`RegionalLinkModel` — region/cluster assignment with intra- vs
-  inter-region loss and latency, an optional flaky region, optional
-  inter-region bandwidth caps, and scheduled
-  :class:`PartitionWindow`\\ s that drop cross-group traffic until they
-  heal;
 - :class:`EpochPartition` — the epoch-indexed partition schedule the
   dynamic runtime (:mod:`repro.runtime.dynamics`) replays through
   :class:`repro.network.mutable.MutableOverlay`.
@@ -41,14 +35,14 @@ derives that generator *statelessly* from the run's seed via the
 ``LOSS_STREAM_KEY`` child (the stream a synchronous engine's
 :class:`PacketLossModel` draws from), so link randomness never perturbs
 an engine's target-selection stream — a lossless zero-latency run draws
-the exact byte sequence of a run with no link model at all. Per transfer, the bound link draws the loss
-Bernoulli first and samples latency only for delivered pushes.
+the exact byte sequence of a run with no link model at all. Per
+transfer, a partition drop draws nothing; otherwise the bound link
+draws the loss Bernoulli and samples latency only for delivered pushes.
 """
 
 from __future__ import annotations
 
-import abc
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass, fields
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -62,10 +56,7 @@ __all__ = [
     "INSTANT",
     "BoundLink",
     "LinkModel",
-    "InstantLink",
-    "HomogeneousLink",
     "PartitionWindow",
-    "RegionalLinkModel",
     "EpochPartition",
     "block_regions",
 ]
@@ -243,9 +234,8 @@ def block_regions(num_nodes: int, num_regions: int) -> np.ndarray:
     ``i * k // n``.
 
     Shared by :func:`repro.network.random_graphs.regional_graph` and
-    :class:`RegionalLinkModel`, so a regional topology and a regional
-    link model with the same ``num_regions`` always agree on who lives
-    where.
+    :class:`LinkModel`, so a regional topology and a link model with the
+    same number of regions always agree on who lives where.
 
     Examples
     --------
@@ -259,149 +249,6 @@ def block_regions(num_nodes: int, num_regions: int) -> np.ndarray:
             f"num_regions must be in 1..num_nodes ({num_nodes}), got {num_regions}"
         )
     return (np.arange(num_nodes, dtype=np.int64) * num_regions) // num_nodes
-
-
-class BoundLink(abc.ABC):
-    """A link model bound to one graph and one generator for one run.
-
-    The event-driven engine consults :meth:`transfer` once per push; the
-    bound link owns the link randomness (never the engine's
-    target-selection stream) and keeps delivery statistics.
-    """
-
-    __slots__ = ("_rng", "dropped_count", "delivered_count", "partition_dropped_count")
-
-    def __init__(self, rng: RngLike):
-        self._rng = as_generator(rng)
-        #: Pushes dropped (self-redirected) by loss or flakiness.
-        self.dropped_count = 0
-        #: Pushes handed to the network for delivery.
-        self.delivered_count = 0
-        #: Dropped pushes attributable to an active partition window.
-        self.partition_dropped_count = 0
-
-    @property
-    def is_trivial(self) -> bool:
-        """True when every transfer is instant and lossless (the bound
-        link then consumes no randomness at all)."""
-        return False
-
-    @property
-    def quiet_horizon(self) -> float:
-        """Earliest simulated time at which link behaviour is time-invariant.
-
-        While a partition window is active the network can be xi-quiet —
-        islands converge internally, cross-region pushes are dropped
-        without moving any estimate — even though islands disagree. The
-        engine therefore refuses to declare convergence before this
-        horizon (the end of the last scheduled partition window; ``0.0``
-        for time-invariant models)."""
-        return 0.0
-
-    @abc.abstractmethod
-    def transfer(self, now: float, sender: int, target: int) -> Tuple[bool, float]:
-        """Fate of one push at simulated time ``now``.
-
-        Returns ``(dropped, delay)``: ``dropped`` means the push never
-        leaves the sender (mass-conserving self-redirect), otherwise it
-        arrives at ``target`` after ``delay`` simulated-time units
-        (``0.0`` = instant, delivered inline).
-        """
-
-
-class LinkModel(abc.ABC):
-    """Protocol for network conditions, with a sync face and an async face.
-
-    Synchronous engines have no time axis, so they can only express
-    *uniform, instant* loss: when :attr:`has_latency` is False and
-    :attr:`uniform_loss_probability` is not None, the backend layer
-    materialises the model as a :class:`PacketLossModel` on the
-    ``LOSS_STREAM_KEY`` stream.
-    Everything else — latency, bandwidth, per-region loss, partitions —
-    requires the event-driven engine, which calls :meth:`bind` and
-    consults the returned :class:`BoundLink` per push.
-    """
-
-    @property
-    @abc.abstractmethod
-    def has_latency(self) -> bool:
-        """True when the model needs the event-driven engine: non-zero
-        delays, bandwidth queueing, or time-dependent behaviour
-        (partition windows). Synchronous backends raise
-        ``BackendCapabilityError`` for such models."""
-
-    @property
-    def uniform_loss_probability(self) -> Optional[float]:
-        """The single edge-independent loss probability, or ``None`` when
-        loss depends on the edge (regional / flaky models)."""
-        return None
-
-    @abc.abstractmethod
-    def bind(self, graph, rng: RngLike) -> BoundLink:
-        """Bind to ``graph`` for one run, drawing link randomness from
-        ``rng`` (a dedicated stream — never the engine's)."""
-
-
-class _InstantBound(BoundLink):
-    """Zero-latency bound link with optional uniform loss."""
-
-    __slots__ = ("_loss_probability",)
-
-    def __init__(self, loss_probability: float, rng: RngLike):
-        super().__init__(rng)
-        self._loss_probability = float(loss_probability)
-
-    @property
-    def is_trivial(self) -> bool:
-        return self._loss_probability == 0.0
-
-    def transfer(self, now: float, sender: int, target: int) -> Tuple[bool, float]:
-        if self._loss_probability > 0.0 and self._rng.random() < self._loss_probability:
-            self.dropped_count += 1
-            return True, 0.0
-        self.delivered_count += 1
-        return False, 0.0
-
-
-class InstantLink(LinkModel):
-    """The paper's churn model: zero latency, optional uniform loss.
-
-    ``GossipConfig(network=InstantLink(p))`` loses each push with
-    probability ``p``, and the sender keeps the pair (Section 5.3). On
-    the synchronous backends it materialises as
-    ``PacketLossModel(p, rng=config.link_stream())``; on the async
-    backend it is bound per run to the same stream.
-    ``InstantLink(0.0)`` consumes no randomness and delivers everything
-    inline, so an async run under it is byte-identical to one without
-    a link model (both contracts are pinned by tests).
-
-    Examples
-    --------
-    >>> link = InstantLink(0.25)
-    >>> link.has_latency, link.uniform_loss_probability
-    (False, 0.25)
-    >>> bound = InstantLink(0.0).bind(None, 0)
-    >>> bound.transfer(0.0, 1, 2)  # lossless + instant: deliver inline
-    (False, 0.0)
-    """
-
-    def __init__(self, loss_probability: float = 0.0):
-        check_probability(loss_probability, "loss_probability")
-        self._loss_probability = float(loss_probability)
-
-    @property
-    def has_latency(self) -> bool:
-        return False
-
-    @property
-    def uniform_loss_probability(self) -> Optional[float]:
-        return self._loss_probability
-
-    def bind(self, graph, rng: RngLike) -> BoundLink:
-        return _InstantBound(self._loss_probability, rng)
-
-    def __repr__(self) -> str:
-        return f"InstantLink(loss_probability={self._loss_probability})"
 
 
 class _Bandwidth:
@@ -428,86 +275,6 @@ class _Bandwidth:
         depart = start + self._service_time
         self._next_free[key] = depart
         return depart - now
-
-
-class _HomogeneousBound(BoundLink):
-    """Every edge shares one loss probability / latency / bandwidth."""
-
-    __slots__ = ("_loss_probability", "_latency", "_bandwidth")
-
-    def __init__(
-        self,
-        loss_probability: float,
-        latency: LatencySpec,
-        bandwidth: Optional[float],
-        rng: RngLike,
-    ):
-        super().__init__(rng)
-        self._loss_probability = float(loss_probability)
-        self._latency = latency
-        self._bandwidth = _Bandwidth(bandwidth) if bandwidth is not None else None
-
-    def transfer(self, now: float, sender: int, target: int) -> Tuple[bool, float]:
-        if self._loss_probability > 0.0 and self._rng.random() < self._loss_probability:
-            self.dropped_count += 1
-            return True, 0.0
-        delay = self._latency.sample(self._rng)
-        if self._bandwidth is not None:
-            delay += self._bandwidth.queueing_delay(now, sender, target)
-        self.delivered_count += 1
-        return False, delay
-
-
-class HomogeneousLink(LinkModel):
-    """One loss probability, latency distribution and optional bandwidth
-    cap shared by every edge.
-
-    Examples
-    --------
-    >>> link = HomogeneousLink(latency=LatencySpec("exponential", mean=1.0))
-    >>> link.has_latency
-    True
-    >>> bound = link.bind(None, 7)
-    >>> dropped, delay = bound.transfer(0.0, 0, 1)
-    >>> dropped, delay > 0.0
-    (False, True)
-    """
-
-    def __init__(
-        self,
-        loss_probability: float = 0.0,
-        *,
-        latency: LatencySpec = INSTANT,
-        bandwidth: Optional[float] = None,
-    ):
-        check_probability(loss_probability, "loss_probability")
-        if bandwidth is not None and bandwidth <= 0:
-            raise ValueError(f"bandwidth must be positive, got {bandwidth}")
-        self._loss_probability = float(loss_probability)
-        self._latency = latency
-        self._bandwidth = bandwidth
-
-    @property
-    def has_latency(self) -> bool:
-        return not self._latency.is_instant or self._bandwidth is not None
-
-    @property
-    def uniform_loss_probability(self) -> Optional[float]:
-        return self._loss_probability
-
-    @property
-    def latency(self) -> LatencySpec:
-        """The shared delay distribution."""
-        return self._latency
-
-    def bind(self, graph, rng: RngLike) -> BoundLink:
-        return _HomogeneousBound(self._loss_probability, self._latency, self._bandwidth, rng)
-
-    def __repr__(self) -> str:
-        return (
-            f"HomogeneousLink(loss_probability={self._loss_probability}, "
-            f"latency={self._latency!r}, bandwidth={self._bandwidth})"
-        )
 
 
 @dataclass(frozen=True)
@@ -543,66 +310,34 @@ class PartitionWindow:
         return self.start <= now < self.end
 
 
-class _RegionalBound(BoundLink):
-    """Per-edge conditions derived from a region assignment."""
+@dataclass(frozen=True)
+class LinkModel:
+    """Network conditions for every push: loss, latency and regions.
 
-    __slots__ = ("_model", "_regions", "_bandwidth")
-
-    def __init__(self, model: "RegionalLinkModel", regions: np.ndarray, rng: RngLike):
-        super().__init__(rng)
-        self._model = model
-        self._regions = regions
-        self._bandwidth = (
-            _Bandwidth(model.inter_bandwidth) if model.inter_bandwidth is not None else None
-        )
-
-    @property
-    def quiet_horizon(self) -> float:
-        if not self._model.partitions:
-            return 0.0
-        return max(window.end for window in self._model.partitions)
-
-    def transfer(self, now: float, sender: int, target: int) -> Tuple[bool, float]:
-        model = self._model
-        ru = int(self._regions[sender])
-        rv = int(self._regions[target])
-        cross = ru != rv
-        if cross:
-            for window in model.partitions:
-                if window.active(now):
-                    # Partitioned: the push never crosses; no randomness
-                    # is consumed (deterministic cut, deterministic heal).
-                    self.dropped_count += 1
-                    self.partition_dropped_count += 1
-                    return True, 0.0
-        loss = model.inter_loss if cross else model.intra_loss
-        if model.flaky_region is not None and model.flaky_region in (ru, rv):
-            loss = max(loss, model.flaky_loss)
-        if loss > 0.0 and self._rng.random() < loss:
-            self.dropped_count += 1
-            return True, 0.0
-        latency = model.inter_latency if cross else model.intra_latency
-        delay = latency.sample(self._rng)
-        if cross and self._bandwidth is not None:
-            delay += self._bandwidth.queueing_delay(now, sender, target)
-        self.delivered_count += 1
-        return False, delay
-
-
-class RegionalLinkModel(LinkModel):
-    """Region/cluster link conditions: LAN inside a region, WAN across.
+    ``GossipConfig(network=...)`` takes a link model; it is the one way
+    to ask a gossip round for packet loss. ``LinkModel(p)`` is the
+    paper's churn model: each push is lost with probability ``p`` and
+    the sender keeps the pair (Section 5.3, Figure 4). On the
+    synchronous backends a loss-only model runs as
+    ``PacketLossModel(p, rng=config.link_stream())``; the event-driven
+    backend binds it per run (:meth:`bind`) to the same stream and asks
+    the bound link about each push. ``LinkModel(0.0)`` consumes no
+    randomness and delivers everything inline, so an async run under
+    it is byte-identical to one without a link model.
 
     Parameters
     ----------
+    loss:
+        Per-push loss probability (within a region when ``regions > 1``).
+    latency:
+        Delay distribution (within a region when ``regions > 1``).
     regions:
-        Either the number of regions (nodes are then assigned by
-        :func:`block_regions`, matching
-        :func:`repro.network.random_graphs.regional_graph`) or an
-        explicit per-node region array.
-    intra_loss, inter_loss:
-        Per-push loss probability within / across regions.
-    intra_latency, inter_latency:
-        Delay distributions within / across regions.
+        Number of contiguous-block regions (:func:`block_regions`,
+        which :func:`repro.network.random_graphs.regional_graph` shares).
+        The settings below describe cross-region traffic, so they need
+        ``regions >= 2``.
+    inter_loss, inter_latency:
+        Per-push loss probability and delay distribution across regions.
     inter_bandwidth:
         Optional messages-per-time cap on each directed cross-region
         link (FIFO queueing; intra-region links are uncapped).
@@ -617,77 +352,64 @@ class RegionalLinkModel(LinkModel):
 
     Examples
     --------
-    >>> model = RegionalLinkModel(
-    ...     2,
-    ...     inter_latency=LatencySpec("constant", mean=1.0),
-    ... )
-    >>> model.has_latency
-    True
-    >>> bound = model.bind(4, rng=0)  # 4 nodes -> regions [0, 0, 1, 1]
-    >>> bound.transfer(0.0, 0, 1)    # intra-region: instant
+    >>> link = LinkModel(0.25)
+    >>> link.has_latency, link.uniform_loss_probability
+    (False, 0.25)
+    >>> LinkModel(0.0).bind(None, 0).transfer(0.0, 1, 2)  # deliver inline
     (False, 0.0)
-    >>> bound.transfer(0.0, 1, 2)    # cross-region: one time unit
-    (False, 1.0)
+    >>> wan = LinkModel(regions=2, inter_latency=LatencySpec("constant", mean=1.0))
+    >>> bound = wan.bind(4, rng=0)  # 4 nodes -> regions [0, 0, 1, 1]
+    >>> bound.transfer(0.0, 0, 1), bound.transfer(0.0, 1, 2)
+    ((False, 0.0), (False, 1.0))
     """
 
-    def __init__(
-        self,
-        regions: "int | np.ndarray",
-        *,
-        intra_loss: float = 0.0,
-        inter_loss: float = 0.0,
-        intra_latency: LatencySpec = INSTANT,
-        inter_latency: LatencySpec = INSTANT,
-        inter_bandwidth: Optional[float] = None,
-        flaky_region: Optional[int] = None,
-        flaky_loss: float = 0.0,
-        partitions: Tuple[PartitionWindow, ...] = (),
-    ):
-        check_probability(intra_loss, "intra_loss")
-        check_probability(inter_loss, "inter_loss")
-        check_probability(flaky_loss, "flaky_loss")
-        if inter_bandwidth is not None and inter_bandwidth <= 0:
-            raise ValueError(f"inter_bandwidth must be positive, got {inter_bandwidth}")
-        if isinstance(regions, (int, np.integer)):
-            if regions < 1:
-                raise ValueError(f"regions count must be >= 1, got {regions}")
-            self._num_regions: Optional[int] = int(regions)
-            self._explicit_regions: Optional[np.ndarray] = None
-        else:
-            assignment = np.asarray(regions, dtype=np.int64)
-            if assignment.ndim != 1 or assignment.size == 0:
-                raise ValueError("explicit regions must be a non-empty 1-D array")
-            if assignment.min() < 0:
-                raise ValueError("region indices must be >= 0")
-            self._num_regions = None
-            self._explicit_regions = assignment
-        num_regions = (
-            self._num_regions
-            if self._num_regions is not None
-            else int(self._explicit_regions.max()) + 1
-        )
-        if flaky_region is not None and not 0 <= flaky_region < num_regions:
+    loss: float = 0.0
+    _: KW_ONLY
+    latency: LatencySpec = INSTANT
+    regions: int = 1
+    inter_loss: float = 0.0
+    inter_latency: LatencySpec = INSTANT
+    inter_bandwidth: Optional[float] = None
+    flaky_region: Optional[int] = None
+    flaky_loss: float = 0.0
+    partitions: Tuple[PartitionWindow, ...] = ()
+
+    def __post_init__(self) -> None:
+        check_probability(self.loss, "loss")
+        check_probability(self.inter_loss, "inter_loss")
+        check_probability(self.flaky_loss, "flaky_loss")
+        if self.regions < 1:
+            raise ValueError(f"regions must be >= 1, got {self.regions}")
+        if self.inter_bandwidth is not None and self.inter_bandwidth <= 0:
+            raise ValueError(f"inter_bandwidth must be positive, got {self.inter_bandwidth}")
+        object.__setattr__(self, "partitions", tuple(self.partitions))
+        if self.regions == 1 and (
+            self.inter_loss
+            or not self.inter_latency.is_instant
+            or self.inter_bandwidth is not None
+            or self.flaky_region is not None
+            or self.partitions
+        ):
             raise ValueError(
-                f"flaky_region must be in 0..{num_regions - 1}, got {flaky_region}"
+                "inter_loss, inter_latency, inter_bandwidth, flaky_region and "
+                "partitions describe cross-region traffic; they need regions >= 2"
             )
-        if flaky_region is not None and flaky_loss == 0.0:
+        if self.flaky_region is not None and not 0 <= self.flaky_region < self.regions:
+            raise ValueError(
+                f"flaky_region must be in 0..{self.regions - 1}, got {self.flaky_region}"
+            )
+        if self.flaky_region is not None and self.flaky_loss == 0.0:
             raise ValueError("flaky_region set but flaky_loss is 0 (a no-op flake)")
-        self.intra_loss = float(intra_loss)
-        self.inter_loss = float(inter_loss)
-        self.intra_latency = intra_latency
-        self.inter_latency = inter_latency
-        self.inter_bandwidth = inter_bandwidth
-        self.flaky_region = flaky_region
-        self.flaky_loss = float(flaky_loss)
-        self.partitions = tuple(partitions)
 
     @property
     def has_latency(self) -> bool:
-        # Partition windows are time-dependent behaviour a synchronous
-        # round schedule cannot express, so they force the event-driven
-        # engine even when every latency is zero.
+        """True when the model needs the event-driven engine: non-zero
+        delays, bandwidth queueing, or partition windows (time-dependent
+        behaviour a synchronous round schedule cannot express).
+        Synchronous backends raise ``BackendCapabilityError`` for such
+        models."""
         return (
-            not self.intra_latency.is_instant
+            not self.latency.is_instant
             or not self.inter_latency.is_instant
             or self.inter_bandwidth is not None
             or bool(self.partitions)
@@ -695,43 +417,104 @@ class RegionalLinkModel(LinkModel):
 
     @property
     def uniform_loss_probability(self) -> Optional[float]:
-        if (
-            self.intra_loss == self.inter_loss
-            and self.flaky_region is None
-            and not self.partitions
+        """The single edge-independent loss probability, or ``None`` when
+        loss depends on the edge (cross-region or flaky loss, partitions)."""
+        if self.regions == 1 or (
+            self.loss == self.inter_loss and self.flaky_region is None and not self.partitions
         ):
-            return self.intra_loss
+            return self.loss
         return None
 
-    def resolve_regions(self, graph_or_n) -> np.ndarray:
-        """Per-node region assignment for a graph (or node count)."""
-        if self._explicit_regions is not None:
-            return self._explicit_regions
-        n = graph_or_n if isinstance(graph_or_n, (int, np.integer)) else graph_or_n.num_nodes
-        return block_regions(int(n), self._num_regions)
-
-    def bind(self, graph, rng: RngLike) -> BoundLink:
-        regions = self.resolve_regions(graph)
-        return _RegionalBound(self, regions, rng)
+    def bind(self, graph, rng: RngLike) -> "BoundLink":
+        """Bind to ``graph`` (or a node count; unused with one region)
+        for one run, drawing link randomness from ``rng`` (a dedicated
+        stream — never the engine's)."""
+        regions = None
+        if self.regions > 1:
+            n = graph if isinstance(graph, (int, np.integer)) else graph.num_nodes
+            regions = block_regions(int(n), self.regions)
+        return BoundLink(self, regions, rng)
 
     def __repr__(self) -> str:
-        regions = (
-            self._num_regions
-            if self._num_regions is not None
-            else f"explicit[{self._explicit_regions.size}]"
+        changed = [
+            f"{spec.name}={getattr(self, spec.name)!r}"
+            for spec in fields(self)
+            if getattr(self, spec.name) != spec.default
+        ]
+        return f"LinkModel({', '.join(changed)})"
+
+
+class BoundLink:
+    """A link model bound to one graph and one generator for one run.
+
+    The event-driven engine consults :meth:`transfer` once per push; the
+    bound link owns the link randomness (never the engine's
+    target-selection stream) and keeps delivery statistics.
+    """
+
+    __slots__ = (
+        "_model", "_regions", "_rng", "_bandwidth",
+        "dropped_count", "delivered_count", "partition_dropped_count",
+    )
+
+    def __init__(self, model: LinkModel, regions: Optional[np.ndarray], rng: RngLike):
+        self._model = model
+        self._regions = regions
+        self._rng = as_generator(rng)
+        self._bandwidth = (
+            _Bandwidth(model.inter_bandwidth) if model.inter_bandwidth is not None else None
         )
-        parts = [f"RegionalLinkModel({regions}"]
-        if self.intra_loss or self.inter_loss:
-            parts.append(f"loss={self.intra_loss:g}/{self.inter_loss:g}")
-        if not self.intra_latency.is_instant or not self.inter_latency.is_instant:
-            parts.append(f"latency={self.intra_latency.mean:g}/{self.inter_latency.mean:g}")
-        if self.inter_bandwidth is not None:
-            parts.append(f"inter_bandwidth={self.inter_bandwidth:g}")
-        if self.flaky_region is not None:
-            parts.append(f"flaky_region={self.flaky_region} (loss={self.flaky_loss:g})")
-        if self.partitions:
-            parts.append(f"partitions={list(self.partitions)}")
-        return ", ".join(parts) + ")"
+        #: Pushes dropped (self-redirected) by loss, flakiness or a partition.
+        self.dropped_count = 0
+        #: Pushes handed to the network for delivery.
+        self.delivered_count = 0
+        #: Dropped pushes attributable to an active partition window.
+        self.partition_dropped_count = 0
+
+    @property
+    def quiet_horizon(self) -> float:
+        """Earliest simulated time at which link behaviour is time-invariant.
+
+        While a partition window is active the network can be xi-quiet —
+        islands converge internally, cross-region pushes are dropped
+        without moving any estimate — even though islands disagree. The
+        engine therefore refuses to declare convergence before this
+        horizon (the end of the last scheduled partition window; ``0.0``
+        without partitions)."""
+        return max((window.end for window in self._model.partitions), default=0.0)
+
+    def transfer(self, now: float, sender: int, target: int) -> Tuple[bool, float]:
+        """Fate of one push at simulated time ``now``.
+
+        Returns ``(dropped, delay)``: ``dropped`` means the push never
+        leaves the sender (mass-conserving self-redirect), otherwise it
+        arrives at ``target`` after ``delay`` simulated-time units
+        (``0.0`` = instant, delivered inline). A partition drop draws no
+        randomness; then comes the loss draw, and latency is sampled
+        only for delivered pushes.
+        """
+        model = self._model
+        loss, latency, cross = model.loss, model.latency, False
+        if self._regions is not None:
+            ru = int(self._regions[sender])
+            rv = int(self._regions[target])
+            cross = ru != rv
+            if cross:
+                if any(window.active(now) for window in model.partitions):
+                    self.dropped_count += 1
+                    self.partition_dropped_count += 1
+                    return True, 0.0
+                loss, latency = model.inter_loss, model.inter_latency
+            if model.flaky_region in (ru, rv):
+                loss = max(loss, model.flaky_loss)
+        if loss > 0.0 and self._rng.random() < loss:
+            self.dropped_count += 1
+            return True, 0.0
+        delay = latency.sample(self._rng)
+        if cross and self._bandwidth is not None:
+            delay += self._bandwidth.queueing_delay(now, sender, target)
+        self.delivered_count += 1
+        return False, delay
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,8 @@ claim falsifiable:
 - :func:`erdos_renyi_graph` — G(n, p): light-tailed Poisson degrees;
 - :func:`random_regular_graph` — every degree identical;
 - :func:`regional_graph` — a planted-partition overlay (dense regions,
-  sparse cross-region links) whose region blocks line up with
-  :class:`repro.network.conditions.RegionalLinkModel`.
+  sparse cross-region links) whose region blocks line up with the
+  regions of a :class:`repro.network.conditions.LinkModel`.
 
 `tests/test_paper_fidelity.py` runs the same convergence experiment on
 PA and on a regular overlay and checks that the differential/normal
@@ -123,8 +123,8 @@ def regional_graph(
 
     Nodes are split into ``num_regions`` contiguous blocks by
     :func:`repro.network.conditions.block_regions`, so the same
-    ``num_regions`` handed to
-    :class:`~repro.network.conditions.RegionalLinkModel` assigns every
+    ``num_regions`` handed to a
+    :class:`~repro.network.conditions.LinkModel` as ``regions`` assigns every
     peer the region its topology was generated in. Within a region each
     pair is linked with ``intra_probability``; across regions with
     ``inter_probability``. Connectivity is guaranteed: each region gets

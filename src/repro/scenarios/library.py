@@ -17,7 +17,7 @@ scenarios (``slander-under-churn``, ``sybil-flood-100k``,
 dual ranks as two channels of a single multi-channel pass under a
 cross-channel slander coalition (the honest rank must stay clean), and
 three network-conditions scenarios (``wan-vs-lan``, ``flaky-region``,
-``partition-under-attack``) drive the link models of
+``partition-under-attack``) drive the link model of
 :mod:`repro.network.conditions` — regional latency on the event-driven
 async backend, a lossy region, and a scheduled partition healing under
 an active adversary. ``absolute-trust-powerlaw`` pins the algorithm
@@ -290,7 +290,6 @@ WAN_VS_LAN = register_scenario(
         ),
         workload=WorkloadSpec(kind="mean"),
         network=NetworkSpec(
-            kind="regional",
             num_regions=4,
             latency_kind="exponential",
             latency_mean=0.05,
@@ -323,7 +322,6 @@ FLAKY_REGION = register_scenario(
         ),
         workload=WorkloadSpec(kind="mean"),
         network=NetworkSpec(
-            kind="regional",
             num_regions=4,
             loss=0.02,
             inter_loss=0.05,
@@ -353,11 +351,9 @@ PARTITION_UNDER_ATTACK = register_scenario(
         topology=TopologySpec(kind="powerlaw", num_nodes=2000, small_num_nodes=300, m=2),
         workload=WorkloadSpec(kind="mean"),
         network=NetworkSpec(
-            kind="regional",
             num_regions=2,
             partition_start=3,
             partition_duration=4,
-            partition_groups=2,
         ),
         attack=AttackSpec(
             kind="on-off",

@@ -44,7 +44,6 @@ TOPOLOGY_KINDS = (
     "example",
 )
 WORKLOAD_KINDS = ("mean", "trust-global", "trust-gclr", "free-riding", "dual-rank")
-NETWORK_KINDS = ("uniform", "regional")
 
 
 @dataclass(frozen=True)
@@ -160,41 +159,35 @@ class WorkloadSpec:
 
 @dataclass(frozen=True)
 class NetworkSpec:
-    """Network-conditions axis: link models for the scenario's pushes.
+    """Network-conditions axis: the link model for the scenario's pushes.
 
     The one way a scenario asks for packet loss, from the paper's
     uniform instant loss (Section 5.3) to the full
-    :mod:`repro.network.conditions` surface: per-edge latency
-    distributions, bandwidth caps, region structure and scheduled
-    partitions. Two kinds:
+    :mod:`repro.network.conditions` surface. Every edge shares ``loss``
+    and one latency distribution (``latency_kind``/``latency_mean``/
+    ``latency_spread``); with zero latency this is the paper's churn
+    model. With ``num_regions >= 2`` peers split into contiguous
+    blocks: ``loss`` and ``latency_mean`` then hold inside a region,
+    WAN conditions hold across (``inter_loss``, ``inter_latency_mean``,
+    optional ``inter_bandwidth`` cap), one region may be flaky, and an
+    optional scheduled partition window (``partition_start`` ..
+    ``+ partition_duration``) cuts the regions apart until it heals.
 
-    - ``"uniform"``: every edge shares ``loss`` and one latency
-      distribution (``latency_kind``/``latency_mean``/
-      ``latency_spread``). With zero latency this is the paper's churn
-      model, :class:`~repro.network.conditions.InstantLink`.
-    - ``"regional"``: peers split into ``num_regions`` contiguous
-      blocks — LAN conditions inside a region (``loss``,
-      ``latency_mean``), WAN conditions across (``inter_loss``,
-      ``inter_latency_mean``, optional ``inter_bandwidth`` cap), an
-      optionally flaky region, and an optional scheduled partition
-      window (``partition_start`` .. ``+ partition_duration``) that
-      heals.
-
-    For static scenarios the spec builds a
+    For static scenarios the spec builds the
     :class:`~repro.network.conditions.LinkModel` handed to
     ``GossipConfig(network=...)`` — latency-bearing models steer
     ``"auto"`` to the event-driven async backend. For dynamic scenarios
     only the partition fields apply (:meth:`epoch_partition` replays
-    cut-and-heal through the mutable overlay; ``partition_start`` and
-    ``partition_duration`` are then epoch counts).
+    cut-and-heal through the mutable overlay, with ``num_regions``
+    groups; ``partition_start`` and ``partition_duration`` are then
+    epoch counts).
     """
 
-    kind: str = "uniform"
-    loss: float = 0.0  # uniform loss; intra-region loss for "regional"
+    loss: float = 0.0  # intra-region loss when num_regions > 1
     latency_kind: str = "exponential"
-    latency_mean: float = 0.0  # uniform latency; intra-region for "regional"
+    latency_mean: float = 0.0  # intra-region latency when num_regions > 1
     latency_spread: float = 0.0
-    num_regions: int = 4
+    num_regions: int = 1
     inter_loss: float = 0.0
     inter_latency_mean: float = 0.0
     inter_bandwidth: Optional[float] = None
@@ -202,11 +195,8 @@ class NetworkSpec:
     flaky_loss: float = 0.5
     partition_start: Optional[float] = None  # simulated time (static) / epoch (dynamic)
     partition_duration: float = 0.0
-    partition_groups: int = 2
 
     def __post_init__(self) -> None:
-        if self.kind not in NETWORK_KINDS:
-            raise ValueError(f"network kind must be one of {NETWORK_KINDS}, got {self.kind!r}")
         for name in ("loss", "inter_loss", "flaky_loss"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
@@ -214,19 +204,12 @@ class NetworkSpec:
         for name in ("latency_mean", "latency_spread", "inter_latency_mean"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.num_regions < 1:
-            raise ValueError(f"num_regions must be >= 1, got {self.num_regions}")
         if self.partition_start is not None and self.partition_duration <= 0:
             raise ValueError(
                 f"partition_duration must be positive with partition_start set, "
                 f"got {self.partition_duration}"
             )
-        if self.partition_groups < 2:
-            raise ValueError(f"partition_groups must be >= 2, got {self.partition_groups}")
-        if self.kind == "uniform" and self.partition_start is not None:
-            raise ValueError(
-                "partition windows need region structure; use kind='regional'"
-            )
+        self.build_link()  # the link model checks the region settings
 
     def _latency(self, mean: float) -> "LatencySpec":
         from repro.network.conditions import INSTANT, LatencySpec
@@ -245,33 +228,22 @@ class NetworkSpec:
 
     def build_link(self) -> "LinkModel":
         """The :class:`~repro.network.conditions.LinkModel` this spec names."""
-        from repro.network.conditions import (
-            HomogeneousLink,
-            InstantLink,
-            PartitionWindow,
-            RegionalLinkModel,
-        )
+        from repro.network.conditions import LinkModel, PartitionWindow
 
-        if self.kind == "uniform":
-            latency = self._latency(self.latency_mean)
-            if latency.is_instant:
-                return InstantLink(self.loss)
-            return HomogeneousLink(self.loss, latency=latency)
-        partitions = (
-            (PartitionWindow(self.partition_start, self.partition_duration),)
-            if self.partition_start is not None
-            else ()
-        )
-        return RegionalLinkModel(
-            self.num_regions,
-            intra_loss=self.loss,
+        return LinkModel(
+            self.loss,
+            latency=self._latency(self.latency_mean),
+            regions=self.num_regions,
             inter_loss=self.inter_loss,
-            intra_latency=self._latency(self.latency_mean),
             inter_latency=self._latency(self.inter_latency_mean),
             inter_bandwidth=self.inter_bandwidth,
             flaky_region=self.flaky_region,
             flaky_loss=self.flaky_loss if self.flaky_region is not None else 0.0,
-            partitions=partitions,
+            partitions=(
+                (PartitionWindow(self.partition_start, self.partition_duration),)
+                if self.partition_start is not None
+                else ()
+            ),
         )
 
     def epoch_partition(self) -> "Optional[EpochPartition]":
@@ -289,7 +261,7 @@ class NetworkSpec:
         return EpochPartition(
             start_epoch=start,
             heal_epoch=start + int(self.partition_duration),
-            num_groups=self.partition_groups,
+            num_groups=self.num_regions,
         )
 
 

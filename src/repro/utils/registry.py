@@ -2,8 +2,9 @@
 
 The gossip backends (:mod:`repro.core.backend`), the comparison
 algorithms (:mod:`repro.algorithms.registry`), the attack families
-(:mod:`repro.attacks.models`) and the scenario catalogue
-(:mod:`repro.scenarios.spec`) each keep one :class:`Registry`. Every
+(:mod:`repro.attacks.models`), the scenario catalogue
+(:mod:`repro.scenarios.spec`) and the experiments
+(:mod:`repro.experiments.registry`) each keep one :class:`Registry`. Every
 entry has exactly one name, and an unknown name raises the registry's
 own typed error listing the catalogue.
 """

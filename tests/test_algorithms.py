@@ -33,7 +33,7 @@ from repro.algorithms import (
 )
 from repro.core.backend import BackendCapabilityError, GossipConfig
 from repro.facade import aggregate
-from repro.network.conditions import InstantLink
+from repro.network.conditions import LinkModel
 from repro.network.preferential_attachment import (
     preferential_attachment_graph,
     preferential_attachment_graph_fast,
@@ -236,7 +236,7 @@ class TestAdapters:
         # push-pull has no loss model: a loss setting must not run silently lossless.
         graph = preferential_attachment_graph(40, m=2, rng=5)
         trust = random_trust_matrix(graph, rng=6)
-        lossy = GossipConfig(xi=1e-5, network=InstantLink(0.5))
+        lossy = GossipConfig(xi=1e-5, network=LinkModel(0.5))
         with pytest.raises(BackendCapabilityError, match="push-pull"):
             get_algorithm("push-pull").prepare(graph, trust, lossy, targets=[1, 2])
         # push-sum runs through the backend layer and applies the loss.

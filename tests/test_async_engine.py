@@ -7,13 +7,7 @@ import pytest
 
 from repro.core.async_engine import AsyncGossipEngine
 from repro.core.errors import ConvergenceError
-from repro.network.conditions import (
-    HomogeneousLink,
-    InstantLink,
-    LatencySpec,
-    PartitionWindow,
-    RegionalLinkModel,
-)
+from repro.network.conditions import LatencySpec, LinkModel, PartitionWindow
 from repro.network.graph import Graph
 from repro.network.preferential_attachment import preferential_attachment_graph
 from repro.network.random_graphs import regional_graph
@@ -105,7 +99,7 @@ class TestAsyncByteIdentity:
     """Pins the exact trajectory of the pre-refactor engine.
 
     The link-model refactor must not move a single byte on the trivial
-    path: no link (or an ``InstantLink(0.0)``) consumes zero link
+    path: no link (or a ``LinkModel(0.0)``) consumes zero link
     randomness and delivers inline, so seeds, push counts, simulated
     time, and the final float64 state are all pinned to the values the
     engine produced before network conditions existed.
@@ -139,7 +133,7 @@ class TestAsyncByteIdentity:
             values, np.ones(10), xi=1e-5
         )
         linked = AsyncGossipEngine(
-            example_network(), rng=42, link=InstantLink(0.0), link_rng=123
+            example_network(), rng=42, link=LinkModel(0.0), link_rng=123
         ).run(values, np.ones(10), xi=1e-5)
         assert linked.total_pushes == bare.total_pushes
         assert linked.simulated_time == bare.simulated_time
@@ -150,7 +144,7 @@ class TestAsyncByteIdentity:
 class TestAsyncLinkModels:
     def test_loss_counts_drops_and_conserves_mass(self):
         engine = AsyncGossipEngine(
-            example_network(), rng=1, link=InstantLink(0.3), link_rng=2
+            example_network(), rng=1, link=LinkModel(0.3), link_rng=2
         )
         out = engine.run(np.arange(10.0), np.ones(10), xi=1e-5)
         assert out.converged
@@ -162,7 +156,7 @@ class TestAsyncLinkModels:
     def test_latency_keeps_mass_in_flight(self, pa_graph_small):
         n = pa_graph_small.num_nodes
         values = np.random.default_rng(5).random(n)
-        link = HomogeneousLink(0.0, latency=LatencySpec("exponential", 0.3))
+        link = LinkModel(latency=LatencySpec("exponential", 0.3))
         engine = AsyncGossipEngine(pa_graph_small, rng=6, link=link, link_rng=7)
         out = engine.run(values, np.ones(n), xi=1e-5, quiet_window=4.0, check_mass=True)
         assert out.converged
@@ -172,9 +166,9 @@ class TestAsyncLinkModels:
 
     def test_partition_blocks_convergence_until_heal(self):
         graph = regional_graph(80, 2, intra_probability=0.2, inter_probability=0.05, rng=3)
-        link = RegionalLinkModel(
-            2,
-            intra_latency=LatencySpec("exponential", 0.05),
+        link = LinkModel(
+            latency=LatencySpec("exponential", 0.05),
+            regions=2,
             partitions=(PartitionWindow(start=2.0, duration=30.0),),
         )
         values = np.random.default_rng(4).random(80)

@@ -94,17 +94,13 @@ class TestGossipConfig:
         with pytest.raises(ValueError, match="xi"):
             GossipConfig(xi=0.0)
 
-    def test_rejects_k_and_push_counts_together(self):
-        with pytest.raises(ValueError, match="not both"):
-            GossipConfig(k=1, push_counts=np.ones(3, dtype=np.int64))
-
     def test_rejects_bad_k_loss_patience(self):
-        from repro.network.conditions import InstantLink
+        from repro.network.conditions import LinkModel
 
         with pytest.raises(ValueError, match="k"):
             GossipConfig(k=0)
-        with pytest.raises(ValueError, match="loss_probability"):
-            GossipConfig(network=InstantLink(1.5))
+        with pytest.raises(ValueError, match="loss"):
+            GossipConfig(network=LinkModel(1.5))
         with pytest.raises(ValueError, match="patience"):
             GossipConfig(patience=0)
         with pytest.raises(ValueError, match="delta"):
@@ -119,21 +115,21 @@ class TestGossipConfig:
         # The loss model's stream is derived statelessly from the seed,
         # so a lossy run and a loss-free run of the same seed draw
         # identical gossip targets — loss effects are isolatable.
-        from repro.network.conditions import InstantLink
+        from repro.network.conditions import LinkModel
 
         rng_plain, _ = GossipConfig(rng=7).materialize()
-        rng_lossy, loss = GossipConfig(rng=7, network=InstantLink(0.5)).materialize()
+        rng_lossy, loss = GossipConfig(rng=7, network=LinkModel(0.5)).materialize()
         assert loss is not None
         np.testing.assert_array_equal(rng_plain.random(16), rng_lossy.random(16))
 
     def test_loss_probability_materializes_seeded_model(self):
-        from repro.network.conditions import InstantLink
+        from repro.network.conditions import LinkModel
 
-        config = GossipConfig(network=InstantLink(0.4), rng=11)
+        config = GossipConfig(network=LinkModel(0.4), rng=11)
         _, loss = config.materialize()
         assert loss is not None and loss.loss_probability == 0.4
         # Same seed -> same loss draws (the model is re-derivable).
-        _, loss2 = GossipConfig(network=InstantLink(0.4), rng=11).materialize()
+        _, loss2 = GossipConfig(network=LinkModel(0.4), rng=11).materialize()
         senders = np.arange(50)
         targets = (senders + 1) % 50
         np.testing.assert_array_equal(
@@ -214,16 +210,16 @@ class TestAutoSelection:
         channels; everything else runs on sparse, up to 250k nodes and
         beyond.
         """
-        from repro.network.conditions import HomogeneousLink, InstantLink, LatencySpec
+        from repro.network.conditions import LatencySpec, LinkModel
 
         columns = {
             "plain": GossipConfig(),
             "run_to_max": GossipConfig(run_to_max=True, max_steps=5),
             "num_channels=2": GossipConfig(num_channels=2),
             "latency": GossipConfig(
-                network=HomogeneousLink(latency=LatencySpec("exponential", 0.5))
+                network=LinkModel(latency=LatencySpec("exponential", 0.5))
             ),
-            "loss": GossipConfig(network=InstantLink(0.2)),
+            "loss": GossipConfig(network=LinkModel(0.2)),
         }
         expected = {
             64: ["message", "sparse", "sparse", "async", "message"],
@@ -256,9 +252,9 @@ class TestAutoSelection:
     def test_loss_model_config_falls_back_to_sparse_at_sharded_scale(self):
         # Packet loss stays on the sparse engine at 250k nodes, the size
         # at which the retired sharded engine used to take over.
-        from repro.network.conditions import InstantLink
+        from repro.network.conditions import LinkModel
 
-        lossy = GossipConfig(network=InstantLink(0.2), rng=0)
+        lossy = GossipConfig(network=LinkModel(0.2), rng=0)
         assert choose_backend_name(ring_graph(250_001), lossy) == "sparse"
 
 
@@ -464,10 +460,10 @@ class TestConfigAwareLayers:
     def test_collusion_impact_churn_noise_cancels(self, pa_graph_small, small_trust):
         from repro.attacks.collusion import group_colluders, select_colluders
         from repro.attacks.evaluate import attack_impact
-        from repro.network.conditions import InstantLink
+        from repro.network.conditions import LinkModel
 
         attack = group_colluders(select_colluders(60, 0.2, rng=2), 3)
-        config = GossipConfig(xi=1e-5, rng=4, network=InstantLink(0.2))
+        config = GossipConfig(xi=1e-5, rng=4, network=LinkModel(0.2))
         impact = attack_impact(
             pa_graph_small, small_trust, attack, targets=[0, 5, 9], config=config
         )
@@ -495,14 +491,14 @@ class TestConfigAwareLayers:
     def test_gclr_entry_point_forwards_the_whole_config(self):
         from repro.core.errors import ConvergenceError
         from repro.core.vector_gclr import gclr_reputations
-        from repro.network.conditions import InstantLink
+        from repro.network.conditions import LinkModel
         from repro.network.preferential_attachment import preferential_attachment_graph
         from repro.trust.matrix import random_trust_matrix
 
         g = preferential_attachment_graph(60, m=2, rng=5)
         t = random_trust_matrix(g, rng=6)
         targets = [0, 3, 9]
-        lossy = GossipConfig(xi=1e-6, rng=7, network=InstantLink(0.3))
+        lossy = GossipConfig(xi=1e-6, rng=7, network=LinkModel(0.3))
         result = aggregate_vector_gclr(g, t, targets=targets, config=lossy)
         outcome = aggregate(g, t, lossy, variant="vector-gclr", targets=targets)
         expected = gclr_reputations(g, t, np.asarray(targets), outcome, lossy.params)
@@ -566,10 +562,10 @@ class TestNetworkAxis:
 
     @pytest.mark.parametrize("backend", ["message", "sparse"])
     def test_sync_backends_reject_latency_models(self, fixture_values, backend):
-        from repro.network.conditions import HomogeneousLink, LatencySpec
+        from repro.network.conditions import LatencySpec, LinkModel
 
         config = GossipConfig(
-            rng=1, network=HomogeneousLink(latency=LatencySpec("exponential", 0.5))
+            rng=1, network=LinkModel(latency=LatencySpec("exponential", 0.5))
         )
         with pytest.raises(BackendCapabilityError, match="step-synchronous"):
             run_backend(
@@ -578,10 +574,10 @@ class TestNetworkAxis:
             )
 
     def test_sync_backends_reject_per_edge_loss(self, fixture_values):
-        from repro.network.conditions import RegionalLinkModel
+        from repro.network.conditions import LinkModel
 
         config = GossipConfig(
-            rng=1, network=RegionalLinkModel(2, intra_loss=0.0, inter_loss=0.3)
+            rng=1, network=LinkModel(0.0, regions=2, inter_loss=0.3)
         )
         with pytest.raises(BackendCapabilityError, match="per-edge"):
             run_backend(
@@ -597,16 +593,16 @@ class TestNetworkAxis:
         from repro.core.async_engine import AsyncGossipEngine
         from repro.core.engine import MessageLevelGossip
         from repro.core.sparse_engine import SparseGossipEngine
-        from repro.network.conditions import InstantLink, PacketLossModel
+        from repro.network.conditions import LinkModel, PacketLossModel
 
         graph = example_network()
-        config = GossipConfig(xi=1e-6, rng=11, network=InstantLink(0.3))
+        config = GossipConfig(xi=1e-6, rng=11, network=LinkModel(0.3))
         out = run_backend(graph, fixture_values, np.ones(10), config=config, backend=backend)
         if backend == "async":
             engine = AsyncGossipEngine(
                 graph,
                 rng=config.main_stream(),
-                link=InstantLink(0.3),
+                link=LinkModel(0.3),
                 link_rng=config.link_stream(),
             )
             ref = engine.run(
@@ -627,37 +623,37 @@ class TestNetworkAxis:
         assert np.array_equal(out.weights.reshape(-1), ref.weights.reshape(-1))
 
     def test_uniform_regional_loss_resolves_on_sync_backends(self, fixture_values):
-        from repro.network.conditions import RegionalLinkModel
+        from repro.network.conditions import LinkModel
 
         out = run_backend(
             example_network(), fixture_values, np.ones(10),
             config=GossipConfig(
                 xi=1e-8, rng=2,
-                network=RegionalLinkModel(2, intra_loss=0.2, inter_loss=0.2),
+                network=LinkModel(0.2, regions=2, inter_loss=0.2),
             ),
             backend="sparse",
         )
         assert np.allclose(out.estimates, TRUE_MEAN, atol=1e-4)
 
     def test_auto_steers_latency_models_to_async(self):
-        from repro.network.conditions import HomogeneousLink, InstantLink, LatencySpec
+        from repro.network.conditions import LatencySpec, LinkModel
 
         latency = GossipConfig(
-            network=HomogeneousLink(latency=LatencySpec("exponential", 0.5))
+            network=LinkModel(latency=LatencySpec("exponential", 0.5))
         )
         assert choose_backend_name(example_network(), latency) == "async"
         # Loss-only models keep the ordinary size-based policy.
-        loss_only = GossipConfig(network=InstantLink(0.3))
+        loss_only = GossipConfig(network=LinkModel(0.3))
         assert choose_backend_name(example_network(), loss_only) == "message"
 
     def test_async_runs_latency_network_end_to_end(self, fixture_values):
-        from repro.network.conditions import HomogeneousLink, LatencySpec
+        from repro.network.conditions import LatencySpec, LinkModel
 
         out = run_backend(
             example_network(), fixture_values, np.ones(10),
             config=GossipConfig(
                 xi=1e-5, rng=4,
-                network=HomogeneousLink(0.05, latency=LatencySpec("exponential", 0.2)),
+                network=LinkModel(0.05, latency=LatencySpec("exponential", 0.2)),
             ),
             backend="auto",
         )

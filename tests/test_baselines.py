@@ -178,6 +178,17 @@ class TestEigenTrust:
         scores = eigentrust_fixpoint(t, pretrusted=[0]).values
         assert int(np.argmax(scores)) == 1
 
+    def test_defaults_meet_their_own_stop_rule(self):
+        # The docstring world needs more than 200 steps to move less than
+        # the default tolerance at the default damping.
+        t = TrustMatrix(3)
+        t.set(0, 1, 1.0)
+        t.set(2, 1, 1.0)
+        t.set(1, 2, 0.2)
+        result = eigentrust_fixpoint(t, pretrusted=[0])
+        assert result.converged
+        assert 200 < result.iterations <= 269
+
     def test_distribution_sums_to_one(self, small_trust):
         scores = eigentrust_fixpoint(small_trust, pretrusted=[0, 1]).values
         assert float(scores.sum()) == pytest.approx(1.0)

@@ -1,19 +1,22 @@
 """Unit tests for repro.network.conditions (link models)."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.network.conditions import (
     INSTANT,
     EpochPartition,
-    HomogeneousLink,
-    InstantLink,
     LatencySpec,
+    LinkModel,
     PacketLossModel,
     PartitionWindow,
-    RegionalLinkModel,
     block_regions,
 )
+
+TRANSFERS = Path(__file__).parent / "data" / "link_transfers.json"
 
 
 class TestLatencySpec:
@@ -78,18 +81,19 @@ class TestBlockRegions:
             block_regions(4, 0)
 
 
-class TestInstantLink:
+class TestLinkModel:
+    """The one-region face: uniform loss and one latency distribution."""
+
     def test_trivial_bound_consumes_no_randomness(self):
         rng = np.random.default_rng(3)
-        bound = InstantLink(0.0).bind(None, rng)
+        bound = LinkModel(0.0).bind(None, rng)
         before = rng.bit_generator.state
-        assert bound.is_trivial
         assert bound.transfer(0.0, 0, 1) == (False, 0.0)
         assert rng.bit_generator.state == before
         assert bound.quiet_horizon == 0.0
 
     def test_loss_rate_matches_probability(self):
-        bound = InstantLink(0.25).bind(None, 11)
+        bound = LinkModel(0.25).bind(None, 11)
         drops = sum(bound.transfer(0.0, 0, 1)[0] for _ in range(4000))
         assert drops == bound.dropped_count
         assert drops / 4000 == pytest.approx(0.25, abs=0.03)
@@ -101,13 +105,43 @@ class TestInstantLink:
         # one uniform draw per push, compared against the same p.
         p = 0.3
         reference = np.random.default_rng(17).random(500) < p
-        bound = InstantLink(p).bind(None, np.random.default_rng(17))
+        bound = LinkModel(p).bind(None, np.random.default_rng(17))
         fates = np.array([bound.transfer(0.0, 0, 1)[0] for _ in range(500)])
         assert np.array_equal(fates, reference)
 
+    def test_latency_flag(self):
+        assert not LinkModel(0.1).has_latency
+        assert LinkModel(latency=LatencySpec("constant", 0.5)).has_latency
+
+    def test_uniform_loss_face(self):
+        assert LinkModel(0.2).uniform_loss_probability == 0.2
+        assert LinkModel(0.2, latency=LatencySpec("constant", 0.5)).uniform_loss_probability == 0.2
+
+
+class TestInstantLink:
+    """A loss-only link: one region, the default instant latency."""
+
     def test_validation(self):
-        with pytest.raises(ValueError):
-            InstantLink(1.5)
+        with pytest.raises(ValueError, match="loss"):
+            LinkModel(1.5)
+        with pytest.raises(ValueError, match="loss"):
+            LinkModel(-0.1)
+
+
+class TestHomogeneousLink:
+    """A one-region link with a latency distribution: every cross-region
+    knob is rejected, since there is no second region to cross into."""
+
+    def test_validation(self):
+        latency = LatencySpec("constant", 0.5)
+        with pytest.raises(ValueError, match="loss"):
+            LinkModel(-0.1, latency=latency)
+        with pytest.raises(ValueError, match="regions >= 2"):
+            LinkModel(latency=latency, inter_bandwidth=2.0)
+        with pytest.raises(ValueError, match="regions >= 2"):
+            LinkModel(latency=latency, inter_loss=0.2)
+        with pytest.raises(ValueError, match="regions >= 2"):
+            LinkModel(latency=latency, partitions=(PartitionWindow(0.0, 1.0),))
 
 
 class TestPacketLossModel:
@@ -178,58 +212,45 @@ class TestPacketLossModel:
         assert np.array_equal(a, b)
 
 
-class TestHomogeneousLink:
-    def test_latency_flag(self):
-        assert not HomogeneousLink(0.1).has_latency
-        assert HomogeneousLink(latency=LatencySpec("constant", 0.5)).has_latency
-        assert HomogeneousLink(bandwidth=10.0).has_latency
+class TestRegionalLink:
+    """The multi-region face: cross-region loss, latency, bandwidth,
+    flaky regions and partition windows."""
 
-    def test_uniform_loss_face(self):
-        assert HomogeneousLink(0.2).uniform_loss_probability == 0.2
-
-    def test_bandwidth_fifo_queueing(self):
-        # Cap of 2 msgs/time-unit => 0.5 service time. Three instant
-        # pushes on the same directed edge at t=0 serialize: 0.5, 1.0,
-        # 1.5. The reverse direction is full-duplex (independent queue).
-        link = HomogeneousLink(0.0, bandwidth=2.0)
-        bound = link.bind(None, 0)
-        delays = [bound.transfer(0.0, 0, 1)[1] for _ in range(3)]
-        assert delays == [0.5, 1.0, 1.5]
-        assert bound.transfer(0.0, 1, 0)[1] == 0.5
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            HomogeneousLink(bandwidth=0.0)
-        with pytest.raises(ValueError):
-            HomogeneousLink(-0.1)
-
-
-class TestRegionalLinkModel:
-    def test_region_resolution_matches_block_regions(self):
-        model = RegionalLinkModel(3)
-        assert np.array_equal(model.resolve_regions(9), block_regions(9, 3))
-        explicit = RegionalLinkModel(np.array([0, 1, 1, 0]))
-        assert explicit.resolve_regions(4).tolist() == [0, 1, 1, 0]
+    def test_regions_follow_block_regions(self):
+        link = LinkModel(regions=3, inter_latency=LatencySpec("constant", mean=1.0))
+        regions = block_regions(9, 3)
+        bound = link.bind(9, rng=0)
+        for sender in range(9):
+            for target in range(9):
+                cross = regions[sender] != regions[target]
+                assert bound.transfer(0.0, sender, target) == (False, 1.0 if cross else 0.0)
 
     def test_intra_vs_inter_latency(self):
-        model = RegionalLinkModel(
-            2, inter_latency=LatencySpec("constant", mean=1.0)
-        )
+        model = LinkModel(regions=2, inter_latency=LatencySpec("constant", mean=1.0))
         bound = model.bind(4, rng=0)
         assert bound.transfer(0.0, 0, 1) == (False, 0.0)
         assert bound.transfer(0.0, 1, 2) == (False, 1.0)
 
+    def test_bandwidth_fifo_queueing(self):
+        # Cap of 2 msgs/time-unit => 0.5 service time. Three instant
+        # pushes on the same cross-region edge at t=0 serialize: 0.5,
+        # 1.0, 1.5. The reverse direction is full-duplex (independent
+        # queue), and intra-region links are uncapped.
+        bound = LinkModel(regions=2, inter_bandwidth=2.0).bind(4, rng=0)
+        delays = [bound.transfer(0.0, 1, 2)[1] for _ in range(3)]
+        assert delays == [0.5, 1.0, 1.5]
+        assert bound.transfer(0.0, 2, 1)[1] == 0.5
+        assert bound.transfer(0.0, 0, 1)[1] == 0.0
+
     def test_flaky_region_raises_loss_floor(self):
-        model = RegionalLinkModel(2, flaky_region=1, flaky_loss=1.0)
+        model = LinkModel(regions=2, flaky_region=1, flaky_loss=1.0)
         bound = model.bind(4, rng=0)
         assert bound.transfer(0.0, 0, 1) == (False, 0.0)  # region 0 intact
         assert bound.transfer(0.0, 2, 3)[0] is True  # both ends flaky
         assert bound.transfer(0.0, 1, 2)[0] is True  # one end flaky
 
     def test_partition_window_drops_cross_only_and_heals(self):
-        model = RegionalLinkModel(
-            2, partitions=(PartitionWindow(start=1.0, duration=2.0),)
-        )
+        model = LinkModel(regions=2, partitions=(PartitionWindow(start=1.0, duration=2.0),))
         bound = model.bind(4, rng=0)
         assert bound.transfer(1.5, 0, 1) == (False, 0.0)  # intra unaffected
         assert bound.transfer(1.5, 1, 2) == (True, 0.0)  # cross dropped
@@ -239,8 +260,8 @@ class TestRegionalLinkModel:
 
     def test_partition_drop_consumes_no_randomness(self):
         rng = np.random.default_rng(5)
-        model = RegionalLinkModel(
-            2, inter_loss=0.5, partitions=(PartitionWindow(start=0.0, duration=1.0),)
+        model = LinkModel(
+            regions=2, inter_loss=0.5, partitions=(PartitionWindow(start=0.0, duration=1.0),)
         )
         bound = model.bind(4, rng=rng)
         before = rng.bit_generator.state
@@ -248,22 +269,60 @@ class TestRegionalLinkModel:
         assert rng.bit_generator.state == before
 
     def test_capability_flags(self):
-        assert not RegionalLinkModel(2, intra_loss=0.1, inter_loss=0.1).has_latency
-        assert RegionalLinkModel(2, intra_loss=0.1, inter_loss=0.1).uniform_loss_probability == 0.1
-        assert RegionalLinkModel(2, intra_loss=0.1, inter_loss=0.3).uniform_loss_probability is None
-        assert RegionalLinkModel(
-            2, partitions=(PartitionWindow(0.0, 1.0),)
+        assert not LinkModel(0.1, regions=2, inter_loss=0.1).has_latency
+        assert LinkModel(0.1, regions=2, inter_loss=0.1).uniform_loss_probability == 0.1
+        assert LinkModel(0.1, regions=2, inter_loss=0.3).uniform_loss_probability is None
+        assert LinkModel(regions=2, inter_bandwidth=5.0).has_latency
+        assert LinkModel(
+            regions=2, partitions=(PartitionWindow(0.0, 1.0),)
         ).has_latency  # time-dependent => event-driven only
 
     def test_validation(self):
         with pytest.raises(ValueError, match="flaky_region"):
-            RegionalLinkModel(2, flaky_region=5, flaky_loss=0.5)
+            LinkModel(regions=2, flaky_region=5, flaky_loss=0.5)
         with pytest.raises(ValueError, match="no-op flake"):
-            RegionalLinkModel(2, flaky_region=1)
-        with pytest.raises(ValueError, match="non-empty"):
-            RegionalLinkModel(np.array([[0, 1]]).reshape(1, 2))
+            LinkModel(regions=2, flaky_region=1)
+        with pytest.raises(ValueError, match="inter_bandwidth"):
+            LinkModel(regions=2, inter_bandwidth=0.0)
         with pytest.raises(ValueError, match=">= 1"):
-            RegionalLinkModel(0)
+            LinkModel(regions=0)
+
+
+class TestRecordedTransfers:
+    """``(dropped, delay)`` for 200 transfers per case, recorded from
+    the three link classes ``LinkModel`` replaced (a uniform-loss link,
+    a loss-plus-exponential-latency link, and a 4-region link), so the
+    one ``transfer`` keeps their draw order exactly."""
+
+    CASES = {
+        "instant-loss": LinkModel(0.3),
+        "homogeneous-exponential": LinkModel(0.1, latency=LatencySpec("exponential", 0.5)),
+        "regional-full": LinkModel(
+            0.05,
+            latency=LatencySpec("exponential", 0.05),
+            regions=4,
+            inter_loss=0.2,
+            inter_latency=LatencySpec("lognormal", 0.5, 0.4),
+            inter_bandwidth=0.5,
+            flaky_region=2,
+            flaky_loss=0.4,
+            partitions=(PartitionWindow(start=2.0, duration=3.0),),
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_transfers_match_the_recording(self, name):
+        recorded = json.loads(TRANSFERS.read_text())
+        case = recorded["cases"][name]
+        bound = self.CASES[name].bind(
+            recorded["num_nodes"], np.random.default_rng(case["link_seed"])
+        )
+        fates = [list(bound.transfer(now, s, t)) for now, s, t in recorded["schedule"]]
+        assert fates == case["transfers"]
+        assert bound.dropped_count == case["dropped_count"]
+        assert bound.delivered_count == case["delivered_count"]
+        assert bound.partition_dropped_count == case["partition_dropped_count"]
+        assert bound.quiet_horizon == case["quiet_horizon"]
 
 
 class TestPartitionSchedules:

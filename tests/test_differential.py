@@ -103,15 +103,14 @@ class TestResolveOversizedCounts:
 
     @pytest.mark.parametrize("n", [64, 65])
     def test_backends_reject_oversized_counts_alike(self, n):
-        # n = 64 runs on the message engine under auto, n = 65 on
-        # sparse; an explicit count above a leaf's degree is the same
-        # error on both sides of the boundary.
-        import repro
-        from repro.core.backend import GossipConfig, choose_backend_name
+        # n = 64 is the last size "auto" hands the message engine, n = 65
+        # the first it hands sparse; at either size both engines refuse
+        # an explicit count above a leaf's degree with the same error.
+        from repro.core.engine import MessageLevelGossip
+        from repro.core.sparse_engine import SparseGossipEngine
         from repro.network.preferential_attachment import preferential_attachment_graph
 
         graph = preferential_attachment_graph(n, m=1, rng=3)
-        config = GossipConfig(push_counts=np.full(n, 2), rng=1)
-        assert choose_backend_name(graph, config) == ("message" if n <= 64 else "sparse")
-        with pytest.raises(ValueError, match="may not exceed node degree"):
-            repro.aggregate(graph, np.linspace(0.0, 1.0, n), config)
+        for engine_class in (MessageLevelGossip, SparseGossipEngine):
+            with pytest.raises(ValueError, match="may not exceed node degree"):
+                engine_class(graph, push_counts=np.full(n, 2), rng=1)

@@ -9,13 +9,13 @@ import numpy as np
 import pytest
 
 from repro.experiments import eq17, fig3, fig4, fig5, fig6, table1, table2, theorem52
-from repro.experiments.registry import EXPERIMENTS, get_experiment
+from repro.experiments.registry import available_experiments, get_experiment
 from repro.experiments.runner import ExperimentResult
 
 
 class TestRegistry:
     def test_all_experiments_registered(self):
-        assert set(EXPERIMENTS) == {
+        assert set(available_experiments()) == {
             "table1",
             "table2",
             "fig3",

@@ -38,7 +38,7 @@ class TestRunExperiments:
         def boom(**kwargs):
             raise RuntimeError("sweep exploded")
 
-        monkeypatch.setitem(registry.EXPERIMENTS, "boom", boom)
+        monkeypatch.setitem(registry._EXPERIMENTS._entries, "boom", boom)
         stream = iter_experiments(["table1", "boom"], processes=1)
         first = next(stream)
         assert first.experiment_id == "table1"

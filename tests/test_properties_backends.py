@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 
 from repro.core.backend import GossipConfig, available_backends, run_backend
 from repro.core.differential import push_counts
-from repro.network.conditions import InstantLink
+from repro.network.conditions import LinkModel
 from repro.network.graph import Graph
 from repro.network.preferential_attachment import preferential_attachment_graph
 
@@ -132,7 +132,7 @@ class TestMassConservation:
         k, seed = knobs
         weights = np.ones_like(values)
         config = GossipConfig(
-            xi=1e-10, k=k, rng=seed, network=InstantLink(loss), max_steps=12, run_to_max=True
+            xi=1e-10, k=k, rng=seed, network=LinkModel(loss), max_steps=12, run_to_max=True
         )
         out = run_backend(graph, values, weights, config=config, backend="sparse")
         np.testing.assert_allclose(out.values.sum(), values.sum(), rtol=1e-12)
@@ -142,7 +142,7 @@ class TestMassConservation:
     @given(params=world, loss=st.floats(min_value=0.0, max_value=0.5))
     def test_message_engine_conserves_mass_to_convergence(self, params, loss):
         graph, values = build_world(params)
-        config = GossipConfig(xi=1e-6, rng=3, network=InstantLink(loss))
+        config = GossipConfig(xi=1e-6, rng=3, network=LinkModel(loss))
         out = run_backend(graph, values, np.ones_like(values), config=config, backend="message")
         np.testing.assert_allclose(out.values.sum(), values.sum(), rtol=1e-12)
         np.testing.assert_allclose(out.weights.sum(), float(len(values)), rtol=1e-12)

@@ -115,12 +115,12 @@ class TestAsyncProperties:
     ):
         """State + in-flight mass is exact at every event (check_mass
         audits each one), and the flushed final state is exact too."""
-        from repro.network.conditions import HomogeneousLink, LatencySpec
+        from repro.network.conditions import LatencySpec, LinkModel
 
         n, seed = params
         graph = _graph(n, seed)
         values = np.random.default_rng(seed).random(n)
-        link = HomogeneousLink(loss, latency=LatencySpec("exponential", latency_mean))
+        link = LinkModel(loss, latency=LatencySpec("exponential", latency_mean))
         out = AsyncGossipEngine(graph, rng=seed + 7, link=link, link_rng=seed + 8).run(
             values, np.ones(n), xi=1e-4, quiet_window=2.0,
             max_time=300.0, strict=False, check_mass=True,
@@ -132,18 +132,14 @@ class TestAsyncProperties:
     @given(params=world)
     def test_async_mass_conserved_across_partition_and_heal(self, params):
         """Partition drops self-redirect, so mass survives cut + heal."""
-        from repro.network.conditions import (
-            LatencySpec,
-            PartitionWindow,
-            RegionalLinkModel,
-        )
+        from repro.network.conditions import LatencySpec, LinkModel, PartitionWindow
 
         n, seed = params
         graph = _graph(n, seed)
         values = np.random.default_rng(seed).random(n)
-        link = RegionalLinkModel(
-            2,
-            intra_latency=LatencySpec("exponential", 0.05),
+        link = LinkModel(
+            latency=LatencySpec("exponential", 0.05),
+            regions=2,
             partitions=(PartitionWindow(start=1.0, duration=5.0),),
         )
         out = AsyncGossipEngine(graph, rng=seed + 9, link=link, link_rng=seed + 10).run(

@@ -1,10 +1,11 @@
-"""The shared name-table contract of the four registries.
+"""The shared name-table contract of the five registries.
 
-Backends, algorithms, attack families and scenarios each keep one
-:class:`repro.utils.registry.Registry`. Every entry has one name: a
-duplicate registration is refused without touching the table, an
-unknown name raises the registry's typed error listing the catalogue,
-and the names that used to be aliases of an entry resolve to nothing.
+Backends, algorithms, attack families, scenarios and experiments each
+keep one :class:`repro.utils.registry.Registry`. Every entry has one
+name: a duplicate registration is refused without touching the table,
+an unknown name raises the registry's typed error listing the
+catalogue, and the names that used to be aliases of an entry resolve
+to nothing.
 """
 
 import pytest
@@ -15,6 +16,8 @@ from repro.attacks import models as attack_models
 from repro.attacks.models import UnknownAttackError, available_attacks, get_attack
 from repro.core import backend as backend_mod
 from repro.core.backend import UnknownBackendError, available_backends, get_backend
+from repro.experiments import registry as experiment_registry
+from repro.experiments.registry import available_experiments, get_experiment
 from repro.scenarios import available_scenarios, get_scenario
 from repro.scenarios import spec as scenario_spec
 
@@ -39,6 +42,9 @@ REGISTRIES = {
         ),
     ),
     "scenario": (scenario_spec._SCENARIOS, get_scenario, available_scenarios, KeyError, ()),
+    "experiment": (
+        experiment_registry._EXPERIMENTS, get_experiment, available_experiments, KeyError, ()
+    ),
 }
 
 

@@ -351,57 +351,53 @@ class TestNetworkSpec:
     def test_validation(self):
         from repro.scenarios import NetworkSpec
 
-        with pytest.raises(ValueError, match="network kind"):
-            NetworkSpec(kind="mesh")
         with pytest.raises(ValueError, match="loss"):
-            NetworkSpec(kind="uniform", loss=1.5)
-        with pytest.raises(ValueError, match="region structure"):
-            NetworkSpec(kind="uniform", partition_start=2.0, partition_duration=3.0)
+            NetworkSpec(loss=1.5)
+        with pytest.raises(ValueError, match="regions >= 2"):
+            NetworkSpec(partition_start=2.0, partition_duration=3.0)
+        with pytest.raises(ValueError, match="regions >= 2"):
+            NetworkSpec(inter_latency_mean=0.5)
         with pytest.raises(ValueError, match="partition_duration"):
-            NetworkSpec(kind="regional", partition_start=2.0, partition_duration=0.0)
-        with pytest.raises(ValueError, match="partition_groups"):
-            NetworkSpec(kind="regional", partition_start=2.0,
-                        partition_duration=3.0, partition_groups=1)
+            NetworkSpec(num_regions=2, partition_start=2.0, partition_duration=0.0)
+        with pytest.raises(ValueError, match="regions must be >= 1"):
+            NetworkSpec(num_regions=0)
 
     def test_latency_network_requires_mean_workload(self):
         from repro.scenarios import NetworkSpec
 
         with pytest.raises(ValueError, match="'mean' workload"):
             self._scenario(
-                NetworkSpec(kind="uniform", latency_mean=0.5),
+                NetworkSpec(latency_mean=0.5),
                 workload=WorkloadSpec("dual-rank"),
             )
 
     def test_build_link_shapes(self):
-        from repro.network.conditions import (
-            HomogeneousLink,
-            InstantLink,
-            RegionalLinkModel,
-        )
+        from repro.network.conditions import LatencySpec, LinkModel, PartitionWindow
         from repro.scenarios import NetworkSpec
 
-        assert isinstance(
-            NetworkSpec(kind="uniform", loss=0.1).build_link(), InstantLink
-        )
-        assert isinstance(
-            NetworkSpec(kind="uniform", latency_mean=0.5).build_link(),
-            HomogeneousLink,
+        assert NetworkSpec(loss=0.1).build_link() == LinkModel(0.1)
+        assert NetworkSpec(latency_mean=0.5).build_link() == LinkModel(
+            latency=LatencySpec("exponential", 0.5)
         )
         regional = NetworkSpec(
-            kind="regional", latency_mean=0.05, inter_latency_mean=0.5,
+            num_regions=2, latency_mean=0.05, inter_latency_mean=0.5,
             partition_start=3.0, partition_duration=4.0,
         ).build_link()
-        assert isinstance(regional, RegionalLinkModel)
+        assert regional == LinkModel(
+            latency=LatencySpec("exponential", 0.05),
+            regions=2,
+            inter_latency=LatencySpec("exponential", 0.5),
+            partitions=(PartitionWindow(3.0, 4.0),),
+        )
         assert regional.partitions[0].end == 7.0
 
     def test_epoch_partition_round_trip(self):
         from repro.scenarios import NetworkSpec
 
-        spec = NetworkSpec(kind="regional", partition_start=3,
-                           partition_duration=4, partition_groups=2)
+        spec = NetworkSpec(num_regions=3, partition_start=3, partition_duration=4)
         schedule = spec.epoch_partition()
-        assert (schedule.start_epoch, schedule.heal_epoch) == (3, 7)
-        assert NetworkSpec(kind="regional").epoch_partition() is None
+        assert (schedule.start_epoch, schedule.heal_epoch, schedule.num_groups) == (3, 7, 3)
+        assert NetworkSpec(num_regions=2).epoch_partition() is None
 
 
 class TestNetworkScenarios:
