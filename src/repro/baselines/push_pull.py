@@ -17,12 +17,39 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.convergence import ConvergenceProtocol
-from repro.core.errors import ConvergenceError
+from repro.core.differential import fixed_push_counts
 from repro.core.results import GossipOutcome
+from repro.core.sparse_engine import SynchronousEngine
 from repro.network.graph import Graph
-from repro.utils.rng import RngLike, as_generator
-from repro.utils.validation import check_positive
+from repro.utils.rng import RngLike
+
+
+class _PairwiseAveraging(SynchronousEngine):
+    """Push-pull on the shared synchronous round loop.
+
+    Every node contacts one neighbour per step, so the engine runs with
+    ``k = 1`` push counts (no degree announcements) and no loss model.
+    """
+
+    def __init__(self, graph: Graph, rng: RngLike):
+        super().__init__(graph, push_counts=fixed_push_counts(graph, 1), rng=rng)
+
+    def _round_step(self, state, slices, num_channels):
+        return self._contact_step
+
+    def _contact_step(self, state, active, *, all_active, rng, loss_model, heard_out):
+        degrees = self._graph.degrees
+        indptr, indices = self._graph.indptr, self._graph.indices
+        contacts = np.flatnonzero(active)
+        heard_out[:] = False
+        for node in contacts:
+            neighbor = int(indices[indptr[node] + int(rng.integers(degrees[node]))])
+            # The pair's whole state rows — values and weights — meet at
+            # their midpoint.
+            midpoint = 0.5 * (state[node] + state[neighbor])
+            state[node] = state[neighbor] = midpoint
+            heard_out[node] = heard_out[neighbor] = True
+        return state, 2 * contacts.size  # request + response (per contact, any d)
 
 
 def push_pull_average(
@@ -40,7 +67,9 @@ def push_pull_average(
     average their ``(value, weight)`` pairs. Contacts are processed
     sequentially within a step (asynchronous-style), so a node touched
     twice in one step simply averages twice — mass conservation holds
-    regardless.
+    regardless. The round runs on the synchronous engines' shared loop
+    (:class:`repro.core.sparse_engine.SynchronousEngine`) with the
+    paper-literal stop rule (no warmup).
 
     Parameters
     ----------
@@ -65,56 +94,12 @@ def push_pull_average(
     >>> bool(np.allclose(out.estimates, 19.5, atol=0.05))
     True
     """
-    check_positive(xi, "xi")
     values = np.asarray(values, dtype=np.float64)
-    n = graph.num_nodes
-    if values.ndim not in (1, 2) or values.shape[0] != n:
-        raise ValueError(f"values must have shape ({n},) or ({n}, d), got {values.shape}")
-    columns = values.reshape(n, -1)
-    d = columns.shape[1]
-    generator = as_generator(rng)
-
-    value = columns.astype(np.float64).copy()
-    weight = np.ones(n, dtype=np.float64)
-    # Every component shares one weight; the broadcast view follows the
-    # in-place contact updates below.
-    weights = np.broadcast_to(weight[:, None], value.shape)
-    protocol = ConvergenceProtocol(graph, xi, num_components=d, patience=patience)
-    protocol.start(value, weights)
-    degrees = graph.degrees
-    indptr, indices = graph.indptr, graph.indices
-
-    push_messages = 0
-    protocol_messages = 0
-    active_node_steps = 0
-    steps = 0
-    while not protocol.all_stopped:
-        if steps >= max_steps:
-            raise ConvergenceError(steps, protocol.num_unconverged)
-        active = np.flatnonzero(~protocol.stopped & (degrees > 0))
-        active_node_steps += int(active.size)
-        heard_external = np.zeros(n, dtype=bool)
-        for node in active:
-            neighbor = int(indices[indptr[node] + int(generator.integers(degrees[node]))])
-            mid_value = 0.5 * (value[node] + value[neighbor])
-            mid_weight = 0.5 * (weight[node] + weight[neighbor])
-            value[node] = value[neighbor] = mid_value
-            weight[node] = weight[neighbor] = mid_weight
-            heard_external[node] = heard_external[neighbor] = True
-            push_messages += 2  # request + response (per contact, any d)
-        newly = protocol.observe_state(value, weights, heard_external)
-        if newly.size:
-            protocol_messages += int(degrees[newly].sum())
-        steps += 1
-
-    return GossipOutcome(
-        values=value,
-        weights=np.repeat(weight[:, None], d, axis=1),
-        extras={},
-        steps=steps,
-        push_messages=push_messages,
-        protocol_messages=protocol_messages,
-        active_node_steps=active_node_steps,
-        converged=protocol.converged.copy(),
-        ratio_history=None,
+    return _PairwiseAveraging(graph, rng).run(
+        values,
+        np.ones_like(values),
+        xi=xi,
+        max_steps=max_steps,
+        patience=patience,
+        warmup_steps=0,
     )

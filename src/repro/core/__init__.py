@@ -13,7 +13,10 @@ Algorithms 1 and 2 are the one-column case, ``targets=[j]``):
 - :func:`repro.core.vector_gclr.aggregate_vector_gclr` — Algorithm 2
   and its vector form (variant 4)
 
-Engines (reusable for custom initialisations and baselines):
+Engines (reusable for custom initialisations and baselines). The two
+step-synchronous engines run one round loop,
+:meth:`repro.core.sparse_engine.SynchronousEngine.run`, and differ only
+in the push step they plug into it, so both take every ``run`` option:
 
 - :class:`repro.core.sparse_engine.SparseGossipEngine` — the one
   vectorised CSR engine with preallocated buffers, from the paper's

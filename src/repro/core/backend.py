@@ -24,7 +24,8 @@ one protocol:
 - :func:`run_backend` is the engine-level entry the
   :func:`repro.aggregate` facade, the variant entry points and the
   dynamic-network runtime (:mod:`repro.runtime`, which chains
-  fixed-budget calls via ``supports_run_to_max`` backends) share.
+  fixed-budget ``run_to_max`` calls on the step-synchronous backends)
+  share.
 
 Backends differ only in *how* they execute the update rule; identical
 configs converge to identical fixpoints (the cross-backend equivalence
@@ -129,7 +130,10 @@ class GossipConfig:
         default ``ceil(log2 N) + 1``).
     run_to_max:
         Ignore the stop protocol and run exactly ``max_steps`` steps
-        (fixed-budget diffusion studies and benchmarks).
+        (fixed-budget diffusion studies and benchmarks). Every
+        step-synchronous backend runs it; the event-driven async
+        backend, which has no steps, raises
+        :class:`BackendCapabilityError`.
     num_channels:
         Number of independent reputation channels ``V`` packed
         channel-major into the gossiped value columns (the column count
@@ -137,8 +141,8 @@ class GossipConfig:
         draw and one scatter per step; convergence is judged per
         channel (see
         :class:`repro.core.convergence.ConvergenceProtocol`). The
-        sparse backend supports any ``V``; the message and async
-        backends are single-channel and raise
+        step-synchronous backends (sparse, message) run any ``V``; the
+        event-driven async backend is single-channel and raises
         :class:`BackendCapabilityError` for ``V > 1``. Default 1.
 
     Examples
@@ -290,15 +294,14 @@ class GossipBackend(Protocol):
 class _SynchronousBackend:
     """Shared adapter for the step-synchronous engines.
 
-    Subclasses provide ``name``, ``supports_run_to_max`` and
-    ``_engine_class``; everything else — config materialisation, engine
-    construction, run-kwarg plumbing — is identical across the message
-    and sparse engines.
+    Subclasses provide ``name`` and ``_engine_class``; everything else —
+    config materialisation, engine construction, run-kwarg plumbing — is
+    identical across the message and sparse engines, which run one round
+    loop (:class:`repro.core.sparse_engine.SynchronousEngine`) and so
+    accept every config.
     """
 
     name: str = ""
-    supports_run_to_max: bool = True
-    supports_channels: bool = True
     _engine_class: Optional[Callable] = None
 
     def run(
@@ -318,37 +321,23 @@ class _SynchronousBackend:
             loss_model=loss_model,
             rng=rng,
         )
-        kwargs = dict(
+        return engine.run(
+            values,
+            weights,
             xi=config.xi,
             extras=extras,
             max_steps=config.max_steps,
             patience=config.patience,
             warmup_steps=config.warmup_steps,
+            run_to_max=config.run_to_max,
+            num_channels=config.num_channels,
         )
-        if self.supports_run_to_max:
-            kwargs["run_to_max"] = config.run_to_max
-        elif config.run_to_max:
-            raise BackendCapabilityError(
-                f"backend {self.name!r} does not support run_to_max; use 'sparse'"
-            )
-        # The kwarg is only forwarded at V > 1 so single-channel runs
-        # execute the exact historical call (byte-identity contract).
-        if config.num_channels != 1:
-            if not self.supports_channels:
-                raise BackendCapabilityError(
-                    f"backend {self.name!r} gossips a single reputation channel; "
-                    "use 'sparse' for num_channels > 1"
-                )
-            kwargs["num_channels"] = config.num_channels
-        return engine.run(values, weights, **kwargs)
 
 
 class MessageBackend(_SynchronousBackend):
     """Protocol-faithful object simulation (mailboxes, announcements)."""
 
     name = "message"
-    supports_run_to_max = False
-    supports_channels = False
 
     @property
     def _engine_class(self):
@@ -489,8 +478,9 @@ def choose_backend_name(graph: Graph, config: Optional[GossipConfig] = None) -> 
     Configs whose ``network`` link model carries latency (delays,
     bandwidth caps or partition windows) can only run event-driven, so
     they go to the async engine. Tiny worlds get the protocol-faithful
-    message engine (free fidelity at that scale) unless the config needs
-    ``run_to_max`` or multi-channel state, which it does not support.
+    message engine (free fidelity at that scale), except ``run_to_max``
+    and multi-channel configs: the message engine runs those too, but
+    they stay on the sparse engine, the fast path.
     Everything else runs on the CSR sparse engine: it outran the retired
     dense engine at every measured size, and on a 2-core host it also
     outran the retired multi-process sharded engine, even at a million

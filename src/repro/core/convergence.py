@@ -13,13 +13,14 @@ rule is purely local and has two layers:
    and every one of its neighbours have announced convergence.
 
 :class:`ConvergenceProtocol` is the one implementation of both layers.
-Every synchronous engine — the vectorised sparse engine, the
-message-level engine and the push-pull baseline — hands it each step's
-value columns, weight columns and heard mask
-(:meth:`ConvergenceProtocol.observe_state`). It derives the estimates,
-their movement and which estimates are defined, then latches and stops
-nodes (:meth:`ConvergenceProtocol.observe`) over ``(N, V)`` arrays, one
-column per reputation channel.
+The one synchronous round loop
+(:class:`repro.core.sparse_engine.SynchronousEngine`, which the
+vectorised sparse engine, the message-level engine and the push-pull
+baseline share) hands it each step's value columns, weight columns and
+heard mask (:meth:`ConvergenceProtocol.observe_state`). It derives the
+estimates, their movement and which estimates are defined, then latches
+and stops nodes (:meth:`ConvergenceProtocol.observe`) over ``(N, V)``
+arrays, one column per reputation channel.
 """
 
 from __future__ import annotations

@@ -119,23 +119,3 @@ def fixed_push_counts(graph: Graph, k: int) -> np.ndarray:
     counts = np.minimum(np.full(graph.num_nodes, k, dtype=np.int64), graph.degrees)
     counts[graph.degrees == 0] = 0
     return counts
-
-
-def messages_per_step(counts: np.ndarray, active: np.ndarray | None = None) -> int:
-    """Network messages one gossip step costs (self-pushes are local, not counted).
-
-    Parameters
-    ----------
-    counts:
-        Per-node push counts.
-    active:
-        Optional boolean mask of nodes still gossiping; stopped nodes
-        send nothing.
-    """
-    counts = np.asarray(counts)
-    if active is not None:
-        active = np.asarray(active, dtype=bool)
-        if active.shape != counts.shape:
-            raise ValueError(f"shape mismatch: counts {counts.shape} vs active {active.shape}")
-        return int(counts[active].sum())
-    return int(counts.sum())

@@ -3,9 +3,12 @@
 Where :mod:`repro.core.sparse_engine` vectorises the update rule for
 scale, this engine models the *protocol*: every node is an object with a
 mailbox, pushes are discrete messages, and every node draws its own
-targets. The local convergence test and the neighbour-announcement stop
-rule are :class:`repro.core.convergence.ConvergenceProtocol`'s, the one
-copy every synchronous engine drives. It exists for three reasons:
+targets. Everything around the push — the step budget, the message
+accounting, the mass check, and the local convergence test and
+neighbour-announcement stop rule of
+:class:`repro.core.convergence.ConvergenceProtocol` — is the round loop
+of :class:`repro.core.sparse_engine.SynchronousEngine`, the one loop
+every synchronous engine runs. The engine exists for three reasons:
 
 1. its send and receive phases are a line-by-line rendering of the
    paper's Algorithm 1/2 pseudocode, so reviewers can audit fidelity;
@@ -20,18 +23,11 @@ It is O(N) Python objects per step — use it for small networks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.core.convergence import ConvergenceProtocol
-from repro.core.differential import resolve_push_counts
-from repro.core.errors import ConvergenceError
-from repro.core.results import GossipOutcome
-from repro.core.state import MassCheck, state_components
-from repro.network.conditions import PacketLossModel
-from repro.network.graph import Graph
-from repro.utils.rng import RngLike, as_generator
+from repro.core.sparse_engine import SynchronousEngine
 
 
 @dataclass
@@ -116,22 +112,16 @@ class GossipNode:
         return self_share, out_share
 
 
-class MessageLevelGossip:
+class MessageLevelGossip(SynchronousEngine):
     """Protocol-faithful gossip executor over :class:`GossipNode` mailboxes.
 
-    Parameters
-    ----------
-    graph:
-        Topology.
-    push_counts:
-        Per-node ``k_i``; defaults to the differential rule. Validated
-        exactly as the sparse engine validates them
-        (:func:`repro.core.differential.resolve_push_counts`).
-    loss_model:
-        Optional packet-loss model; a lost push is re-enqueued to the
-        sender (the backend layer builds it from ``GossipConfig.network``).
-    rng:
-        Seed / generator for target selection.
+    Parameters are :class:`~repro.core.sparse_engine.SynchronousEngine`'s,
+    whose round loop it runs: push counts default to the differential
+    rule and are validated exactly as the sparse engine's are, and a
+    lost push is re-enqueued to its sender. Only the push step is this
+    engine's own — the mailbox send and receive phases below — so it
+    runs every ``run`` option the sparse engine runs, ``run_to_max`` and
+    ``num_channels`` included.
 
     Examples
     --------
@@ -143,45 +133,10 @@ class MessageLevelGossip:
     True
     """
 
-    def __init__(
-        self,
-        graph: Graph,
-        *,
-        push_counts: Optional[np.ndarray] = None,
-        loss_model: Optional[PacketLossModel] = None,
-        rng: RngLike = None,
-    ):
-        self._graph = graph
-        # Only the differential rule needs each node to learn its
-        # neighbours' degrees: one announcement per edge end.
-        self._degree_announcements = push_counts is None
-        self._push_counts = resolve_push_counts(graph, push_counts)
-        self._loss_model = loss_model
-        self._rng = as_generator(rng)
-
-    def run(
-        self,
-        values: np.ndarray,
-        weights: np.ndarray,
-        *,
-        xi: float = 1e-4,
-        extras: Optional[Dict[str, np.ndarray]] = None,
-        max_steps: int = 10_000,
-        track_history: bool = False,
-        patience: int = 3,
-        warmup_steps: Optional[int] = None,
-    ) -> GossipOutcome:
-        """Execute one gossip round; same contract as the vectorised engine.
-
-        See :meth:`repro.core.sparse_engine.SparseGossipEngine.run`.
-        """
+    def _round_step(self, state, slices, num_channels):
         graph = self._graph
-        n = graph.num_nodes
-        names, columns = state_components(values, weights, extras, n, 1)
-        d = columns[0].shape[1]
-        state = np.concatenate(columns, axis=1)
-        slices = {name: slice(i * d, (i + 1) * d) for i, name in enumerate(names)}
         value_sl, weight_sl = slices["value"], slices["weight"]
+        extra_names = list(slices)[2:]
         nodes = [
             GossipNode(
                 i,
@@ -189,46 +144,29 @@ class MessageLevelGossip:
                 self._push_counts[i],
                 state[i, value_sl],
                 state[i, weight_sl],
-                {name: state[i, slices[name]] for name in names[2:]},
+                {name: state[i, slices[name]] for name in extra_names},
             )
-            for i in range(n)
+            for i in range(graph.num_nodes)
         ]
 
-        mass = MassCheck(state, slices)
-        protocol = ConvergenceProtocol(
-            graph, xi, num_components=d, patience=patience, warmup_steps=warmup_steps
-        )
-        protocol.start(state[:, value_sl], state[:, weight_sl])
-        history: Optional[List[np.ndarray]] = [] if track_history else None
-        degrees = graph.degrees
-        heard_external = np.empty(n, dtype=bool)
-        push_messages = 0
-        protocol_messages = int(degrees.sum()) if self._degree_announcements else 0
-        active_node_steps = 0
-        steps = 0
-
-        while not protocol.all_stopped:
-            if steps >= max_steps:
-                raise ConvergenceError(steps, protocol.num_unconverged)
-
+        def step(state, active, *, all_active, rng, loss_model, heard_out):
             # Send phase: every active node splits and pushes (isolated
-            # nodes are stopped from the outset).
-            stopped = protocol.stopped
+            # nodes are never active).
+            pushes = 0
             for node in nodes:
-                if stopped[node.node_id]:
+                if not active[node.node_id]:
                     continue
-                active_node_steps += 1
                 self_share, out_share = node.make_shares()
                 node.inbox.append(self_share)
                 if node.k >= node.neighbors.size:
                     chosen = node.neighbors
                 else:
-                    chosen = self._rng.choice(node.neighbors, size=node.k, replace=False)
+                    chosen = rng.choice(node.neighbors, size=node.k, replace=False)
                 for target in np.atleast_1d(chosen):
-                    push_messages += 1
+                    pushes += 1
                     receiver = int(target)
-                    if self._loss_model is not None:
-                        redirected = self._loss_model.apply(
+                    if loss_model is not None:
+                        redirected = loss_model.apply(
                             np.array([node.node_id]), np.array([receiver])
                         )
                         receiver = int(redirected[0])
@@ -240,27 +178,11 @@ class MessageLevelGossip:
                     )
                     nodes[receiver].inbox.append(message)
 
-            # Receive phase: absorb every mailbox, then run the local
-            # test and the announcements on the whole state at once.
+            # Receive phase: absorb every mailbox; the round loop then
+            # runs the local test and the announcements on the whole
+            # state at once.
             for node in nodes:
-                heard_external[node.node_id] = node.absorb_inbox()
-            newly_converged = protocol.observe_state(
-                state[:, value_sl], state[:, weight_sl], heard_external
-            )
-            protocol_messages += int(degrees[newly_converged].sum())
-            if history is not None:
-                history.append(protocol.ratios.copy())
-            steps += 1
-            mass.verify(state, steps)
+                heard_out[node.node_id] = node.absorb_inbox()
+            return state, pushes
 
-        return GossipOutcome(
-            values=state[:, value_sl],
-            weights=state[:, weight_sl],
-            extras={name: state[:, slices[name]] for name in names[2:]},
-            steps=steps,
-            push_messages=push_messages,
-            protocol_messages=protocol_messages,
-            active_node_steps=active_node_steps,
-            converged=protocol.converged.copy(),
-            ratio_history=history,
-        )
+        return step

@@ -31,7 +31,11 @@ temporaries in the hot loop. Targets are drawn through a
 the kernels package for how the draw stays uniform and byte-compatible
 with the historical unfused step.
 
-Every step runs the shared mass-conservation check
+The round around the push is :class:`SynchronousEngine`'s, the one
+loop every step-synchronous engine runs: the sparse engine here, the
+message engine (:mod:`repro.core.engine`) and the push-pull baseline
+(:mod:`repro.baselines.push_pull`) each supply only a push step. Every
+step runs the mass-conservation check
 (:class:`repro.core.state.MassCheck`), and the convergence protocol
 carries the last defined ratio through underflow-drained cells.
 Everything random flows through one generator: identical seeds replay
@@ -46,7 +50,7 @@ The engine accepts either a :class:`repro.network.graph.Graph` or any
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -73,8 +77,22 @@ def _coerce_graph(graph) -> Graph:
     )
 
 
-class SparseGossipEngine:
-    """Reusable vectorised CSR engine bound to a topology and push counts.
+class SynchronousEngine:
+    """The round loop every step-synchronous engine shares.
+
+    A synchronous round repeats the paper's step until the stop rule
+    ends it: every active node splits its state into ``k_i + 1`` shares
+    and pushes ``k_i`` of them (Algorithms 1–2), every node sums what
+    arrived, and :class:`~repro.core.convergence.ConvergenceProtocol`
+    runs the local test and the neighbour announcements. This class owns
+    everything around the push: it stacks the gossip components into one
+    ``(N, C)`` state matrix, checks mass after every step, drives the
+    protocol, enforces the step budget (``max_steps``, ``run_to_max``),
+    counts push, protocol and active-node-step messages, records history
+    and assembles the :class:`GossipOutcome`. A subclass supplies only
+    the push, through :meth:`_round_step`, with the push kernel's
+    interface ``step(state, active, *, all_active, rng, loss_model,
+    heard_out) -> (state, pushes)``.
 
     Parameters
     ----------
@@ -85,22 +103,13 @@ class SparseGossipEngine:
         Per-node push counts ``k_i``; defaults to the differential rule
         (:func:`repro.core.differential.push_counts`). Pass
         ``fixed_push_counts(graph, 1)`` for the normal-push baseline.
+        Validated by :func:`repro.core.differential.resolve_push_counts`.
     loss_model:
         Optional packet-loss model applied to every push (the backend
-        layer builds it from ``GossipConfig.network``).
+        layer builds it from ``GossipConfig.network``); a lost push is
+        redirected back to its sender.
     rng:
         Seed / generator for target selection.
-
-    Examples
-    --------
-    >>> from repro.network.topology_example import example_network
-    >>> import numpy as np
-    >>> g = example_network()
-    >>> engine = SparseGossipEngine(g, rng=7)
-    >>> values = np.arange(10, dtype=float)
-    >>> outcome = engine.run(values, np.ones(10), xi=1e-6)
-    >>> bool(np.allclose(outcome.estimates, values.mean(), atol=1e-3))
-    True
     """
 
     def __init__(
@@ -116,13 +125,9 @@ class SparseGossipEngine:
         # Only the differential rule needs each node to learn its
         # neighbours' degrees: one announcement per edge end.
         self._degree_announcements = push_counts is None
-        push_counts = resolve_push_counts(graph, push_counts)
-        self._push_counts = push_counts
+        self._push_counts = resolve_push_counts(graph, push_counts)
         self._loss_model = loss_model
         self._rng = as_generator(rng)
-        self._plan = PushPlan(graph.indptr, graph.indices, graph.degrees, push_counts)
-        self._inv_k_plus_one = 1.0 / (push_counts + 1.0)
-        self._kernels: Dict[Tuple[int, int], object] = {}
 
     @property
     def graph(self) -> Graph:
@@ -136,16 +141,20 @@ class SparseGossipEngine:
         view.flags.writeable = False
         return view
 
-    def _kernel_for(self, num_cols: int, num_channels: int = 1):
-        """Kernel instance for a ``num_cols``-wide state (cached per width)."""
-        key = (num_cols, num_channels)
-        kernel = self._kernels.get(key)
-        if kernel is None:
-            kernel = FusedNumpyKernel(
-                self._plan, self._inv_k_plus_one, num_cols, num_channels=num_channels
-            )
-            self._kernels[key] = kernel
-        return kernel
+    def _state_order(self, num_cols: int, num_channels: int) -> str:
+        """Memory order ("C" or "F") of a round's ``num_cols``-wide state."""
+        return "C"
+
+    def _round_step(
+        self, state: np.ndarray, slices: Dict[str, slice], num_channels: int
+    ) -> Callable[..., Tuple[np.ndarray, int]]:
+        """The push step of one round over ``state``.
+
+        ``slices[name]`` are the columns of component ``name``. The step
+        returns ``(state, num_pushes)`` and overwrites ``heard_out`` with
+        the heard-external mask of the round.
+        """
+        raise NotImplementedError
 
     # -- main loop ----------------------------------------------------------------
 
@@ -220,13 +229,14 @@ class SparseGossipEngine:
         n = graph.num_nodes
         names, columns = state_components(values, weights, extras, n, num_channels)
         d = columns[0].shape[1]
-        kernel = self._kernel_for(len(names) * d, num_channels)
-        # One (N, C) state matrix, laid out in the order the kernel walks
+        width = len(names) * d
+        # One (N, C) state matrix, laid out in the order the step walks
         # it; component i owns columns [i*d, (i+1)*d).
-        state = np.empty((n, len(names) * d), dtype=np.float64, order=kernel.state_order)
+        state = np.empty((n, width), dtype=np.float64, order=self._state_order(width, num_channels))
         np.concatenate(columns, axis=1, out=state)
         del columns  # converted component copies are dead once stacked
         slices = {name: slice(i * d, (i + 1) * d) for i, name in enumerate(names)}
+        step = self._round_step(state, slices, num_channels)
 
         mass = MassCheck(state, slices)
         value_sl, weight_sl = slices["value"], slices["weight"]
@@ -243,7 +253,7 @@ class SparseGossipEngine:
 
         degrees = graph.degrees
         eligible = degrees > 0
-        eligible_count = self._plan.eligible_count
+        eligible_count = int(np.count_nonzero(eligible))
         # Reusable per-step masks, overwritten in full each round.
         heard_external = np.empty(n, dtype=bool)
         active_buf = np.empty(n, dtype=bool)
@@ -268,7 +278,7 @@ class SparseGossipEngine:
                 active_count = int(active.sum())
             active_node_steps += active_count
 
-            state, num_pushes = kernel.step(
+            state, num_pushes = step(
                 state,
                 active,
                 all_active=active_count == eligible_count,
@@ -289,11 +299,11 @@ class SparseGossipEngine:
             mass.verify(state, steps)
 
         # The outcome views the final state instead of copying it. The
-        # kernel never keeps a reference to the state it returns, so
+        # step never keeps a reference to the state it returns, so
         # nothing writes this one again.
         return GossipOutcome(
-            values=state[:, slices["value"]],
-            weights=state[:, slices["weight"]],
+            values=state[:, value_sl],
+            weights=state[:, weight_sl],
             extras={name: state[:, slices[name]] for name in names[2:]},
             steps=steps,
             push_messages=push_messages,
@@ -306,3 +316,53 @@ class SparseGossipEngine:
                 protocol.channel_converged.copy() if num_channels > 1 else None
             ),
         )
+
+
+class SparseGossipEngine(SynchronousEngine):
+    """Reusable vectorised CSR engine bound to a topology and push counts.
+
+    Parameters are :class:`SynchronousEngine`'s; each round's push runs
+    through the fused kernel, one instance per state width.
+
+    Examples
+    --------
+    >>> from repro.network.topology_example import example_network
+    >>> import numpy as np
+    >>> g = example_network()
+    >>> engine = SparseGossipEngine(g, rng=7)
+    >>> values = np.arange(10, dtype=float)
+    >>> outcome = engine.run(values, np.ones(10), xi=1e-6)
+    >>> bool(np.allclose(outcome.estimates, values.mean(), atol=1e-3))
+    True
+    """
+
+    def __init__(
+        self,
+        graph,
+        *,
+        push_counts: Optional[np.ndarray] = None,
+        loss_model: Optional[PacketLossModel] = None,
+        rng: RngLike = None,
+    ):
+        super().__init__(graph, push_counts=push_counts, loss_model=loss_model, rng=rng)
+        graph, counts = self._graph, self._push_counts
+        self._plan = PushPlan(graph.indptr, graph.indices, graph.degrees, counts)
+        self._inv_k_plus_one = 1.0 / (counts + 1.0)
+        self._kernels: Dict[Tuple[int, int], object] = {}
+
+    def _kernel_for(self, num_cols: int, num_channels: int = 1):
+        """Kernel instance for a ``num_cols``-wide state (cached per width)."""
+        key = (num_cols, num_channels)
+        kernel = self._kernels.get(key)
+        if kernel is None:
+            kernel = FusedNumpyKernel(
+                self._plan, self._inv_k_plus_one, num_cols, num_channels=num_channels
+            )
+            self._kernels[key] = kernel
+        return kernel
+
+    def _state_order(self, num_cols: int, num_channels: int) -> str:
+        return self._kernel_for(num_cols, num_channels).state_order
+
+    def _round_step(self, state, slices, num_channels):
+        return self._kernel_for(state.shape[1], num_channels).step

@@ -34,15 +34,6 @@ def default_processes() -> int:
     return max(1, available)
 
 
-def _resolve_context(mp_context: Optional[str]):
-    """Optional start-method name -> multiprocessing context (or None)."""
-    if mp_context is None:
-        return None
-    import multiprocessing
-
-    return multiprocessing.get_context(mp_context)
-
-
 def _run_registry_experiment(job: Tuple[str, Dict[str, Any]]) -> Any:
     """Pool target for :func:`iter_experiments` (registry lookup in-worker)."""
     from repro.experiments.registry import get_experiment
@@ -56,7 +47,6 @@ def iter_experiments(
     *,
     processes: Optional[int] = 1,
     seed: Optional[int] = None,
-    mp_context: Optional[str] = None,
 ) -> Iterator[Any]:
     """Yield registry experiment results in input order as they complete.
 
@@ -74,8 +64,6 @@ def iter_experiments(
         available CPU.
     seed:
         Optional seed override forwarded to every experiment.
-    mp_context:
-        Optional multiprocessing start-method name.
 
     Yields
     ------
@@ -96,9 +84,7 @@ def iter_experiments(
         for job in jobs:
             yield _run_registry_experiment(job)
         return
-    pool = ProcessPoolExecutor(
-        max_workers=min(processes, len(jobs)), mp_context=_resolve_context(mp_context)
-    )
+    pool = ProcessPoolExecutor(max_workers=min(processes, len(jobs)))
     try:
         futures = [pool.submit(_run_registry_experiment, job) for job in jobs]
         for future in futures:

@@ -42,8 +42,9 @@ Epochs can stop two ways (``stop_rule``):
   state's own fixpoint ``sum(values)/sum(weights)`` is below
   ``epoch_tol``. This accuracy-matched rule makes cold and warm epochs
   directly comparable: both stop at the *same* network-wide accuracy,
-  so the round counts isolate what warm-starting buys. Requires a
-  backend with ``run_to_max`` support (sparse).
+  so the round counts isolate what warm-starting buys. Runs on every
+  step-synchronous backend (sparse, message); the event-driven async
+  backend has no fixed step budget and is refused.
 - ``"protocol"``: the paper's distributed per-node stop protocol
   (``xi`` movement bound, warmup, patience) as run by every backend.
   Note that under this rule a round's length is governed by
@@ -65,7 +66,6 @@ from repro.core.backend import (
     BackendCapabilityError,
     GossipConfig,
     choose_backend_name,
-    get_backend,
     resolve_backend_name,
     run_backend,
 )
@@ -327,9 +327,9 @@ class DynamicReputationRuntime:
         self._overlay = overlay
         self._config = config if config is not None else GossipConfig()
         graph, _ = overlay.snapshot()
-        # The accuracy rule chains fixed-budget blocks, so steer "auto"
-        # towards the run_to_max-capable engines (the message engine
-        # would be chosen for tiny overlays and then rejected below).
+        # The accuracy rule chains fixed-budget blocks; "auto" routes
+        # those to the sparse engine at every size, as it does any
+        # run_to_max config.
         auto_config = (
             replace(self._config, run_to_max=True)
             if stop_rule == "accuracy"
@@ -340,12 +340,14 @@ class DynamicReputationRuntime:
             if backend == "auto"
             else resolve_backend_name(backend)
         )
-        if stop_rule == "accuracy" and not getattr(
-            get_backend(self._backend), "supports_run_to_max", False
-        ):
+        # Only the event-driven backend has no gossip steps: no
+        # fixed-budget blocks and no per-step warmup.
+        self._stepwise = self._backend != "async"
+        if stop_rule == "accuracy" and not self._stepwise:
             raise BackendCapabilityError(
-                f"stop_rule 'accuracy' needs run_to_max support, which backend "
-                f"{self._backend!r} lacks; use 'sparse' or stop_rule='protocol'"
+                "stop_rule 'accuracy' runs fixed-budget blocks (run_to_max), which "
+                "the event-driven 'async' backend lacks; use a step-synchronous "
+                "backend or stop_rule='protocol'"
             )
         self._stop_rule = stop_rule
         self._epoch_tol = float(epoch_tol)
@@ -540,10 +542,9 @@ class DynamicReputationRuntime:
 
         if self._stop_rule == "protocol":
             # The shortened warm warmup only applies to step-synchronous
-            # engines; event-driven backends (async) have no per-step
-            # warmup to shorten and reject the override outright.
-            stepwise = getattr(get_backend(self._backend), "supports_run_to_max", False)
-            warmup = WARM_WARMUP_STEPS if warm and stepwise else self._config.warmup_steps
+            # engines; the event-driven backend has no per-step warmup
+            # to shorten and rejects the override outright.
+            warmup = WARM_WARMUP_STEPS if warm and self._stepwise else self._config.warmup_steps
             epoch_config = replace(
                 self._config, rng=stateless_child_sequence(seed, 1), warmup_steps=warmup
             )

@@ -769,8 +769,8 @@ def _run_dynamic(scenario, graph, config, backend, root, *, small):
     """Epoch-driven dynamic run: churn trace over a mutable overlay.
 
     The runtime resolves the backend name itself: its ``"auto"`` policy
-    steers towards run_to_max-capable engines for the accuracy stop
-    rule.
+    sends the accuracy stop rule's fixed-budget blocks to the sparse
+    engine.
     """
     from repro.network.mutable import MutableOverlay
     from repro.runtime.dynamics import run_dynamic

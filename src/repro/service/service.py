@@ -110,8 +110,8 @@ class ReputationService:
         ignored — every stream derives from ``seed``.
     backend:
         Registered gossip backend name or ``"auto"`` (sparse at
-        scale; the runtime steers ``"auto"`` to a fixed-budget-capable
-        engine for the accuracy stop rule).
+        scale; the runtime steers ``"auto"`` to the sparse engine for
+        the accuracy stop rule at every size).
     seed:
         Single replay root: topology growth, epoch streams, everything.
     high_watermark:

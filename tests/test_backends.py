@@ -259,14 +259,16 @@ class TestAutoSelection:
 
 
 class TestCapabilityErrors:
-    def test_message_rejects_run_to_max(self, fixture_values):
+    def test_async_rejects_run_to_max(self, fixture_values):
+        # The step-synchronous engines share one round loop and run any
+        # step budget; the event-driven engine has no steps to budget.
         with pytest.raises(BackendCapabilityError, match="run_to_max"):
             run_backend(
                 example_network(),
                 fixture_values,
                 np.ones(10),
                 config=GossipConfig(run_to_max=True, max_steps=5),
-                backend="message",
+                backend="async",
             )
 
     def test_async_rejects_extras_and_matrix_state(self, fixture_values):

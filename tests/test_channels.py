@@ -6,14 +6,16 @@ Covers the tentpole contract from every side:
   get_backend-spy regression pattern of the PR-4 ``push_sum_average``
   fix), plus a source lint that no ``backend``/``engine`` default in
   ``src/repro`` names a registered backend;
-- every channel hits its own fixpoint at V ∈ {1, 2, 4} on sparse, and
-  sparse agrees with the message engine at V = 1;
+- every channel hits its own fixpoint at V ∈ {1, 2, 4} on sparse and
+  on the message engine, and the two agree;
+- a fixed-budget run's first channel is bit for bit the V = 1 run, on
+  both step-synchronous engines;
 - V = 1 byte-identity on the fused kernel and on the unfused reference
   step (the historical code path must be executed literally);
 - per-channel eq.-7 convergence: one converged channel must not stop a
   straggler channel;
-- the scalar-state backends (message/async) raise the typed capability
-  error instead of silently averaging channels.
+- the scalar-state async backend raises the typed capability error
+  instead of silently averaging channels.
 """
 
 from __future__ import annotations
@@ -160,10 +162,9 @@ class TestSweptBackendDefaults:
 
 
 class TestCrossBackendParity:
-    """Every channel lands on its fixpoint to 1e-8; sparse matches message at V = 1.
+    """Every channel lands on its fixpoint to 1e-8, and sparse matches message.
 
-    The message engine gossips one channel, so it is the second engine
-    only at V = 1.
+    Both step-synchronous engines run one round loop, so both run every V.
     """
 
     @pytest.mark.parametrize("num_channels", [1, 2, 4])
@@ -175,7 +176,7 @@ class TestCrossBackendParity:
             xi=1e-10, max_steps=100_000, rng=5, num_channels=num_channels
         )
         estimates = {}
-        for backend in ("sparse", "message") if num_channels == 1 else ("sparse",):
+        for backend in ("sparse", "message"):
             out = run_backend(g, values, weights, config=config, backend=backend)
             assert out.num_channels == num_channels
             estimates[backend] = out.estimates
@@ -193,6 +194,33 @@ class TestCrossBackendParity:
                 np.testing.assert_allclose(
                     estimates[a], estimates[b], atol=1e-8, err_msg=f"{a} vs {b}"
                 )
+
+
+class TestFixedBudgetChannelIdentity:
+    """A fixed-budget run's first channel is bit for bit the V = 1 run.
+
+    Under ``run_to_max`` every eligible node pushes every step, so a
+    second channel changes neither the draws nor any operation on the
+    first channel's columns.
+    """
+
+    @pytest.mark.parametrize("backend", ["message", "sparse"])
+    def test_first_channel_equals_single_channel_run(self, backend):
+        g = example_network()
+        values = np.random.default_rng(11).random((g.num_nodes, 2))
+        weights = np.ones_like(values)
+        budget = dict(rng=5, max_steps=40, run_to_max=True)
+        single = run_backend(
+            g, values[:, :1], weights[:, :1], config=GossipConfig(**budget), backend=backend
+        )
+        double = run_backend(
+            g, values, weights, config=GossipConfig(num_channels=2, **budget), backend=backend
+        )
+        assert single.steps == double.steps == 40
+        assert single.push_messages == double.push_messages
+        for name in ("values", "weights"):
+            first = np.ascontiguousarray(getattr(double, name)[:, :1])
+            assert first.tobytes() == np.ascontiguousarray(getattr(single, name)).tobytes()
 
 
 class TestV1ByteIdentity:
@@ -297,9 +325,9 @@ class TestPerChannelConvergence:
 
 
 class TestCapabilityErrors:
-    """Scalar-state backends reject V > 1 with the typed error."""
+    """The scalar-state async backend rejects V > 1 with the typed error."""
 
-    @pytest.mark.parametrize("backend", ["message", "async"])
+    @pytest.mark.parametrize("backend", ["async"])
     def test_rejects_multi_channel(self, backend):
         g = example_network()
         values = np.random.default_rng(1).random((g.num_nodes, 2))

@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.differential import (
     fixed_push_counts,
-    messages_per_step,
     push_counts,
     push_ratio,
     resolve_push_counts,
@@ -77,20 +76,6 @@ class TestFixedPushCounts:
     def test_rejects_k_below_one(self, triangle):
         with pytest.raises(ValueError):
             fixed_push_counts(triangle, 0)
-
-
-class TestMessagesPerStep:
-    def test_counts_all(self):
-        assert messages_per_step(np.array([1, 2, 3])) == 6
-
-    def test_respects_active_mask(self):
-        counts = np.array([1, 2, 3])
-        active = np.array([True, False, True])
-        assert messages_per_step(counts, active) == 4
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            messages_per_step(np.array([1, 2]), np.array([True]))
 
 
 class TestResolveOversizedCounts:

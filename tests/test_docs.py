@@ -13,7 +13,9 @@ Four failure modes this file pins down:
    ``available_algorithms()`` / ``available_scenarios()`` expose.
    Registries are snapshotted in a subprocess, so that an entry some
    test registers in-process cannot leak into the comparison. Each
-   entry has one name, so each row names exactly one.
+   entry has one name, so each row names exactly one. The experiment
+   table in the ``repro.experiments`` docstring must list exactly
+   ``available_experiments()``.
 4. **A harness nobody runs** — ``docs/benchmarks.md`` must give the
    command of every script under ``benchmarks/`` (and of nothing else),
    and a section to every committed ``BENCH_*.json``.
@@ -205,6 +207,18 @@ def test_readme_backend_table_matches_registry(registries):
     readme = (REPO_ROOT / "README.md").read_text()
     documented = _table_first_names(_section(readme, "## Choosing a backend"))
     assert documented == set(registries["backends"])
+
+
+def test_experiment_table_matches_registry():
+    import repro.experiments as experiments
+
+    # The docstring's table: the rows between its second and third
+    # ``====`` rules, one experiment id first on each.
+    lines = experiments.__doc__.splitlines()
+    rules = [i for i, line in enumerate(lines) if line.startswith("====")]
+    assert len(rules) == 3, "the repro.experiments docstring has no experiment table"
+    documented = [line.split()[0] for line in lines[rules[1] + 1 : rules[2]] if line.strip()]
+    assert sorted(documented) == sorted(experiments.available_experiments())
 
 
 REGISTRY_TABLES = [

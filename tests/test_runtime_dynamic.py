@@ -174,9 +174,17 @@ class TestRunDynamic:
         assert len(result.records) == 2 and result.records[1].warm
 
     def test_accuracy_rule_rejects_backends_without_run_to_max(self):
+        # The event-driven engine has no steps to budget.
         trace = ChurnTrace.steady(2, population=80, join_rate=0.0, leave_rate=0.0, seed=37)
-        with pytest.raises(BackendCapabilityError):
-            run_dynamic(small_overlay(), trace, backend="message")
+        with pytest.raises(BackendCapabilityError, match="async"):
+            run_dynamic(small_overlay(), trace, backend="async")
+
+    def test_accuracy_rule_runs_on_the_message_engine(self):
+        # Both step-synchronous engines run the fixed-budget blocks.
+        trace = ChurnTrace.steady(2, population=80, join_rate=0.02, leave_rate=0.02, seed=37)
+        result = run_dynamic(small_overlay(), trace, GossipConfig(delta=0.0), backend="message")
+        assert all(r.converged_fraction == 1.0 for r in result.records)
+        assert result.records[-1].mean_abs_error < 1e-3
 
     def test_budget_exhaustion_reports_unconverged(self):
         trace = ChurnTrace.steady(1, population=80, join_rate=0.0, leave_rate=0.0, seed=41)
